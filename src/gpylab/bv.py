@@ -41,17 +41,16 @@ class BVConfig:
             raise CapacityError(f"N={self.N} exceeds guard {MAX_N}")
 
 
-def _phi(q: int) -> int:
-    result, n, p = q, q, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+def _worst_residue(p: np.ndarray, logs: np.ndarray, mod: int, N: int) -> float:
+    """max over a coprime to mod of |sum of log p over p = a (mod mod) - N/phi(mod)|."""
+    theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
+    target = N / prime_engine._phi(mod)
+    best = 0.0
+    for a in range(mod):
+        if gcd(a if a else mod, mod) != 1:
+            continue
+        best = max(best, abs(float(theta_by_a[a]) - target))
+    return best
 
 
 def bv_sum(cfg: BVConfig, table: prime_engine.PrimeTable | None = None) -> float:
@@ -62,17 +61,7 @@ def bv_sum(cfg: BVConfig, table: prime_engine.PrimeTable | None = None) -> float
         table = prime_engine.primes_upto(cfg.N)
     p = table.primes[table.primes <= cfg.N]
     logs = np.log(p.astype(np.float64))
-    per_q = []
-    for q in range(1, cfg.Q + 1):
-        theta_by_a = np.bincount(p % q, weights=logs, minlength=q)
-        target = cfg.N / _phi(q)
-        best = 0.0
-        for a in range(q):
-            if gcd(a if a else q, q) != 1:
-                continue
-            best = max(best, abs(float(theta_by_a[a]) - target))
-        per_q.append(best)
-    return math.fsum(per_q)
+    return math.fsum(_worst_residue(p, logs, q, cfg.N) for q in range(1, cfg.Q + 1))
 
 
 def bv_sum_restricted(
@@ -88,20 +77,9 @@ def bv_sum_restricted(
         table = prime_engine.sieve_range(N + 1, 2 * N)
     p = table.primes
     logs = np.log(p.astype(np.float64))
-    per_q = []
-    for q in range(1, cfg.Q + 1):
-        if gcd(q, M) != 1:
-            continue
-        mod = M * q
-        theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
-        target = N / _phi(mod)
-        best = 0.0
-        for a in range(mod):
-            if gcd(a if a else mod, mod) != 1:
-                continue
-            best = max(best, abs(float(theta_by_a[a]) - target))
-        per_q.append(best)
-    return math.fsum(per_q)
+    return math.fsum(
+        _worst_residue(p, logs, M * q, N) for q in range(1, cfg.Q + 1) if gcd(q, M) == 1
+    )
 
 
 def estar_aggregate(

@@ -9,19 +9,21 @@ stdout.  Exit codes: 0 success, 2 domain error, 3 capacity error, 64 usage.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import os
 import random
 import sys
 import time
 
+from . import __version__
 from . import bv as bv_mod
 from . import combinat, oracle, sequences, singular
 from . import primes as prime_engine
 from . import tuples as tc
 from . import weights
 from .errors import CapacityError, DomainError
-from .report import ExperimentReport, write_csv
+
+SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -98,7 +100,6 @@ def _shifts(text: str) -> tc.TupleH:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=None, help="parallelism hint")
     p.add_argument("--stable", action="store_true", help="omit runtime from output")
     p.add_argument("--seed", type=int, default=0)
 
@@ -115,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_num, help="progression residue")
     p.add_argument("--error", action="store_true", help="report E(hi; q, a)")
     p.add_argument("--estar", action="store_true", help="report E*(hi, q)")
-    p.add_argument("--cache", help="binary prime-cache file to write")
     _add_common(p)
 
     p = sub.add_parser("tuple", help="shift-set arithmetic")
@@ -285,9 +285,6 @@ def _params_from(args, H1, H2) -> weights.WeightParams:
 def _cmd_primes(args) -> dict:
     table = prime_engine.sieve_range(args.lo, args.hi)
     out = {"lo": args.lo, "hi": args.hi, "count": len(table)}
-    if args.cache:
-        prime_engine.save_table(table, args.cache)
-        out["cache"] = args.cache
     if args.theta:
         out["theta"] = prime_engine.theta_sum(args.hi, table if args.lo == 0 else None)
     if args.q is not None and args.estar:
@@ -309,13 +306,7 @@ def _cmd_tuple(args) -> dict:
             "tuple": list(H.shifts),
             "admissible": tc.is_admissible(H),
         }
-        import sympy
-
-        ps = (
-            [args.p]
-            if args.p is not None
-            else [int(q) for q in sympy.primerange(2, max(H.size, 3) + 1)]
-        )
+        ps = [args.p] if args.p is not None else list(prime_engine.primes_upto(max(H.size, 3)))
         out["nu_p"] = {str(q): tc.nu_p(H, q) for q in ps}
         if args.h2 is not None:
             out["nu_bar_p"] = {str(q): tc.nu_bar_p(H, args.h2, q) for q in ps}
@@ -408,41 +399,30 @@ def _cmd_gpy(args) -> dict:
             )
         if args.strategy in ("divisor", "both"):
             base["divisor"] = weights.pair_sum_divisor(H1, H2, args.ell, ell2, params)
+        emp = base.get("direct", base.get("divisor"))
         pred = oracle.main_term_t4(
             oracle.MainTermParams(H1, H2, args.ell, ell2, params.R, args.n, args.v),
             scope="per_class" if args.per_class is not None else "aggregate",
         )
-        emp = base.get("direct", base.get("divisor"))
-        base["predicted"] = pred
-        base["comparison"] = oracle.compare(
-            emp, pred["density_adjusted_mid"], pred["density_adjusted_rad"]
+    else:
+        base["h0"] = args.h0
+        emp = base["empirical"] = weights.pair_sum_theta(
+            H1, H2, args.ell, ell2, args.h0, params, args.per_class
         )
-        return base
-    base["h0"] = args.h0
-    base["empirical"] = weights.pair_sum_theta(
-        H1, H2, args.ell, ell2, args.h0, params, args.per_class
-    )
-    pred = oracle.main_term_t5(
-        oracle.MainTermParams(H1, H2, args.ell, ell2, params.R, args.n, args.v, args.h0)
-    )
+        pred = oracle.main_term_t5(
+            oracle.MainTermParams(H1, H2, args.ell, ell2, params.R, args.n, args.v, args.h0)
+        )
     base["predicted"] = pred
     base["comparison"] = oracle.compare(
-        base["empirical"], pred["density_adjusted_mid"], pred["density_adjusted_rad"]
+        emp, pred["density_adjusted_mid"], pred["density_adjusted_rad"]
     )
     return base
 
 
 def _cmd_combi(args) -> dict:
     if args.action == "lemma2":
-        violations = []
-        checked = 0
-        for d in range(args.max + 1):
-            for u in range(args.max + 1):
-                for y in range(-u, args.max + 1):
-                    t = combinat.SuitableTriplet(d, u, y)
-                    checked += 1
-                    if combinat.Z_sum(t) != combinat.Z_closed(t):
-                        violations.append({"d": d, "u": u, "y": y})
+        checked, bad = combinat.Z_identity_scan(args.max)
+        violations = [{"d": d, "u": u, "y": y} for d, u, y in bad]
         return {
             "check": "lemma2",
             "grid": {"max": args.max},
@@ -451,19 +431,9 @@ def _cmd_combi(args) -> dict:
             "max_ratio": "1" if not violations else "divergent",
         }
     if args.action == "coeffs":
-        mismatches = []
-        for d in range(args.max + 1):
-            for u in range(args.max + 1):
-                for v in range(args.max + 1):
-                    for j in range(u + 1):
-                        for nu in range(v + d + u - j + 1):
-                            if combinat.coeff_A_sum(j, nu, d, u, v) != combinat.coeff_A_closed(
-                                j, nu, d, u, v
-                            ):
-                                mismatches.append((j, nu, d, u, v))
         ratio = combinat.coeff_ratio_check(args.d, args.u, args.v)
         ratio["identity_grid_max"] = args.max
-        ratio["identity_mismatches"] = mismatches
+        ratio["identity_mismatches"] = combinat.coeff_identity_scan(args.max)
         return ratio
     return combinat.divisor_mean_check(args.x, args.m)
 
@@ -505,20 +475,15 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_bv(args) -> dict:
+    use_estar = False
     if args.action == "classic":
-        cfg = bv_mod.BVConfig(N=args.n, Q=args.qmax)
-        s = bv_mod.bv_sum(cfg)
-        return {"N": args.n, "Q": args.qmax, "M": 1, "sum": s, "normalized": s / args.n}
-    if args.action == "restricted":
-        P = tc.primorial(args.v)
-        cfg = bv_mod.BVConfig(N=args.n, Q=args.qmax, M=P)
-        s = bv_mod.bv_sum_restricted(cfg)
-        return {"N": args.n, "Q": args.qmax, "M": P, "sum": s, "normalized": s / args.n}
-    cfg = bv_mod.BVConfig(
-        N=args.n, Q=args.qmax, M=args.m, use_estar=not args.endpoint_only
-    )
-    s = bv_mod.estar_aggregate(cfg)
-    return {"N": args.n, "Q": args.qmax, "M": args.m, "sum": s, "normalized": s / args.n}
+        M, run = 1, bv_mod.bv_sum
+    elif args.action == "restricted":
+        M, run = tc.primorial(args.v), bv_mod.bv_sum_restricted
+    else:
+        M, run, use_estar = args.m, bv_mod.estar_aggregate, not args.endpoint_only
+    s = run(bv_mod.BVConfig(N=args.n, Q=args.qmax, M=M, use_estar=use_estar))
+    return {"N": args.n, "Q": args.qmax, "M": M, "sum": s, "normalized": s / args.n}
 
 
 def _cmd_seq(args) -> dict:
@@ -543,17 +508,8 @@ def _cmd_seq(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    lim = 10 if args.fast else 25
-    checks = {}
-    bad = 0
-    for d in range(lim + 1):
-        for u in range(lim + 1):
-            for y in range(-u, lim + 1):
-                t = combinat.SuitableTriplet(d, u, y)
-                if combinat.Z_sum(t) != combinat.Z_closed(t):
-                    bad += 1
-    checks["lemma2_violations"] = bad
-    checks["coeff_ratio"] = combinat.coeff_ratio_check(3, 4, 4)
+    bad = len(combinat.Z_identity_scan(10 if args.fast else 25)[1])
+    checks = {"lemma2_violations": bad, "coeff_ratio": combinat.coeff_ratio_check(3, 4, 4)}
     rng = random.Random(args.seed)
     mismatch = 0
     for _ in range(20 if args.fast else 100):
@@ -586,11 +542,33 @@ _HANDLERS = {
 }
 
 
+def _envelope(args, payload: dict, runtime: float) -> dict:
+    """Run metadata around a handler's payload; payload keys win on a clash."""
+    experiment = args.command + (f" {args.action}" if getattr(args, "action", None) else "")
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "experiment": experiment,
+        "params": {},
+        "empirical": None,
+        "predicted_mid": None,
+        "predicted_rad": None,
+        "seed": args.seed,
+        "version": __version__,
+    }
+    if not args.stable:
+        out["runtime_seconds"] = runtime
+    out.update(payload)
+    return out
+
+
 def _emit(payload: dict, args) -> None:
     if args.format == "csv":
         rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (dict, list)))
         if args.out:
-            write_csv(args.out, rows, ("key", "value"))
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh)
+                w.writerow(("key", "value"))
+                w.writerows(rows)
         else:
             for k, v in rows:
                 print(f"{k},{v}")
@@ -609,9 +587,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    random.seed(args.seed)
-    if args.jobs is None:
-        args.jobs = int(os.environ.get("GPY_JOBS", os.cpu_count() or 1))
     start = time.monotonic()
     try:
         payload = _HANDLERS[args.command](args)
@@ -621,18 +596,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    report = ExperimentReport(
-        experiment=f"{args.command}"
-        + (f" {args.action}" if getattr(args, "action", None) else ""),
-        params={},
-        runtime_seconds=None if args.stable else time.monotonic() - start,
-        seed=args.seed,
-        extra=payload,
-    )
-    out = report.to_dict(stable=args.stable)
-    out.update(payload)
-    del out["extra"]
-    _emit(out, args)
+    _emit(_envelope(args, payload, time.monotonic() - start), args)
     return EXIT_OK
 
 

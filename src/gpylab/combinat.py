@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import comb, factorial, isqrt, log
 
 import numpy as np
-import sympy
 
 from .errors import DomainError
+from .primes import factorize
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,22 @@ def Z_closed(t: SuitableTriplet) -> Fraction:
     return Fraction(num, _fact(u) * _fact(y + u))
 
 
+def Z_identity_scan(bound: int) -> tuple[int, list]:
+    """Z_sum against Z_closed on 0 <= d, u <= bound, -u <= y <= bound.
+
+    Returns the number of triplets checked and each mismatching (d, u, y).
+    """
+    checked, bad = 0, []
+    for d in range(bound + 1):
+        for u in range(bound + 1):
+            for y in range(-u, bound + 1):
+                t = SuitableTriplet(d, u, y)
+                checked += 1
+                if Z_sum(t) != Z_closed(t):
+                    bad.append((d, u, y))
+    return checked, bad
+
+
 def Z_induction_check(t: SuitableTriplet) -> bool:
     """Z(d, u, y) = ((y + 1 - d)/u) Z(d, u-1, y+1) for u >= 1, exactly."""
     if t.u < 1:
@@ -114,6 +130,20 @@ def coeff_A_sum(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
         )
         total += term
     return total * Fraction(_fact(j) * _fact(nu), _fact(u))
+
+
+def coeff_identity_scan(bound: int) -> list:
+    """coeff_A_sum against coeff_A_closed on 0 <= d, u, v <= bound and every
+    admissible (j, nu); returns each mismatching (j, nu, d, u, v)."""
+    bad = []
+    for d in range(bound + 1):
+        for u in range(bound + 1):
+            for v in range(bound + 1):
+                for j in range(u + 1):
+                    for nu in range(v + d + u - j + 1):
+                        if coeff_A_sum(j, nu, d, u, v) != coeff_A_closed(j, nu, d, u, v):
+                            bad.append((j, nu, d, u, v))
+    return bad
 
 
 def coeff_A(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
@@ -176,7 +206,7 @@ def divisor_m(q: int, m: int) -> int:
         raise DomainError("m must be non-negative")
     if q == 1:
         return 1
-    fac = sympy.factorint(q)
+    fac = factorize(q)
     if any(e > 1 for e in fac.values()):
         raise DomainError(f"{q} is not squarefree")
     return m ** len(fac)

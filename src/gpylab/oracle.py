@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import primes as prime_engine
 from . import tuples as tc
@@ -182,9 +181,7 @@ def main_term_t5(p: MainTermParams) -> dict:
     # Primes land only in classes coprime to P; of the phi(P) such classes,
     # n + h0 reaches |A(H0)| from the regular window, so the adjusted value
     # rescales by that share for desk-scale comparison.
-    phi_P = 1
-    for q in sympy.primerange(2, p.V + 1):
-        phi_P *= q - 1
+    phi_P = math.prod(q - 1 for q in prime_engine.primes_upto(p.V))
     density = tc.regular_class_count(Hu0, p.V) / phi_P
     K = max(p.H1.size, p.H2.size)
     rbar_star = max(math.sqrt(K), K - p.r)

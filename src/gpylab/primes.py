@@ -3,13 +3,14 @@
 A segmented, odd-only sieve produces immutable prime tables; on top of those
 sit theta(x), theta(x; q, a), the progression error E(x; q, a) and its
 running maximum E*(X, q).  All log-sums go through ``math.fsum`` so results
-are exactly rounded and independent of segmentation.
+are exactly rounded and independent of segmentation.  The small-integer
+arithmetic the other modules need (primality, factorisation, Euler phi)
+lives here too.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -23,8 +24,14 @@ SEGMENT_SIZE = 1 << 18
 # Practical ceiling: a full table above this would not fit desk-scale memory.
 MAX_SIEVE_HI = 1 << 40
 
-_CACHE_MAGIC = b"GPYPRIM1"
-_CACHE_VERSION = 1
+# factorize trial-divides by the sieved primes up to sqrt(n); this bound
+# keeps that table at 78498 primes.
+MAX_FACTOR_N = 10**12
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound, the
+# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_IS_PRIME_N = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -198,25 +205,50 @@ def _primes_le(table: PrimeTable, x: int) -> np.ndarray:
     return table.primes[: int(np.searchsorted(table.primes, x, side="right"))]
 
 
-def save_table(table: PrimeTable, path) -> None:
-    """Binary cache: 16-byte header (magic, version u32, reserved u32), then
-    little-endian u64 prime values.  Purely an optimization; loading must
-    reproduce the sieve bit for bit."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<II", _CACHE_VERSION, 0))
-        fh.write(struct.pack("<qq", table.lo, table.hi))
-        fh.write(table.primes.astype("<u8").tobytes())
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_IS_PRIME_N (Miller-Rabin)."""
+    if n >= MAX_IS_PRIME_N:
+        raise CapacityError(f"n={n} exceeds primality bound {MAX_IS_PRIME_N}")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor below 43
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def load_table(path) -> PrimeTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise DomainError(f"bad cache magic {magic!r}")
-        version, _reserved = struct.unpack("<II", fh.read(8))
-        if version != _CACHE_VERSION:
-            raise DomainError(f"unsupported cache version {version}")
-        lo, hi = struct.unpack("<qq", fh.read(16))
-        primes = np.frombuffer(fh.read(), dtype="<u8").astype(np.int64)
-    return PrimeTable(lo, hi, primes)
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of 1 <= n <= MAX_FACTOR_N, primes ascending.
+
+    Trial division by the sieved primes up to sqrt(n); what is left over
+    after them is 1 or a single prime."""
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    if n > MAX_FACTOR_N:
+        raise CapacityError(f"n={n} exceeds factorisation bound {MAX_FACTOR_N}")
+    out = {}
+    for p in primes_upto(math.isqrt(n)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        out[n] = 1
+    return out

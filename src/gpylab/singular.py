@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import sympy
 
 from . import primes as prime_engine
 from . import tuples as tc
@@ -31,8 +30,13 @@ MAX_ORDERED_SUBSETS = 10**8
 MAX_QUASIPRIME_Z = 100
 
 # The histogram fallback in check_monotone tabulates residues modulo
-# primorial(z); z = 23 gives modulus 223092870 (about 450 MB live).
+# primorial(z); z = 23 gives modulus 223092870.  Its coprimality table (one
+# byte per residue) is most of the memory: check_monotone([1,25], 6) peaks
+# at about 250 MB RSS.
 HISTOGRAM_Z = 23
+
+# Residues per chunk when the histogram route counts shifted coprime hits.
+HISTOGRAM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def _delta_prime_factors(H: tc.TupleH) -> set:
     s = H.shifts
     for i in range(len(s)):
         for j in range(i + 1, len(s)):
-            out |= set(sympy.factorint(s[j] - s[i]))
+            out |= set(prime_engine.factorize(s[j] - s[i]))
     return out
 
 
@@ -151,7 +155,7 @@ def _subset_products(A: tc.TupleH, k: int, cutoff: int) -> tuple[np.ndarray, flo
     maxdiff = int(shifts.max() - shifts.min())
     pmax = max(maxdiff, k, 2)
     prod = np.ones(S.shape[0], dtype=np.float64)
-    for p in sympy.primerange(2, pmax + 1):
+    for p in prime_engine.primes_upto(pmax):
         r = np.sort(S % p, axis=1)
         nu = 1 + (r[:, 1:] != r[:, :-1]).sum(axis=1)
         prod *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-k)
@@ -195,7 +199,7 @@ def quasiprime_density(H: tc.TupleH, z: int) -> Fraction:
     if z > MAX_QUASIPRIME_Z:
         raise CapacityError(f"z={z} exceeds supported ceiling {MAX_QUASIPRIME_Z}")
     r = Fraction(1)
-    for p in sympy.primerange(2, z + 1):
+    for p in prime_engine.primes_upto(z):
         r *= Fraction(p - tc.nu_p(H, p), p)
     return r
 
@@ -210,7 +214,7 @@ def quasiprime_count(H: tc.TupleH, z: int) -> int:
     Z = tc.primorial(z)
     good = np.ones(Z, dtype=bool)  # index i-1 represents i
     i = np.arange(1, Z + 1, dtype=np.int64)
-    for p in sympy.primerange(2, z + 1):
+    for p in prime_engine.primes_upto(z):
         hit = np.zeros(Z, dtype=bool)
         for h in H.shifts:
             hit |= (i + h) % p == 0
@@ -230,22 +234,28 @@ def _s_star_histogram(A: tc.TupleH, k_values, cutoff: int) -> dict:
     """
     z = HISTOGRAM_Z
     Z = tc.primorial(z)
+    small = prime_engine.primes_upto(z)
     coprime = np.ones(Z, dtype=bool)  # index r represents residue r mod Z
-    for p in sympy.primerange(2, z + 1):
+    for p in small:
         coprime[::p] = False
 
-    f = np.zeros(Z, dtype=np.uint8)
-    chunk = 1 << 24
-    for a in A.shifts:
-        # f[i] += coprime[(i + a) mod Z], with index i running over [0, Z).
-        shifted = np.roll(coprime, -a)
-        for lo in range(0, Z, chunk):
-            f[lo : lo + chunk] += shifted[lo : lo + chunk]
-    hist = np.bincount(f, minlength=A.size + 1)
-    del f, coprime
+    # f[i] = sum over a in A of coprime[(i + a) mod Z], built and
+    # histogrammed one chunk of i at a time from two slices of coprime.
+    hist = np.zeros(A.size + 1, dtype=np.int64)
+    f = np.empty(HISTOGRAM_CHUNK, dtype=np.uint8 if A.size < 256 else np.uint16)
+    for lo in range(0, Z, HISTOGRAM_CHUNK):
+        n = min(HISTOGRAM_CHUNK, Z - lo)
+        fc = f[:n]
+        fc[:] = 0
+        for a in A.shifts:
+            start = (lo + a) % Z
+            head = min(n, Z - start)
+            fc[:head] += coprime[start : start + head]
+            fc[head:] += coprime[: n - head]
+        hist += np.bincount(fc, minlength=A.size + 1)
 
     Y_z = 1.0
-    for p in sympy.primerange(2, z + 1):
+    for p in small:
         Y_z /= 1.0 - 1.0 / p
 
     table = prime_engine.primes_upto(cutoff)

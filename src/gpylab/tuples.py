@@ -10,12 +10,12 @@ are the residues a with gcd(P, P_H(a)) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
-import sympy
 
+from . import primes as prime_engine
 from .errors import CapacityError, DomainError
 
 # P = primorial(V) overflows useful exact ranges quickly; V = 43 gives
@@ -88,7 +88,7 @@ class ResidueSet:
 
 
 def _require_prime(p: int) -> None:
-    if not sympy.isprime(p):
+    if not prime_engine.is_prime(p):
         raise DomainError(f"{p} is not prime")
 
 
@@ -107,7 +107,7 @@ def nu_d(H: TupleH, d: int) -> int:
         raise DomainError("d must be positive")
     if d == 1:
         return 1
-    fac = sympy.factorint(d)
+    fac = prime_engine.factorize(d)
     if any(e > 1 for e in fac.values()):
         raise DomainError(f"{d} is not squarefree")
     result = 1
@@ -118,7 +118,7 @@ def nu_d(H: TupleH, d: int) -> int:
 
 def is_admissible(H: TupleH) -> bool:
     """True iff nu_p(H) < p for every prime; only p <= |H| can fail."""
-    return all(nu_p(H, p) < p for p in sympy.primerange(2, H.size + 1))
+    return all(nu_p(H, p) < p for p in prime_engine.primes_upto(H.size))
 
 
 def discriminant(H: TupleH) -> int:
@@ -157,7 +157,7 @@ def primorial(V: int) -> int:
         raise DomainError("V must be >= 2")
     if V > MAX_V:
         raise CapacityError(f"V={V} exceeds exact-product ceiling {MAX_V}")
-    return reduce(lambda a, p: a * p, sympy.primerange(2, V + 1), 1)
+    return math.prod(prime_engine.primes_upto(V))
 
 
 def regular_class_count(H: TupleH, V: int) -> int:
@@ -166,10 +166,18 @@ def regular_class_count(H: TupleH, V: int) -> int:
         raise DomainError("V must be >= 2")
     if V > MAX_V:
         raise CapacityError(f"V={V} exceeds exact-product ceiling {MAX_V}")
-    count = 1
-    for p in sympy.primerange(2, V + 1):
-        count *= p - nu_p(H, p)
-    return count
+    return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
+
+
+def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Classes x mod m crossed with residues res mod q, gcd(m, q) = 1.
+
+    x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * m^{-1} mod q);
+    returns the len(x) * len(res) lifted classes mod m*q, and m*q.
+    """
+    inv = pow(m % q, -1, q)
+    lift = x[:, None] + m * (((res[None, :] - x[:, None]) * inv) % q)
+    return lift.reshape(-1), m * q
 
 
 def regular_classes(H: TupleH, V: int) -> ResidueSet:
@@ -190,15 +198,10 @@ def regular_classes(H: TupleH, V: int) -> ResidueSet:
     # Residues allowed mod p: those avoiding every -h mod p.
     classes = np.array([0], dtype=np.int64)
     mod = 1
-    for p in sympy.primerange(2, V + 1):
+    for p in prime_engine.primes_upto(V):
         banned = {(-h) % p for h in H.shifts}
         allowed = np.array([r for r in range(p) if r not in banned], dtype=np.int64)
-        # CRT: lift each class mod `mod` against each allowed residue mod p.
-        # x = a (mod m), x = r (mod p) -> x = a + m * ((r - a) * m^{-1} mod p).
-        m_inv = pow(mod % p, -1, p)
-        lift = (classes[:, None] + mod * (((allowed[None, :] - classes[:, None]) * m_inv) % p))
-        classes = lift.reshape(-1)
-        mod *= p
+        classes, mod = crt_lift(classes, mod, allowed, p)
     assert mod == P and classes.size == expected
     # Map representative 0 to P so members sit in [1, P].
     classes = np.where(classes == 0, P, classes)

@@ -103,17 +103,14 @@ def _lambda_terms(primes: list, a: int, log_R: float) -> float:
 
 
 def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
-    """Lambda_R(n; H, ell) for a single n, factoring P_H(n) directly."""
+    """Lambda_R(n; H, ell) for a single n, from the primes p <= R dividing P_H(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if not R > 1:
         raise DomainError("R must exceed 1")
-    import sympy
-
-    ps = set()
-    for h in H.shifts:
-        ps |= set(sympy.factorint(n + h))
-    small = sorted(p for p in ps if p <= R)
+    small = [
+        p for p in prime_engine.primes_upto(int(R)) if any((n + h) % p == 0 for h in H.shifts)
+    ]
     return _lambda_terms(small, H.size + ell, math.log(R))
 
 
@@ -309,13 +306,6 @@ def _rough_squarefree(Q: list, R: float) -> list:
     return out
 
 
-def _crt_merge(x: np.ndarray, m: int, res: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """Classes mod m crossed with classes mod q (coprime), via CRT lifting."""
-    inv = pow(m % q, -1, q)
-    lift = x[:, None] + m * (((res[None, :] - x[:, None]) * inv) % q)
-    return lift.reshape(-1), m * q
-
-
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
@@ -360,8 +350,8 @@ def pair_sum_divisor(
                 r = res[q]
                 if r.size == 0:
                     return 0
-                x, mod = _crt_merge(x, mod, r, q)
-        x, mod = _crt_merge(x, mod, reg, P)
+                x, mod = tc.crt_lift(x, mod, r, q)
+        x, mod = tc.crt_lift(x, mod, reg, P)
         assert mod == m * P
         hi = (2 * N - x) // mod
         lo = (N - x) // mod
@@ -429,16 +419,13 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
         psi[sel] += lambda_window(n_all[sel], H, ell, params)
 
     h = max(A.shifts)
-    table = prime_engine.sieve_range(N + 2, 3 * N)
+    # n + a runs from N + 1 + min(A): a shift 0 reaches n = N + 1 itself.
+    table = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N)
     inner = np.full(N, -math.log(3 * N), dtype=np.float64)
     for a in A.shifts:
         shifted = n_all + a
-        keep = shifted <= 3 * N
-        idx = np.searchsorted(table.primes, shifted[keep])
-        idx[idx >= table.primes.size] = table.primes.size - 1
-        hit = table.primes[idx] == shifted[keep]
-        where = np.flatnonzero(keep)[hit]
-        inner[where] += np.log(shifted[keep][hit].astype(np.float64))
+        hit = np.isin(shifted, table.primes)
+        inner[hit] += np.log(shifted[hit].astype(np.float64))
 
     value = math.fsum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))
     return {

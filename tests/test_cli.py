@@ -2,9 +2,13 @@
 output formats, and deterministic --stable output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gpylab
 from gpylab import cli
 
 # One cheap canonical invocation per subcommand named in OPERATION_MAP.
@@ -53,10 +57,44 @@ def test_every_operation_has_a_working_subcommand(capsys):
         assert payload["experiment"] == name
 
 
+def test_stable_envelope_of_every_invocation(capsys):
+    for name, argv in INVOCATIONS.items():
+        code, out = run([*argv, "--stable", "--seed", "5"], capsys)
+        assert code == cli.EXIT_OK, f"{name}: exit {code}"
+        payload = json.loads(out)
+        assert payload["schema_version"] == 1
+        assert payload["experiment"] == name
+        assert payload["seed"] == 5
+        assert payload["version"] == "0.1.0"
+        assert "runtime_seconds" not in payload
+        # Payload keys win over the envelope's: oracle t4 and t5 report
+        # their resolved inputs under "params", everything else leaves it empty.
+        if name in ("oracle t4", "oracle t5"):
+            assert {"N", "R", "V"} <= set(payload["params"])
+        else:
+            assert payload["params"] == {}
+    _, out = run(INVOCATIONS["oracle jprod"], capsys)
+    assert "runtime_seconds" in json.loads(out)
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["primes"]) == cli.EXIT_USAGE
     assert cli.main(["no-such-command"]) == cli.EXIT_USAGE
     assert cli.main([]) == cli.EXIT_USAGE
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    assert cli.main(["primes", "--hi", "100", "--jobs", "2"]) == cli.EXIT_USAGE
+    assert cli.main(["primes", "--hi", "100", "--cache", "primes.bin"]) == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(gpylab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, gpylab.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,14 +1,14 @@
-"""Prime sieve, theta statistics, and the binary cache format."""
+"""Prime sieve, theta statistics, and the primality and factorisation helpers."""
 
 import math
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpylab import primes
+from gpylab import tuples as tc
 from gpylab.errors import CapacityError, DomainError
 
 
@@ -95,17 +95,43 @@ def test_ap_error_star_brute_force_small():
     assert primes.ap_error_star(X, q, table) == pytest.approx(best, rel=1e-9)
 
 
-def test_cache_round_trip(tmp_path):
-    t = primes.sieve_range(100, 10000)
-    path = tmp_path / "primes.bin"
-    primes.save_table(t, path)
-    back = primes.load_table(path)
-    assert back.lo == t.lo and back.hi == t.hi
-    assert np.array_equal(back.primes, t.primes)
+def test_is_prime_matches_sympy_on_a_dense_range():
+    got = [n for n in range(2 * 10**5 + 1) if primes.is_prime(n)]
+    assert got == list(sympy.primerange(0, 2 * 10**5 + 1))
 
 
-def test_cache_rejects_corrupt_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+def test_is_prime_rejects_pseudoprimes():
+    # 561 is a Carmichael number; the other two are strong pseudoprimes to
+    # bases 2, 3, 5, 7 and to every prime base up to 23, respectively.
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not sympy.isprime(n)
+        assert not primes.is_prime(n)
+    assert primes.is_prime(2**61 - 1)
+
+
+def test_is_prime_capacity_bound():
+    assert not primes.is_prime(primes.MAX_IS_PRIME_N - 1)  # even
+    with pytest.raises(CapacityError):
+        primes.is_prime(primes.MAX_IS_PRIME_N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**9))
+def test_factorize_matches_sympy(n):
+    assert primes.factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_at_its_bound():
+    bound = primes.MAX_FACTOR_N
+    largest_prime = sympy.prevprime(bound)
+    for n in (1, 2, bound - 1, bound, largest_prime, 999983 * 999979):
+        assert primes.factorize(n) == sympy.factorint(n)
+    with pytest.raises(CapacityError):
+        primes.factorize(bound + 1)
     with pytest.raises(DomainError):
-        primes.load_table(path)
+        primes.factorize(0)
+
+
+def test_nu_p_rejects_composite_modulus():
+    with pytest.raises(DomainError):
+        tc.nu_p(tc.TupleH((0, 2)), 4)

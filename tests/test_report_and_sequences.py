@@ -1,41 +1,9 @@
-"""Report serialization and the shift-set generators."""
-
-import json
+"""The shift-set generators."""
 
 import pytest
 
 from gpylab import sequences
 from gpylab.errors import DomainError
-from gpylab.report import ExperimentReport
-
-
-def test_report_json_round_trip():
-    rep = ExperimentReport(
-        experiment="demo",
-        params={"N": 100},
-        empirical=2.5,
-        predicted_mid=2.0,
-        predicted_rad=0.1,
-        runtime_seconds=0.5,
-        seed=7,
-        extra={"note": "x"},
-    )
-    back = ExperimentReport.from_json(rep.to_json())
-    assert back == rep
-
-
-def test_report_ratio_and_stable_mode():
-    rep = ExperimentReport(experiment="demo", empirical=3.0, predicted_mid=2.0,
-                           runtime_seconds=1.0)
-    assert rep.ratio == pytest.approx(1.5)
-    stable = json.loads(rep.to_json(stable=True))
-    assert "runtime_seconds" not in stable
-    loose = json.loads(rep.to_json())
-    assert loose["runtime_seconds"] == 1.0
-
-
-def test_report_ratio_none_when_unpredicted():
-    assert ExperimentReport(experiment="x", empirical=1.0).ratio is None
 
 
 def test_interval_sequence():

@@ -95,6 +95,32 @@ def test_density_times_primorial_equals_direct_count(shifts, z):
     assert singular.quasiprime_density(H, z) * Z == singular.quasiprime_count(H, z)
 
 
+def test_histogram_counts_past_255_shifts(monkeypatch):
+    # With z = 2 every residue i sees exactly 300 of the 600 shifts coprime,
+    # and S*(1) is exactly 1 unless the per-residue counter wraps.
+    monkeypatch.setattr(singular, "HISTOGRAM_Z", 2)
+    A = tc.TupleH(tuple(range(1, 601)))
+    assert singular._s_star_histogram(A, [1], 1000)[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_histogram_counts_match_quasiprime_densities(monkeypatch):
+    # Z = 210 with a chunk that does not divide it, and shifts above Z: the
+    # streamed counts must give k! * sum of the exact R(H) over k-subsets.
+    monkeypatch.setattr(singular, "HISTOGRAM_Z", 7)
+    monkeypatch.setattr(singular, "HISTOGRAM_CHUNK", 64)
+    A = tc.TupleH((1, 5, 12, 250, 333))
+    est = singular._s_star_histogram(A, [2, 3], 1000)
+    generic = [p for p in range(11, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for k in (2, 3):
+        r_sum = math.factorial(k) * sum(
+            singular.quasiprime_density(tc.TupleH(c), 7)
+            for c in itertools.combinations(A.shifts, k)
+        )
+        tail = math.prod((1 - k / p) / (1 - 1 / p) ** k for p in generic)
+        want = float(r_sum) * (210 / 48) ** k * tail / A.size**k
+        assert est[k] == pytest.approx(want, rel=1e-9)
+
+
 def test_histogram_estimate_tracks_exact_values():
     A = tc.TupleH(tuple(range(1, 41)))
     est = singular._s_star_histogram(A, [2, 3], 10**4)

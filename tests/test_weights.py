@@ -141,3 +141,21 @@ def test_detector_sum_reports_negative_at_desk_scale():
     assert rep["subsets"] == 15
     assert math.isfinite(rep["value"])
     assert rep["positive"] == (rep["value"] > 0)
+
+
+def test_detector_sum_counts_prime_at_window_start():
+    # The shift 0 reaches n + 0 = N + 1 = 11, a prime: log 11 belongs in the
+    # inner weight at n = 11, where every pair in A is regular.
+    A = tc.TupleH((0, 2, 6))
+    params = weights.WeightParams(K=2, ell=0, R=8.0, V=3, N=10)
+    N, P = params.N, tc.primorial(params.V)
+    terms = []
+    for n in range(N + 1, 2 * N + 1):
+        psi = 0.0
+        for H in (tc.TupleH(c) for c in ((0, 2), (0, 6), (2, 6))):
+            if all(math.gcd(n + h, P) == 1 for h in H.shifts):
+                psi += brute_lambda(n, H, params.ell, params.R)
+        inner = sum(math.log(n + a) for a in A.shifts if n + a <= 3 * N and sympy.isprime(n + a))
+        terms.append((inner - math.log(3 * N)) * psi * psi)
+    want = math.fsum(terms) / (N * 6.0 ** 5)
+    assert weights.detector_sum(A, params)["value"] == pytest.approx(want, rel=1e-12)
