@@ -45,21 +45,14 @@ def _worst_residue(p: np.ndarray, logs: np.ndarray, mod: int, N: int) -> float:
     """max over a coprime to mod of |sum of log p over p = a (mod mod) - N/phi(mod)|."""
     theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
     target = N / prime_engine._phi(mod)
-    best = 0.0
-    for a in range(mod):
-        if gcd(a if a else mod, mod) != 1:
-            continue
-        best = max(best, abs(float(theta_by_a[a]) - target))
-    return best
+    return float(np.abs(theta_by_a[prime_engine.coprime_mask(mod)] - target).max())
 
 
 def bv_sum(cfg: BVConfig, table: prime_engine.PrimeTable | None = None) -> float:
     """Classical sum: Sum_{q <= Q} max_{(a,q)=1} |theta(N; q, a) - N/phi(q)|."""
     if cfg.M != 1:
         raise DomainError("classical sum requires M = 1")
-    if table is None:
-        table = prime_engine.primes_upto(cfg.N)
-    p = table.primes[table.primes <= cfg.N]
+    p = prime_engine._primes_le(prime_engine._table_for(cfg.N, table), cfg.N)
     logs = np.log(p.astype(np.float64))
     return math.fsum(_worst_residue(p, logs, q, cfg.N) for q in range(1, cfg.Q + 1))
 
@@ -75,7 +68,11 @@ def bv_sum_restricted(
     N, M = cfg.N, cfg.M
     if table is None:
         table = prime_engine.sieve_range(N + 1, 2 * N)
-    p = table.primes
+    elif table.lo > N + 1 or table.hi < 2 * N:
+        raise DomainError(
+            f"prime table [{table.lo}, {table.hi}] does not cover [{N + 1}, {2 * N}]"
+        )
+    p = table.primes[(table.primes > N) & (table.primes <= 2 * N)]
     logs = np.log(p.astype(np.float64))
     return math.fsum(
         _worst_residue(p, logs, M * q, N) for q in range(1, cfg.Q + 1) if gcd(q, M) == 1
@@ -91,8 +88,8 @@ def estar_aggregate(
     max_{(a, Mq)=1} |E(N; Mq, a)| instead of the running maximum.
     """
     X, M = cfg.N, cfg.M
-    if table is None:
-        table = prime_engine.primes_upto(X)
+    table = prime_engine._table_for(X, table)
+    p = prime_engine._primes_le(table, X)
     terms = []
     for q in range(1, cfg.Q + 1):
         if gcd(q, M) != 1:
@@ -100,11 +97,13 @@ def estar_aggregate(
         mod = M * q
         if cfg.use_estar:
             terms.append(prime_engine.ap_error_star(X, mod, table))
-        else:
-            best = 0.0
-            for a in range(mod):
-                if gcd(a if a else mod, mod) != 1:
-                    continue
-                best = max(best, abs(prime_engine.ap_error(X, mod, a, table)))
-            terms.append(best)
+            continue
+        # Each class summed as theta_progression sums it, so each term
+        # equals max |ap_error(X, mod, a)| over a coprime to mod.
+        target = X / prime_engine._phi(mod)
+        best = 0.0
+        for pa in prime_engine.coprime_classes(p, mod):
+            theta = math.fsum(np.log(pa)) if pa.size else 0.0
+            best = max(best, abs(theta - target))
+        terms.append(best)
     return math.fsum(terms)

@@ -11,6 +11,7 @@ lives here too.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -94,7 +95,8 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
         count = min(SEGMENT_SIZE, (hi - start) // 2 + 1)
         flags = np.ones(count, dtype=bool)
         end = start + 2 * (count - 1)
-        for p in odd_base.tolist():
+        split = int(np.searchsorted(odd_base, count))
+        for p in odd_base[:split].tolist():
             if p * p > end:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
@@ -103,6 +105,13 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
             if first > end:
                 continue
             flags[(first - start) // 2 :: p] = False
+        # Odd multiples of p lie 2p apart and the segment spans 2*(count-1),
+        # so each p >= count strikes at most one entry: all in one step.
+        big = odd_base[split:]
+        big = big[big * big <= end]
+        first = np.maximum(big * big, (start + big - 1) // big * big)
+        first += np.where(first % 2 == 0, big, 0)
+        flags[(first[first <= end] - start) // 2] = False
         if start == 1:
             flags[0] = False
         chunks.append(start + 2 * np.flatnonzero(flags).astype(np.int64))
@@ -159,13 +168,9 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
     if X < 2:
         raise DomainError("X must be >= 2")
     table = _table_for(X, table)
-    p = _primes_le(table, X)
     phi_q = _phi(q)
     best = 0.0
-    for a in range(1, q + 1):
-        if gcd(a, q) != 1:
-            continue
-        pa = p[p % q == a % q]
+    for pa in coprime_classes(_primes_le(table, X), q):
         if pa.size:
             logs = np.log(pa)
             cum = np.cumsum(logs)
@@ -176,6 +181,31 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
         else:
             best = max(best, X / phi_q)
     return best
+
+
+def coprime_classes(p: np.ndarray, q: int) -> Iterator[np.ndarray]:
+    """Yield the primes of p in each residue class a mod q with gcd(a, q) = 1.
+
+    p must be ascending. One stable sort groups p by residue, so each class
+    comes out ascending and equal element for element to p[p % q == a]; an
+    empty class yields an empty array.
+    """
+    r = p % q
+    if q <= 1 << 16:
+        # A stable sort has one result whatever the key dtype; numpy's is a
+        # radix sort on 16-bit keys, about 4x faster here than on int64.
+        r = r.astype(np.uint16)
+    order = np.argsort(r, kind="stable")
+    bounds = np.searchsorted(r[order], np.arange(q + 1))
+    grouped = p[order]
+    del r, order  # a generator frame would keep them alive through the loop
+    for a in np.flatnonzero(coprime_mask(q)).tolist():
+        yield grouped[bounds[a] : bounds[a + 1]]
+
+
+def coprime_mask(q: int) -> np.ndarray:
+    """Mask over residues 0..q-1 of those coprime to q (0 only when q = 1)."""
+    return np.gcd(np.arange(q), q) == 1
 
 
 def _phi(q: int) -> int:

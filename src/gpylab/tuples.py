@@ -94,9 +94,9 @@ def _require_prime(p: int) -> None:
 
 def nu_p(H: TupleH, p: int) -> int:
     """Number of distinct residue classes mod p occupied by H."""
-    _require_prime(p)
     cache = H._nu_cache
     if p not in cache:
+        _require_prime(p)
         cache[p] = len({h % p for h in H.shifts})
     return cache[p]
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 
@@ -42,6 +43,40 @@ def test_bv_sum_matches_brute_force():
     assert got == pytest.approx(brute_bv_sum(N, Q), rel=1e-12)
 
 
+def test_bv_sum_bit_identical_to_per_residue_gcd_loop():
+    N, Q = 20000, 40
+    p = prime_engine.primes_upto(N).primes
+    logs = np.log(p.astype(np.float64))
+    terms = []
+    for q in range(1, Q + 1):
+        theta_by_a = np.bincount(p % q, weights=logs, minlength=q)
+        target = N / int(sympy.totient(q))
+        best = 0.0
+        for a in range(q):
+            if math.gcd(a if a else q, q) != 1:
+                continue
+            best = max(best, abs(float(theta_by_a[a]) - target))
+        terms.append(best)
+    assert bv.bv_sum(bv.BVConfig(N=N, Q=Q)) == math.fsum(terms)
+
+
+def test_bv_sums_reject_tables_that_miss_their_range():
+    N = 5000
+    cfg = bv.BVConfig(N=N, Q=8)
+    for table in (prime_engine.sieve_range(1000, N), prime_engine.primes_upto(N // 2)):
+        with pytest.raises(DomainError):
+            bv.bv_sum(cfg, table)
+    restricted = bv.BVConfig(N=N, Q=4, M=6)
+    for lo, hi in ((N + 2, 2 * N), (N + 1, 2 * N - 1)):
+        table = prime_engine.sieve_range(lo, hi)
+        with pytest.raises(DomainError):
+            bv.bv_sum_restricted(restricted, table)
+    # A wider table is cut to the window (N, 2N].
+    want = bv.bv_sum_restricted(restricted)
+    assert bv.bv_sum_restricted(restricted, prime_engine.primes_upto(2 * N)) == want
+    assert bv.bv_sum(cfg, prime_engine.primes_upto(2 * N)) == bv.bv_sum(cfg)
+
+
 def test_bv_sum_requires_classical_base():
     with pytest.raises(DomainError):
         bv.bv_sum(bv.BVConfig(N=1000, Q=5, M=6))
@@ -73,6 +108,23 @@ def test_estar_dominates_endpoint_version():
     star = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=True), table)
     endpoint = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=False), table)
     assert star >= endpoint - 1e-9
+
+
+def test_estar_endpoint_equals_max_ap_error():
+    N = 3000
+    table = prime_engine.primes_upto(N)
+    for Q, M in ((12, 1), (8, 6)):
+        terms = []
+        for q in range(1, Q + 1):
+            if math.gcd(q, M) != 1:
+                continue
+            mod = M * q
+            terms.append(max(
+                abs(prime_engine.ap_error(N, mod, a, table))
+                for a in range(mod) if math.gcd(a if a else mod, mod) == 1
+            ))
+        cfg = bv.BVConfig(N=N, Q=Q, M=M, use_estar=False)
+        assert bv.estar_aggregate(cfg, table) == math.fsum(terms)
 
 
 def test_normalized_classical_sum_decays():

@@ -1,0 +1,30 @@
+"""The demo scripts run to completion against the library as it stands.
+
+02 is left out: its check_monotone call on [1, 100] takes about 17 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = [
+    "01_sieve_weights.py",
+    "03_main_terms.py",
+    "04_exact_kernels.py",
+    "05_analytic_scans.py",
+    "06_sequences_and_cli.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

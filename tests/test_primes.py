@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -38,6 +39,33 @@ def test_sieve_range_random_windows(lo, width):
     hi = lo + width
     got = primes.sieve_range(lo, hi).primes.tolist()
     assert got == list(sympy.primerange(max(lo, 2), hi + 1))
+
+
+def _sympy_window(lo, hi):
+    return [n for n in range(lo, hi + 1) if sympy.isprime(n)]
+
+
+def test_sieve_range_large_base_prime_square_inside_window():
+    # p = 1000003 exceeds the 201-entry segment, so its one odd multiple in
+    # the window, p^2, is struck by the vectorised step for large primes.
+    p = 1000003
+    got = primes.sieve_range(p * p - 200, p * p + 200).primes.tolist()
+    assert got == _sympy_window(p * p - 200, p * p + 200)
+    assert p * p not in got
+
+
+def test_sieve_range_window_ending_at_ceiling():
+    hi = primes.MAX_SIEVE_HI
+    got = primes.sieve_range(hi - 2000, hi).primes.tolist()
+    assert got == _sympy_window(hi - 2000, hi)
+
+
+def test_sieve_range_single_entry_windows_near_1e12():
+    p = 1000003
+    points = list(range(10**12 - 12, 10**12 + 41)) + [p * p - 2, p * p, p * p + 2]
+    got = [n for n in points if primes.sieve_range(n, n).primes.tolist() == [n]]
+    want = [n for n in points if sympy.isprime(n)]
+    assert got == want and len(want) >= 2
 
 
 def test_sieve_range_rejects_bad_bounds():
@@ -95,6 +123,39 @@ def test_ap_error_star_brute_force_small():
     assert primes.ap_error_star(X, q, table) == pytest.approx(best, rel=1e-9)
 
 
+def _ap_error_star_per_residue(X, q, table):
+    # Reference route: filter the whole table once per residue class.
+    p = table.primes[table.primes <= X]
+    phi_q = int(sympy.totient(q))
+    best = 0.0
+    for a in range(1, q + 1):
+        if math.gcd(a, q) != 1:
+            continue
+        pa = p[p % q == a % q]
+        if pa.size:
+            logs = np.log(pa)
+            cum = np.cumsum(logs)
+            after = np.abs(cum - pa / phi_q)
+            before = np.abs((cum - logs) - pa / phi_q)
+            endpoint = abs(cum[-1] - X / phi_q)
+            best = max(best, float(after.max()), float(before.max()), endpoint)
+        else:
+            best = max(best, X / phi_q)
+    return best
+
+
+def test_ap_error_star_bit_identical_to_per_residue_filter():
+    table = primes.primes_upto(10**5)
+    for q in (1, 2, 12, 210, 997):
+        assert primes.ap_error_star(10**5, q, table) == _ap_error_star_per_residue(10**5, q, table)
+    # Classes 1, 44, 45 and 46 mod 47 hold no prime <= 50, and classes 1 and 4
+    # mod 5 none <= 4, where that empty-class term X / phi(q) = 1 is the maximum.
+    for X, q in ((50, 47), (4, 5)):
+        small = primes.primes_upto(X)
+        assert primes.ap_error_star(X, q, small) == _ap_error_star_per_residue(X, q, small)
+    assert primes.ap_error_star(4, 5) == 1.0
+
+
 def test_is_prime_matches_sympy_on_a_dense_range():
     got = [n for n in range(2 * 10**5 + 1) if primes.is_prime(n)]
     assert got == list(sympy.primerange(0, 2 * 10**5 + 1))
@@ -135,3 +196,9 @@ def test_factorize_at_its_bound():
 def test_nu_p_rejects_composite_modulus():
     with pytest.raises(DomainError):
         tc.nu_p(tc.TupleH((0, 2)), 4)
+    # The primality check runs on a cache miss only; the cache holds primes.
+    H = tc.TupleH((0, 2))
+    assert tc.nu_p(H, 5) == 2
+    with pytest.raises(DomainError):
+        tc.nu_p(H, 4)
+    assert tc.nu_p(H, 5) == 2
