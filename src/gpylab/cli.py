@@ -104,6 +104,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_pair(p: argparse.ArgumentParser) -> None:
+    """The pair-sum inputs shared by gpy moment1/moment2 and oracle t4/t5."""
+    p.add_argument("--h1", type=_shifts, required=True)
+    p.add_argument("--h2", type=_shifts, required=True)
+    p.add_argument("--ell", type=_num, default=1, help="shared ell")
+    p.add_argument("--ell2", type=_num, default=None)
+    p.add_argument("--n", type=_num, required=True)
+    p.add_argument("--theta", type=float, default=0.20, help="R = (3N)^theta")
+    p.add_argument("--v", type=_num, default=5)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="gpylab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -167,13 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(t)
     for name in ("moment1", "moment2"):
         t = gs.add_parser(name)
-        t.add_argument("--h1", type=_shifts, required=True)
-        t.add_argument("--h2", type=_shifts, required=True)
-        t.add_argument("--ell", type=_num, default=1, help="shared ell")
-        t.add_argument("--ell2", type=_num, default=None)
-        t.add_argument("--n", type=_num, required=True)
-        t.add_argument("--theta", type=float, default=0.20, help="R = (3N)^theta")
-        t.add_argument("--v", type=_num, default=5)
+        _add_pair(t)
         t.add_argument("--per-class", type=_num, default=None)
         if name == "moment1":
             t.add_argument(
@@ -211,13 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     os_ = p.add_subparsers(dest="action", required=True)
     for name in ("t4", "t5"):
         t = os_.add_parser(name)
-        t.add_argument("--h1", type=_shifts, required=True)
-        t.add_argument("--h2", type=_shifts, required=True)
-        t.add_argument("--ell", type=_num, default=1)
-        t.add_argument("--ell2", type=_num, default=None)
-        t.add_argument("--n", type=_num, required=True)
-        t.add_argument("--theta", type=float, default=0.20)
-        t.add_argument("--v", type=_num, default=5)
+        _add_pair(t)
         if name == "t4":
             t.add_argument("--scope", choices=("aggregate", "per_class"), default="aggregate")
             t.add_argument("--empirical", type=float, default=None)
@@ -276,10 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _params_from(args, H1, H2) -> weights.WeightParams:
-    R = (3.0 * args.n) ** args.theta
-    K = max(H1.size, H2.size)
-    return weights.WeightParams(K=K, ell=args.ell, R=R, V=args.v, N=args.n)
+def _level(args) -> float:
+    """The sieve level R = (3N)^theta of the gpy and oracle subcommands."""
+    return (3.0 * args.n) ** args.theta
+
+
+def _pair_params(args) -> oracle.MainTermParams:
+    """The inputs added by _add_pair, with ell2 and R resolved."""
+    ell2 = args.ell if args.ell2 is None else args.ell2
+    h0 = getattr(args, "h0", None)
+    return oracle.MainTermParams(
+        args.h1, args.h2, args.ell, ell2, _level(args), args.n, args.v, h0
+    )
 
 
 def _cmd_primes(args) -> dict:
@@ -375,24 +382,28 @@ def _cmd_gpy(args) -> dict:
             "polynomial": str(weights.polynomial_value(args.n, args.shifts)),
         }
     if args.action == "detector":
-        params = weights.WeightParams(
-            K=args.k, ell=args.ell, R=(3.0 * args.n) ** args.theta, V=args.v, N=args.n
-        )
+        params = weights.WeightParams(K=args.k, ell=args.ell, R=_level(args), V=args.v, N=args.n)
         return weights.detector_sum(args.shifts, params)
 
-    H1, H2 = args.h1, args.h2
-    ell2 = args.ell if args.ell2 is None else args.ell2
-    params = _params_from(args, H1, H2)
+    mp = _pair_params(args)
+    H1, H2, ell2 = mp.H1, mp.H2, mp.ell2
+    params = weights.WeightParams(
+        K=max(H1.size, H2.size), ell=args.ell, R=mp.R, V=args.v, N=args.n
+    )
     base = {
         "h1": list(H1.shifts),
         "h2": list(H2.shifts),
         "ell1": args.ell,
         "ell2": ell2,
         "N": args.n,
-        "R": params.R,
+        "R": mp.R,
         "V": args.v,
     }
     if args.action == "moment1":
+        if args.per_class is not None and args.strategy != "direct":
+            raise DomainError(
+                "--per-class needs --strategy direct: the divisor route sums every class"
+            )
         if args.strategy in ("direct", "both"):
             base["direct"] = weights.pair_sum_direct(
                 H1, H2, args.ell, ell2, params, args.per_class
@@ -401,17 +412,14 @@ def _cmd_gpy(args) -> dict:
             base["divisor"] = weights.pair_sum_divisor(H1, H2, args.ell, ell2, params)
         emp = base.get("direct", base.get("divisor"))
         pred = oracle.main_term_t4(
-            oracle.MainTermParams(H1, H2, args.ell, ell2, params.R, args.n, args.v),
-            scope="per_class" if args.per_class is not None else "aggregate",
+            mp, scope="per_class" if args.per_class is not None else "aggregate"
         )
     else:
         base["h0"] = args.h0
         emp = base["empirical"] = weights.pair_sum_theta(
             H1, H2, args.ell, ell2, args.h0, params, args.per_class
         )
-        pred = oracle.main_term_t5(
-            oracle.MainTermParams(H1, H2, args.ell, ell2, params.R, args.n, args.v, args.h0)
-        )
+        pred = oracle.main_term_t5(mp)
     base["predicted"] = pred
     base["comparison"] = oracle.compare(
         emp, pred["density_adjusted_mid"], pred["density_adjusted_rad"]
@@ -456,21 +464,16 @@ def _cmd_oracle(args) -> dict:
         return rep
     if args.action == "jprod":
         return {"t": args.t, "X": args.x, "J": oracle.j_product(args.t, args.x)}
-    ell2 = args.ell if args.ell2 is None else args.ell2
-    R = (3.0 * args.n) ** args.theta
+    p = _pair_params(args)
     if args.action == "t4":
-        p = oracle.MainTermParams(args.h1, args.h2, args.ell, ell2, R, args.n, args.v)
         pred = oracle.main_term_t4(p, args.scope)
-        out = {"params": {"N": args.n, "R": R, "V": args.v, "scope": args.scope}}
+        out = {"params": {"N": args.n, "R": p.R, "V": args.v, "scope": args.scope}}
         out.update(pred)
         if args.empirical is not None:
             out["comparison"] = oracle.compare(args.empirical, pred["mid"], pred["rad"])
         return out
-    p = oracle.MainTermParams(
-        args.h1, args.h2, args.ell, ell2, R, args.n, args.v, args.h0
-    )
     pred = oracle.main_term_t5(p)
-    pred["params"] = {"N": args.n, "R": R, "V": args.v, "h0": args.h0}
+    pred["params"] = {"N": args.n, "R": p.R, "V": args.v, "h0": args.h0}
     return pred
 
 

@@ -3,8 +3,9 @@
 Predictions for the two pair-sum experiments (plain and theta-weighted),
 assembled from the singular series and the regular-class counts, plus the
 constant G(0,0) = S(H) P / |A(H)|.  Also here: W(it) = it zeta(1 + it) via
-Euler-Maclaurin, grid scans of the lower bounds on |W(it)|, the partial
-Euler product J(t, X), and the empirical/predicted ratio report.
+Euler-Maclaurin for every t != 0, grid scans of the lower bounds on
+|W(it)|, the partial Euler product J(t, X), and the empirical/predicted
+ratio report.
 """
 
 from __future__ import annotations
@@ -18,14 +19,6 @@ from . import primes as prime_engine
 from . import tuples as tc
 from .errors import DomainError
 from .singular import SingularValue, singular_series
-
-# Stieltjes constants gamma_0 .. gamma_3 for the expansion of s*zeta(1+s).
-_STIELTJES = (
-    0.5772156649015329,
-    -0.07281584548367672,
-    -0.009690363192872318,
-    0.002053834420303346,
-)
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -96,6 +89,31 @@ def g00(H: tc.TupleH, V: int, cutoff: int | None = None) -> SingularValue:
     return SingularValue(S.mid * scale, S.rad * scale, S.cutoff)
 
 
+def _prediction(p: MainTermParams, H: tc.TupleH, c: float, share: int, density: float) -> dict:
+    """The main term N c binom(l1+l2, l1) S(H) (log R)^e / e! / share with
+    e = r + l1 + l2, its radius from S(H), both again times density, and the
+    relative size K rbar* log2(N) / log R of the neglected terms."""
+    S = singular_series(H)
+    e = p.r + p.ell1 + p.ell2
+    base = (
+        p.N
+        * c
+        * math.comb(p.ell1 + p.ell2, p.ell1)
+        * math.log(p.R) ** e
+        / math.factorial(e)
+    ) / share
+    K = max(p.H1.size, p.H2.size)
+    rbar_star = max(math.sqrt(K), K - p.r)
+    return {
+        "mid": base * S.mid,
+        "rad": abs(base) * S.rad,
+        "density_adjusted_mid": base * S.mid * density,
+        "density_adjusted_rad": abs(base) * S.rad * density,
+        "error_scale": K * rbar_star * math.log(math.log(p.N)) / math.log(p.R),
+        "singular_cutoff": S.cutoff,
+    }
+
+
 def main_term_t4(p: MainTermParams, scope: str = "aggregate") -> dict:
     """Predicted plain pair sum.
 
@@ -111,33 +129,14 @@ def main_term_t4(p: MainTermParams, scope: str = "aggregate") -> dict:
     Hu = p.union
     if not (tc.is_admissible(p.H1) and tc.is_admissible(p.H2) and tc.is_admissible(Hu)):
         raise DomainError("tuples (and their union) must be admissible")
-    S = singular_series(Hu)
-    e = p.r + p.ell1 + p.ell2
-    base = (
-        p.N
-        * math.comb(p.ell1 + p.ell2, p.ell1)
-        * math.log(p.R) ** e
-        / math.factorial(e)
-    )
     count = tc.regular_class_count(Hu, p.V)
-    if scope == "per_class":
-        base /= count
     # Share of residue classes mod P the empirical window actually visits.
     # At desk scale the unadjusted main term overshoots by its reciprocal,
     # so the adjusted value is the one to compare against measured sums.
     density = count / tc.primorial(p.V)
-    K = max(p.H1.size, p.H2.size)
-    rbar_star = max(math.sqrt(K), K - p.r)
-    error_scale = K * rbar_star * math.log(math.log(p.N)) / math.log(p.R)
-    return {
-        "mid": base * S.mid,
-        "rad": base * S.rad,
-        "density_adjusted_mid": base * S.mid * density,
-        "density_adjusted_rad": base * S.rad * density,
-        "scope": scope,
-        "error_scale": error_scale,
-        "singular_cutoff": S.cutoff,
-    }
+    out = _prediction(p, Hu, 1, count if scope == "per_class" else 1, density)
+    out["scope"] = scope
+    return out
 
 
 def c_r_factor(p: MainTermParams) -> float:
@@ -169,31 +168,14 @@ def main_term_t5(p: MainTermParams) -> dict:
     if p.h0 is None:
         raise DomainError("h0 is required")
     Hu0 = p.union.union(p.h0)
-    S = singular_series(Hu0)
-    e = p.r + p.ell1 + p.ell2
-    base = (
-        p.N
-        * c_r_factor(p)
-        * math.comb(p.ell1 + p.ell2, p.ell1)
-        * math.log(p.R) ** e
-        / math.factorial(e)
-    )
     # Primes land only in classes coprime to P; of the phi(P) such classes,
     # n + h0 reaches |A(H0)| from the regular window, so the adjusted value
     # rescales by that share for desk-scale comparison.
     phi_P = math.prod(q - 1 for q in prime_engine.primes_upto(p.V))
     density = tc.regular_class_count(Hu0, p.V) / phi_P
-    K = max(p.H1.size, p.H2.size)
-    rbar_star = max(math.sqrt(K), K - p.r)
-    return {
-        "mid": base * S.mid,
-        "rad": abs(base) * S.rad,
-        "density_adjusted_mid": base * S.mid * density,
-        "density_adjusted_rad": abs(base) * S.rad * density,
-        "case": p.h0_case,
-        "error_scale": K * rbar_star * math.log(math.log(p.N)) / math.log(p.R),
-        "singular_cutoff": S.cutoff,
-    }
+    out = _prediction(p, Hu0, c_r_factor(p), 1, density)
+    out["case"] = p.h0_case
+    return out
 
 
 def _zeta_em(s: complex, M: int) -> complex:
@@ -211,20 +193,11 @@ def _zeta_em(s: complex, M: int) -> complex:
 
 
 def w_function(t: float) -> complex:
-    """W(it) = it zeta(1 + it); near t = 0 the Stieltjes series is used."""
+    """W(it) = it zeta(1 + it), by Euler-Maclaurin for every t != 0."""
     if abs(t) > 1e3:
         raise DomainError("|t| must be <= 1000")
     if t == 0.0:
         return 1.0 + 0.0j
-    if abs(t) <= 0.05:
-        s = 1j * t
-        w = 1.0 + 0.0j
-        fact = 1.0
-        for n, g in enumerate(_STIELTJES):
-            if n:
-                fact *= n
-            w += (-1) ** n * g * s ** (n + 1) / fact
-        return w
     s = 1.0 + 1j * t
     M = max(50, int(10 * abs(t)))
     return 1j * t * _zeta_em(s, M)

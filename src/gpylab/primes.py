@@ -184,23 +184,34 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
 
 
 def coprime_classes(p: np.ndarray, q: int) -> Iterator[np.ndarray]:
-    """Yield the primes of p in each residue class a mod q with gcd(a, q) = 1.
+    """Yield the primes of p in each residue class a mod q with gcd(a, q) = 1
+    that holds one, in increasing a; then one empty array if any such class
+    holds none.
 
     p must be ascending. One stable sort groups p by residue, so each class
-    comes out ascending and equal element for element to p[p % q == a]; an
-    empty class yields an empty array.
+    comes out ascending and equal element for element to p[p % q == a].
+    Empty classes are not visited one by one: all of them give a caller the
+    same value, so one empty array stands for them.
     """
+    if p.size == 0:
+        yield p  # every class coprime to q is empty
+        return
     r = p % q
     if q <= 1 << 16:
         # A stable sort has one result whatever the key dtype; numpy's is a
         # radix sort on 16-bit keys, about 4x faster here than on int64.
         r = r.astype(np.uint16)
     order = np.argsort(r, kind="stable")
-    bounds = np.searchsorted(r[order], np.arange(q + 1))
+    r = r[order]
     grouped = p[order]
+    # Where each residue present starts, then the end of the last one.
+    bounds = np.flatnonzero(np.r_[True, r[1:] != r[:-1], True])
+    coprime = np.flatnonzero(np.gcd(r[bounds[:-1]].astype(np.int64), q) == 1)
     del r, order  # a generator frame would keep them alive through the loop
-    for a in np.flatnonzero(coprime_mask(q)).tolist():
-        yield grouped[bounds[a] : bounds[a + 1]]
+    for i in coprime.tolist():
+        yield grouped[bounds[i] : bounds[i + 1]]
+    if coprime.size < _phi(q):
+        yield p[:0]
 
 
 def coprime_mask(q: int) -> np.ndarray:

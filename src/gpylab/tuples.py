@@ -60,9 +60,6 @@ class TupleH:
         extra = other.shifts if isinstance(other, TupleH) else (int(other),)
         return TupleH(tuple(set(self.shifts) | set(extra)))
 
-    def translate(self, t: int) -> "TupleH":
-        return TupleH(tuple(h + t for h in self.shifts))
-
 
 @dataclass(frozen=True)
 class ResidueSet:
@@ -129,12 +126,6 @@ def discriminant(H: TupleH) -> int:
         for j in range(i + 1, len(s)):
             delta *= s[j] - s[i]
     return abs(delta)
-
-
-def residue_set_mod_p(H: TupleH, p: int) -> frozenset:
-    """H(p): the set of residues -h mod p, i.e. roots of P_H mod p."""
-    _require_prime(p)
-    return frozenset((-h) % p for h in H.shifts)
 
 
 def nu_bar_p(H1: TupleH, H2: TupleH, p: int) -> int:

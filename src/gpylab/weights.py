@@ -29,7 +29,7 @@ MAX_MASK_PRIMES = 16
 
 # Divisor-pair expansion guards.
 MAX_ROUGH_VALUES = 4000
-MAX_TRIPLES = 10**7
+MAX_DIVISOR_PAIRS = 10**7
 
 # Detector subset-enumeration guard.
 MAX_DETECTOR_SUBSETS = 5000
@@ -81,24 +81,33 @@ def polynomial_value(n: int, H: tc.TupleH) -> int:
     return out
 
 
-def _lambda_terms(primes: list, a: int, log_R: float) -> float:
-    """Sum of mu(d) (log R/d)^a over squarefree d <= R built from `primes`.
+def _divisor_terms(logs: list, a: int, log_R: float) -> tuple[list, list]:
+    """Support masks and terms mu(d) (log R/d)^a of every squarefree d <= R.
 
-    Depth-first over the sorted prime list, pruning once the partial
-    product exceeds R; returns the sum already divided by a!.
+    d runs over products of the primes whose logs are given, ascending;
+    bit i of a mask marks the i-th prime.  Depth-first, pruning once the
+    partial product exceeds R.
     """
-    terms = []
+    masks, terms = [], []
 
-    def walk(idx: int, log_prod: float, sign: int) -> None:
+    def walk(idx: int, mask: int, log_prod: float, sign: int) -> None:
+        masks.append(mask)
         terms.append(sign * (log_R - log_prod) ** a)
-        for i in range(idx, len(primes)):
-            lp = log_prod + math.log(primes[i])
+        for i in range(idx, len(logs)):
+            lp = log_prod + logs[i]
             # Tolerate rounding at the d = R boundary.
             if lp > log_R + 1e-12:
                 break
-            walk(i + 1, lp, -sign)
+            walk(i + 1, mask | (1 << i), lp, -sign)
 
-    walk(0, 0.0, 1)
+    walk(0, 0, 0.0, 1)
+    return masks, terms
+
+
+def _lambda_terms(primes: list, a: int, log_R: float) -> float:
+    """Sum of mu(d) (log R/d)^a over squarefree d <= R built from the
+    ascending `primes`, already divided by a!."""
+    _, terms = _divisor_terms([math.log(p) for p in primes], a, log_R)
     return math.fsum(terms) / math.factorial(a)
 
 
@@ -114,19 +123,14 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
     return _lambda_terms(small, H.size + ell, math.log(R))
 
 
-def _regular_flags(H: tc.TupleH, V: int) -> tuple[int, np.ndarray]:
-    """(P, bool table) with table[a mod P] marking regular classes."""
-    classes = tc.regular_classes(H, V)
-    P = classes.modulus
-    flags = np.zeros(P, dtype=bool)
-    flags[classes.members % P] = True
-    return P, flags
-
-
 def _window_candidates(
     Hu: tc.TupleH, params: WeightParams, per_class: int | None
 ) -> np.ndarray:
-    P, flags = _regular_flags(Hu, params.V)
+    """The n in (N, 2N] in a regular class of Hu mod P (or in one given class)."""
+    classes = tc.regular_classes(Hu, params.V)
+    P = classes.modulus
+    flags = np.zeros(P, dtype=bool)
+    flags[classes.members % P] = True
     N = params.N
     n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     if per_class is not None:
@@ -148,20 +152,10 @@ def _lambda_table(Q: list, a: int, R: float) -> np.ndarray:
     """Lookup table over prime subsets: entry at bitmask m is
     Lambda's inner sum for an n whose prime support (within Q) is m."""
     B = len(Q)
-    log_R = math.log(R)
-    logs = [math.log(q) for q in Q]
     table = np.zeros(1 << B, dtype=np.float64)
-
     # Deposit each squarefree product d <= R at its support mask.
-    def walk(idx: int, mask: int, log_prod: float, sign: int) -> None:
-        table[mask] += sign * (log_R - log_prod) ** a
-        for i in range(idx, B):
-            lp = log_prod + logs[i]
-            if lp > log_R + 1e-12:
-                break
-            walk(i + 1, mask | (1 << i), lp, -sign)
-
-    walk(0, 0, 0.0, 1)
+    for mask, term in zip(*_divisor_terms([math.log(q) for q in Q], a, math.log(R))):
+        table[mask] += term
 
     # Subset-sum (zeta) transform: each mask accumulates all its subsets.
     for b in range(B):
@@ -233,6 +227,31 @@ def _check_pair_inputs(H1: tc.TupleH, H2: tc.TupleH) -> tc.TupleH:
     return Hu
 
 
+def _pair_sum(
+    H1: tc.TupleH,
+    H2: tc.TupleH,
+    ell1: int,
+    ell2: int,
+    params: WeightParams,
+    per_class: int | None,
+    h0: int | None,
+) -> float:
+    """Sum of Lambda_R(n;H1,ell1) Lambda_R(n;H2,ell2) over regular n in (N, 2N];
+    with h0 given, only over n with n + h0 prime, each product times log(n + h0)."""
+    Hu = _check_pair_inputs(H1, H2)
+    cands = _window_candidates(Hu, params, per_class)
+    if h0 is not None:
+        table = prime_engine.sieve_range(params.N + 1 + h0, 2 * params.N + h0)
+        # A lookup table over the window: numpy's default here sorts both arrays.
+        cands = cands[np.isin(cands + h0, table.primes, kind="table")]
+    if cands.size == 0:
+        return 0.0
+    terms = lambda_window(cands, H1, ell1, params) * lambda_window(cands, H2, ell2, params)
+    if h0 is not None:
+        terms = terms * np.log((cands + h0).astype(np.float64))
+    return math.fsum(terms)
+
+
 def pair_sum_direct(
     H1: tc.TupleH,
     H2: tc.TupleH,
@@ -242,13 +261,7 @@ def pair_sum_direct(
     per_class: int | None = None,
 ) -> float:
     """Sum of Lambda_R(n;H1,ell1) Lambda_R(n;H2,ell2) over regular n in (N, 2N]."""
-    Hu = _check_pair_inputs(H1, H2)
-    cands = _window_candidates(Hu, params, per_class)
-    if cands.size == 0:
-        return 0.0
-    lam1 = lambda_window(cands, H1, ell1, params)
-    lam2 = lambda_window(cands, H2, ell2, params)
-    return math.fsum(lam1 * lam2)
+    return _pair_sum(H1, H2, ell1, ell2, params, per_class, None)
 
 
 def pair_sum_theta(
@@ -263,25 +276,7 @@ def pair_sum_theta(
     """Theta-weighted pair sum: the same product times log(n + h0) at primes."""
     if h0 < 1:
         raise DomainError("h0 must be >= 1")
-    Hu = _check_pair_inputs(H1, H2)
-    cands = _window_candidates(Hu, params, per_class)
-    if cands.size == 0:
-        return 0.0
-    N = params.N
-    table = prime_engine.sieve_range(N + 1 + h0, 2 * N + h0)
-    if len(table) == 0:
-        return 0.0
-    shifted = cands + h0
-    idx = np.searchsorted(table.primes, shifted)
-    hit = (idx < table.primes.size) & (
-        table.primes[np.minimum(idx, table.primes.size - 1)] == shifted
-    )
-    if not np.any(hit):
-        return 0.0
-    sel = cands[hit]
-    lam1 = lambda_window(sel, H1, ell1, params)
-    lam2 = lambda_window(sel, H2, ell2, params)
-    return math.fsum(lam1 * lam2 * np.log((sel + h0).astype(np.float64)))
+    return _pair_sum(H1, H2, ell1, ell2, params, per_class, h0)
 
 
 def _rough_squarefree(Q: list, R: float) -> list:
@@ -311,22 +306,28 @@ def pair_sum_divisor(
 ) -> float:
     """Pair sum by divisor-pair expansion with exact residue counting.
 
-    Writes d = a1 a12, e = a2 a12 with a1, a2, a12 squarefree, pairwise
-    coprime and coprime to P; each triple contributes its Mobius-weighted
-    factor times the exact count of window n in the matching residue
-    classes (intersected with the regular classes mod P).
+    Each pair (d, e) of squarefree values <= R coprime to P contributes
+    mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times the exact
+    count of regular window n with d | P_H1(n) and e | P_H2(n).  Counting
+    lifts by CRT, per prime of d or e, the roots of P_H1, of P_H2, or (for a
+    prime of gcd(d, e)) of both, then the regular classes mod P.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
         raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
     Q = _mask_primes(params)
     roughs = _rough_squarefree(Q, params.R)
+    if len(roughs) ** 2 > MAX_DIVISOR_PAIRS:
+        raise CapacityError(f"{len(roughs)}^2 divisor pairs (budget {MAX_DIVISOR_PAIRS})")
     N = params.N
-    a1_exp = H1.size + ell1
-    a2_exp = H2.size + ell2
     log_R = math.log(params.R)
-    fact1 = math.factorial(a1_exp)
-    fact2 = math.factorial(a2_exp)
+
+    def weights_for(a: int) -> list:
+        fact = math.factorial(a)
+        return [(-1.0) ** k * (log_R - math.log(v)) ** a / fact for v, _, k in roughs]
+
+    w1 = weights_for(H1.size + ell1)
+    w2 = weights_for(H2.size + ell2)
 
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V).members % P
@@ -358,31 +359,10 @@ def pair_sum_divisor(
         return int((hi - lo).sum())
 
     terms = []
-    triples = 0
-    for v12, m12, k12 in roughs:
-        lim = params.R / v12
-        for v1, m1, k1 in roughs:
-            if v1 > lim:
-                break
-            if m1 & m12:
-                continue
-            f1 = (-1.0) ** (k1 + k12) * (log_R - math.log(v1 * v12)) ** a1_exp / fact1
-            for v2, m2, k2 in roughs:
-                if v2 > lim:
-                    break
-                if (m2 & m12) or (m2 & m1):
-                    continue
-                triples += 1
-                if triples > MAX_TRIPLES:
-                    raise CapacityError("divisor-pair triple budget exceeded")
-                cnt = count_for(m1, m2, m12, v1 * v2 * v12)
-                if cnt == 0:
-                    continue
-                f2 = (
-                    (-1.0) ** (k2 + k12)
-                    * (log_R - math.log(v2 * v12)) ** a2_exp
-                    / fact2
-                )
+    for (d, md, _), f1 in zip(roughs, w1):
+        for (e, me, _), f2 in zip(roughs, w2):
+            cnt = count_for(md & ~me, me & ~md, md & me, math.lcm(d, e))
+            if cnt:
                 terms.append(f1 * f2 * cnt)
     return math.fsum(terms)
 
@@ -398,6 +378,9 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
     value is negative and reported, not asserted.
     """
     K, ell = params.K, params.ell
+    h = max(A.shifts)
+    if h == 0:
+        raise DomainError("max(A) must be positive: h = max(A) normalizes the sum")
     if K > A.size:
         raise DomainError(f"K={K} exceeds |A|={A.size}")
     n_subsets = math.comb(A.size, K)
@@ -412,19 +395,15 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
         H = tc.TupleH(combo)
         if not tc.is_admissible(H):
             continue
-        P, flags = _regular_flags(H, params.V)
-        sel = flags[n_all % P]
-        if not np.any(sel):
-            continue
-        psi[sel] += lambda_window(n_all[sel], H, ell, params)
+        cands = _window_candidates(H, params, None)
+        psi[cands - (N + 1)] += lambda_window(cands, H, ell, params)
 
-    h = max(A.shifts)
     # n + a runs from N + 1 + min(A): a shift 0 reaches n = N + 1 itself.
     table = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N)
     inner = np.full(N, -math.log(3 * N), dtype=np.float64)
     for a in A.shifts:
         shifted = n_all + a
-        hit = np.isin(shifted, table.primes)
+        hit = np.isin(shifted, table.primes, kind="table")
         inner[hit] += np.log(shifted[hit].astype(np.float64))
 
     value = math.fsum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))

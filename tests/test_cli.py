@@ -103,6 +103,20 @@ def test_domain_error_exit_code(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_per_class_needs_the_direct_strategy(capsys):
+    # pair_sum_divisor sums every regular class; it has no per-class mode.
+    argv = ["gpy", "moment1", "--h1", "0,2", "--h2", "0,6", "--n", "20000", "--per-class", "11"]
+    assert cli.main(argv) == cli.EXIT_OK
+    for strategy in ("divisor", "both"):
+        assert cli.main([*argv, "--strategy", strategy]) == cli.EXIT_DOMAIN
+
+
+def test_detector_rejects_zero_span(capsys):
+    # h = max(A) normalizes the detector sum, so A = {0} has no value.
+    code = cli.main(["gpy", "detector", "--shifts", "0", "--k", "1", "--n", "100"])
+    assert code == cli.EXIT_DOMAIN
+
+
 def test_capacity_error_exit_code(capsys):
     code = cli.main(["singular", "quasidensity", "--shifts", "0,2", "--z", "200"])
     assert code == cli.EXIT_CAPACITY

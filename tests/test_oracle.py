@@ -118,7 +118,7 @@ def test_w_function_against_mpmath():
 def test_w_function_series_region_against_mpmath():
     for t in (0.001, 0.01, 0.049):
         want = complex(1j * t * mpmath.zeta(1 + 1j * t))
-        assert cmath.isclose(oracle.w_function(t), want, rel_tol=1e-9)
+        assert cmath.isclose(oracle.w_function(t), want, rel_tol=1e-13)
 
 
 def test_w_conjugate_symmetry():

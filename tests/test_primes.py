@@ -1,6 +1,7 @@
 """Prime sieve, theta statistics, and the primality and factorisation helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def test_ap_error_star_bit_identical_to_per_residue_filter():
         small = primes.primes_upto(X)
         assert primes.ap_error_star(X, q, small) == _ap_error_star_per_residue(X, q, small)
     assert primes.ap_error_star(4, 5) == 1.0
+
+
+def test_ap_error_star_memory_does_not_grow_with_the_modulus():
+    # 168 primes against 10^6 classes: only the classes holding a prime are
+    # visited, so nothing of length q is allocated.
+    table = primes.primes_upto(1000)
+    tracemalloc.start()
+    try:
+        primes.ap_error_star(1000, 10**6, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_is_prime_matches_sympy_on_a_dense_range():

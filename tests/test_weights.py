@@ -8,7 +8,7 @@ import sympy
 
 from gpylab import tuples as tc
 from gpylab import weights
-from gpylab.errors import DomainError
+from gpylab.errors import CapacityError, DomainError
 
 H1 = tc.TupleH((0, 2))
 H2 = tc.TupleH((0, 6))
@@ -91,6 +91,16 @@ def test_pair_sum_strategies_agree():
         direct = weights.pair_sum_direct(H1, H2, 1, 1, params)
         divisor = weights.pair_sum_divisor(H1, H2, 1, 1, params)
         assert divisor == pytest.approx(direct, rel=1e-9)
+
+
+def test_divisor_pair_budget_at_its_boundary(monkeypatch):
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
+    pairs = len(weights._rough_squarefree(weights._mask_primes(params), params.R)) ** 2
+    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs)
+    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
+    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs - 1)
+    with pytest.raises(CapacityError):
+        weights.pair_sum_divisor(H1, H2, 1, 1, params)
 
 
 def test_per_class_sums_add_up_to_aggregate():
