@@ -165,9 +165,16 @@ def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: int) -> tuple[np.ndarray
 
     x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * m^{-1} mod q);
     returns the len(x) * len(res) lifted classes mod m*q, and m*q.
+    Classes lie in [0, m) and residues in [0, q).  The lift is based on the
+    larger modulus, so |r - a| < max(m, q) and the inverse is below
+    min(m, q): every int64 product stays below m*q, which must fit.
     """
-    inv = pow(m % q, -1, q)
-    lift = x[:, None] + m * (((res[None, :] - x[:, None]) * inv) % q)
+    if m * q >= 2**63:
+        raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
+    a, b = x[:, None], res[None, :]
+    if m < q:
+        (a, m), (b, q) = (b, q), (a, m)
+    lift = a + m * (((b - a) * pow(m % q, -1, q)) % q)
     return lift.reshape(-1), m * q
 
 

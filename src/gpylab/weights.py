@@ -6,10 +6,12 @@ Three window statistics are built on it: the plain pair sum, the
 theta-weighted pair sum (each weight pair multiplied by log(n + h0) when
 n + h0 is prime), and the prime-pair detector.
 
-The pair sum has two independent evaluation routes that must agree:
-iterating n over the window (factoring P_H(n) by sieving), and expanding
-into divisor pairs with exact residue-class counting.  Their agreement is
-the module's main correctness oracle.
+The pair sum has two independent evaluation routes that must agree.  The
+direct route sieves the window (N, 2N] by the primes p <= V to find the
+regular n, then the primes in (V, R] to factor P_H(n); it shares no class
+code with the divisor route, which expands into divisor pairs and counts
+them exactly over the regular classes mod P by CRT lifting.  Their
+agreement is the module's main correctness oracle.
 """
 
 from __future__ import annotations
@@ -56,19 +58,6 @@ class WeightParams:
             raise DomainError("V must be >= 2")
         if self.N < 1:
             raise DomainError("N must be >= 1")
-
-    @classmethod
-    def recipe(cls, N: int, ell: int, xi: float = 0.05) -> tuple["WeightParams", int]:
-        """Preset shapes R = (3N)^(1/4 - xi), K = 16(ell+1)^2, h = 100 log R / K.
-
-        Returns the params and the window size h (rounded up).
-        """
-        if not 0 < xi < 0.25:
-            raise DomainError("xi must lie in (0, 1/4)")
-        K = 16 * (ell + 1) ** 2
-        R = (3.0 * N) ** (0.25 - xi)
-        h = math.ceil(100.0 * math.log(R) / K)
-        return cls(K=K, ell=ell, R=R, V=5, N=N), h
 
 
 def polynomial_value(n: int, H: tc.TupleH) -> int:
@@ -123,22 +112,30 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
     return _lambda_terms(small, H.size + ell, math.log(R))
 
 
+def _divides(H: tc.TupleH, q: int, N: int) -> np.ndarray:
+    """Flags over the window (N, 2N]: offset i is set iff q divides P_H(N + 1 + i)."""
+    hit = np.zeros(N, dtype=bool)
+    for h in H.shifts:
+        hit[(-(N + 1 + h)) % q :: q] = True
+    return hit
+
+
 def _window_candidates(
     Hu: tc.TupleH, params: WeightParams, per_class: int | None
 ) -> np.ndarray:
-    """The n in (N, 2N] in a regular class of Hu mod P (or in one given class)."""
-    classes = tc.regular_classes(Hu, params.V)
-    P = classes.modulus
-    flags = np.zeros(P, dtype=bool)
-    flags[classes.members % P] = True
+    """The n in (N, 2N] with gcd(P_Hu(n), P) = 1 (or in one given regular
+    class mod P), found by sieving the window with the primes p <= V."""
+    P = tc.primorial(params.V)
     N = params.N
-    n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     if per_class is not None:
         a = per_class % P
-        if not flags[a]:
+        if any(math.gcd(a + h, P) != 1 for h in Hu.shifts):
             raise DomainError(f"{per_class} is not a regular class mod {P}")
-        return n[n % P == a]
-    return n[flags[n % P]]
+        return np.arange((a - (N + 1)) % P, N, P) + (N + 1)
+    ok = np.ones(N, dtype=bool)
+    for p in prime_engine.primes_upto(params.V).primes.tolist():
+        ok &= ~_divides(Hu, p, N)
+    return np.flatnonzero(ok) + (N + 1)
 
 
 def _mask_primes(params: WeightParams) -> list:
@@ -165,30 +162,21 @@ def _lambda_table(Q: list, a: int, R: float) -> np.ndarray:
     return table / math.factorial(a)
 
 
-def _support_masks(cands: np.ndarray, H: tc.TupleH, Q: list) -> np.ndarray:
+def _support_masks(cands: np.ndarray, H: tc.TupleH, Q: list, N: int) -> np.ndarray:
+    """Per-candidate bitmasks: bit i is set iff Q[i] divides P_H(n)."""
     masks = np.zeros(cands.size, dtype=np.uint32)
+    offsets = cands - (N + 1)
     for bi, q in enumerate(Q):
-        hit = np.zeros(cands.size, dtype=bool)
-        for h in H.shifts:
-            hit |= (cands + h) % q == 0
-        masks[hit] |= np.uint32(1 << bi)
+        masks[_divides(H, q, N)[offsets]] |= np.uint32(1 << bi)
     return masks
 
 
 def _prime_lists(cands: np.ndarray, H: tc.TupleH, Q: list, N: int) -> list:
     """Per-candidate sorted lists of primes q in Q dividing P_H(n)."""
-    pos = np.full(N, -1, dtype=np.int64)
-    pos[cands - (N + 1)] = np.arange(cands.size)
     lists: list = [[] for _ in range(cands.size)]
+    offsets = cands - (N + 1)
     for q in Q:
-        hit = np.zeros(cands.size, dtype=bool)
-        for h in H.shifts:
-            lo = N + 1 + h
-            first = lo + (-lo) % q
-            m = np.arange(first, 2 * N + h + 1, q, dtype=np.int64)
-            idx = pos[m - h - (N + 1)]
-            hit[idx[idx >= 0]] = True
-        for i in np.flatnonzero(hit).tolist():
+        for i in np.flatnonzero(_divides(H, q, N)[offsets]).tolist():
             lists[i].append(q)
     return lists
 
@@ -198,7 +186,8 @@ def lambda_window(
 ) -> np.ndarray:
     """Lambda_R(n; H, ell) for every candidate n, vectorized.
 
-    With few enough primes in (V, R] the weights come from a lookup table
+    The candidates are regular n in the window (N, 2N] of `params`.  With
+    few enough primes in (V, R] the weights come from a lookup table
     indexed by each n's prime-support bitmask; otherwise each candidate's
     prime list is walked depth-first.
     """
@@ -206,7 +195,7 @@ def lambda_window(
     a = H.size + ell
     if len(Q) <= MAX_MASK_PRIMES:
         table = _lambda_table(Q, a, params.R)
-        return table[_support_masks(cands, H, Q)]
+        return table[_support_masks(cands, H, Q, params.N)]
     log_R = math.log(params.R)
     cache: dict = {}
     lists = _prime_lists(cands, H, Q, params.N)
@@ -239,11 +228,13 @@ def _pair_sum(
     """Sum of Lambda_R(n;H1,ell1) Lambda_R(n;H2,ell2) over regular n in (N, 2N];
     with h0 given, only over n with n + h0 prime, each product times log(n + h0)."""
     Hu = _check_pair_inputs(H1, H2)
+    N = params.N
     cands = _window_candidates(Hu, params, per_class)
     if h0 is not None:
-        table = prime_engine.sieve_range(params.N + 1 + h0, 2 * params.N + h0)
-        # A lookup table over the window: numpy's default here sorts both arrays.
-        cands = cands[np.isin(cands + h0, table.primes, kind="table")]
+        # Flag, at each window offset, whether n + h0 is prime.
+        prime = np.zeros(N, dtype=bool)
+        prime[prime_engine.sieve_range(N + 1 + h0, 2 * N + h0).primes - (N + 1 + h0)] = True
+        cands = cands[prime[cands - (N + 1)]]
     if cands.size == 0:
         return 0.0
     terms = lambda_window(cands, H1, ell1, params) * lambda_window(cands, H2, ell2, params)
@@ -389,7 +380,6 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
             f"{n_subsets} K-subsets of A (budget {MAX_DETECTOR_SUBSETS})"
         )
     N = params.N
-    n_all = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     psi = np.zeros(N, dtype=np.float64)
     for combo in combinations(A.shifts, K):
         H = tc.TupleH(combo)
@@ -399,12 +389,12 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
         psi[cands - (N + 1)] += lambda_window(cands, H, ell, params)
 
     # n + a runs from N + 1 + min(A): a shift 0 reaches n = N + 1 itself.
-    table = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N)
+    primes = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N).primes
     inner = np.full(N, -math.log(3 * N), dtype=np.float64)
     for a in A.shifts:
-        shifted = n_all + a
-        hit = np.isin(shifted, table.primes, kind="table")
-        inner[hit] += np.log(shifted[hit].astype(np.float64))
+        # The primes n + a with n in the window, at their offsets n - (N + 1).
+        p = primes[(primes >= N + 1 + a) & (primes <= 2 * N + a)]
+        inner[p - (N + 1 + a)] += np.log(p.astype(np.float64))
 
     value = math.fsum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))
     return {

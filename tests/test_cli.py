@@ -1,6 +1,7 @@
 """End-to-end driver checks: coverage of every exposed operation, exit codes,
 output formats, and deterministic --stable output."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import sys
 import pytest
 
 import gpylab
-from gpylab import cli
+from gpylab import bv, cli, combinat, oracle, sequences, singular, weights
+from gpylab import primes as prime_engine
+from gpylab import tuples as tc
 
 # One cheap canonical invocation per subcommand named in OPERATION_MAP.
 INVOCATIONS = {
@@ -41,6 +44,12 @@ INVOCATIONS = {
 }
 
 
+# Calls that reach operations the canonical call of their subcommand skips.
+EXTRA_INVOCATIONS = {
+    "primes": [["primes", "--hi", "2000", "--q", "4", "--estar"]],
+}
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -55,6 +64,32 @@ def test_every_operation_has_a_working_subcommand(capsys):
         payload = json.loads(out)
         assert payload["schema_version"] == 1
         assert payload["experiment"] == name
+
+
+def _recording(fn, name, reached):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        reached.add(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_every_mapped_operation_is_reached_by_its_subcommand(monkeypatch, capsys):
+    modules = (prime_engine, tc, singular, weights, combinat, oracle, bv, sequences)
+    reached = set()
+    for name in cli.OPERATION_MAP:
+        # The module that defines the function, whose attribute every caller reads.
+        owner = next(m for m in modules
+                     if getattr(getattr(m, name, None), "__module__", "") == m.__name__)
+        monkeypatch.setattr(owner, name, _recording(getattr(owner, name), name, reached))
+    for command in set(cli.OPERATION_MAP.values()):
+        reached.clear()
+        for argv in [INVOCATIONS[command], *EXTRA_INVOCATIONS.get(command, [])]:
+            code, _ = run(argv, capsys)
+            assert code == cli.EXIT_OK, f"{argv}: exit {code}"
+        mapped = {name for name, cmd in cli.OPERATION_MAP.items() if cmd == command}
+        assert mapped <= reached, f"{command} never calls {sorted(mapped - reached)}"
 
 
 def test_stable_envelope_of_every_invocation(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -94,6 +95,37 @@ def test_regular_classes_members_are_coprime_shifts():
 def test_regular_classes_match_count_formula(shifts, V):
     H = tc.TupleH(tuple(shifts))
     assert len(tc.regular_classes(H, V)) == tc.regular_class_count(H, V)
+
+
+def python_crt(x, m, res, q):
+    inv = pow(m, -1, q)
+    return [a + m * ((r - a) * inv % q) for a in x for r in res]
+
+
+def test_crt_lift_by_primorial_29_matches_python_ints():
+    # The last lift of pair_sum_divisor at V = 29: a few classes mod 97 by
+    # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
+    # where (r - a) * inverse mod P would reach P^2 > 2^63.
+    H = tc.TupleH((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50))
+    P = tc.primorial(29)
+    reg = tc.regular_classes(H, 29).members % P
+    x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
+    lift, mod = tc.crt_lift(x, 97, reg, P)
+    assert mod == 97 * P
+    assert lift.tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
+
+
+def test_crt_lift_capacity_at_int64_boundary():
+    # 2^63 - 1 = 49 * 188232082384791343 with coprime factors: the largest
+    # lifted modulus that fits.
+    m, q = 49, 188232082384791343
+    x = np.array([0, 5, 48], dtype=np.int64)
+    res = np.array([1, q // 2, q - 1], dtype=np.int64)
+    lift, mod = tc.crt_lift(x, m, res, q)
+    assert mod == 2**63 - 1
+    assert lift.tolist() == python_crt(x.tolist(), m, res.tolist(), q)
+    with pytest.raises(CapacityError):
+        tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), 2**63)
 
 
 def test_intersection_of_class_sets_is_union_tuple_classes():
