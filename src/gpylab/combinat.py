@@ -18,7 +18,6 @@ from math import comb, factorial, isqrt, log
 import numpy as np
 
 from .errors import DomainError
-from .primes import factorize
 
 
 @dataclass(frozen=True)
@@ -146,17 +145,6 @@ def coeff_identity_scan(bound: int) -> list:
     return bad
 
 
-def coeff_A(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
-    """A_{j,nu}, asserting that both evaluation routes agree."""
-    closed = coeff_A_closed(j, nu, d, u, v)
-    summed = coeff_A_sum(j, nu, d, u, v)
-    if closed != summed:
-        raise AssertionError(
-            f"coefficient routes disagree at (j={j}, nu={nu}, d={d}, u={u}, v={v})"
-        )
-    return closed
-
-
 def coeff_A_double_prime(j: int, nu: int, u: int, v: int) -> Fraction:
     """A''_{j,nu} = |(v-nu+1)...(v-nu+u-j)| / ((v+1)...(v+u-j))."""
     num = 1
@@ -196,20 +184,6 @@ def coeff_ratio_check(d: int, u: int, v: int) -> dict:
         "violations": violations,
         "max_ratio": str(max_ratio),
     }
-
-
-def divisor_m(q: int, m: int) -> int:
-    """d_m(q) = m^omega(q) for squarefree q; d_m(1) = 1."""
-    if q < 1:
-        raise DomainError("q must be positive")
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    if q == 1:
-        return 1
-    fac = factorize(q)
-    if any(e > 1 for e in fac.values()):
-        raise DomainError(f"{q} is not squarefree")
-    return m ** len(fac)
 
 
 def _squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:

@@ -77,12 +77,6 @@ class ResidueSet:
     def __iter__(self):
         return iter(self.members.tolist())
 
-    def intersection(self, other: "ResidueSet") -> "ResidueSet":
-        if self.modulus != other.modulus:
-            raise DomainError("residue sets live modulo different P")
-        common = np.intersect1d(self.members, other.members)
-        return ResidueSet(self.modulus, common)
-
 
 def _require_prime(p: int) -> None:
     if not prime_engine.is_prime(p):

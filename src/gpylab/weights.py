@@ -8,10 +8,13 @@ n + h0 is prime), and the prime-pair detector.
 
 The pair sum has two independent evaluation routes that must agree.  The
 direct route sieves the window (N, 2N] by the primes p <= V to find the
-regular n, then the primes in (V, R] to factor P_H(n); it shares no class
-code with the divisor route, which expands into divisor pairs and counts
-them exactly over the regular classes mod P by CRT lifting.  Their
-agreement is the module's main correctness oracle.
+regular n, then evaluates every weight of the window in one depth-first
+walk over the squarefree d <= R built from the primes in (V, R], carrying at
+each d the window entries n with d | P_H(n).  lambda_R runs the same walk
+on a single n over the primes p <= R that divide P_H(n).  The direct route
+shares no class code with the divisor route, which expands into divisor
+pairs and counts them exactly over the regular classes mod P by CRT
+lifting.  Their agreement is the module's main correctness oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import primes as prime_engine
 from . import tuples as tc
 from .errors import CapacityError, DomainError
 
-# Bitmask fast path: per-window lambda lookup tables up to 2^16 entries.
+# Selects nothing: the benchmark alone reads it, to label its walk items.
 MAX_MASK_PRIMES = 16
 
 # Divisor-pair expansion guards.
@@ -70,46 +73,54 @@ def polynomial_value(n: int, H: tc.TupleH) -> int:
     return out
 
 
-def _divisor_terms(logs: list, a: int, log_R: float) -> tuple[list, list]:
-    """Support masks and terms mu(d) (log R/d)^a of every squarefree d <= R.
+def _lambda_walk(n: np.ndarray, H: tc.TupleH, primes: list, a: int, log_R: float) -> np.ndarray:
+    """Sum of mu(d) (log R/d)^a / a! over squarefree d <= R with d | P_H(n),
+    for every entry of n, where d runs over products of the ascending `primes`.
 
-    d runs over products of the primes whose logs are given, ascending;
-    bit i of a mask marks the i-th prime.  Depth-first, pruning once the
-    partial product exceeds R.
+    Depth-first over d, pruning once the product exceeds R.  Each stack entry
+    is (indices, next prime, log d, mu(d)): the indices are the entries of n
+    with d | P_H(n), and a child d*q keeps those whose n mod q is a root -h of
+    P_H mod q.  Each term is added on its own entries only.
     """
-    masks, terms = [], []
-
-    def walk(idx: int, mask: int, log_prod: float, sign: int) -> None:
-        masks.append(mask)
-        terms.append(sign * (log_R - log_prod) ** a)
-        for i in range(idx, len(logs)):
-            lp = log_prod + logs[i]
+    logs = [math.log(q) for q in primes]
+    roots = [sorted({(-h) % q for h in H.shifts}) for q in primes]
+    out = np.zeros(n.size, dtype=np.float64)
+    stack = [(np.arange(n.size), 0, 0.0, 1)]
+    while stack:
+        idx, start, log_d, mu = stack.pop()
+        out[idx] += mu * (log_R - log_d) ** a
+        vals = n[idx]
+        children = []
+        for i in range(start, len(primes)):
+            log_dq = log_d + logs[i]
             # Tolerate rounding at the d = R boundary.
-            if lp > log_R + 1e-12:
+            if log_dq > log_R + 1e-12:
                 break
-            walk(i + 1, mask | (1 << i), lp, -sign)
-
-    walk(0, 0, 0.0, 1)
-    return masks, terms
-
-
-def _lambda_terms(primes: list, a: int, log_R: float) -> float:
-    """Sum of mu(d) (log R/d)^a over squarefree d <= R built from the
-    ascending `primes`, already divided by a!."""
-    _, terms = _divisor_terms([math.log(p) for p in primes], a, log_R)
-    return math.fsum(terms) / math.factorial(a)
+            r = vals % primes[i]
+            hit = r == roots[i][0]
+            for root in roots[i][1:]:
+                hit |= r == root
+            if hit.any():
+                children.append((idx[hit], i + 1, log_dq, -mu))
+        # Reversed, so the smallest prime is visited first.
+        stack.extend(reversed(children))
+    return out / math.factorial(a)
 
 
 def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
-    """Lambda_R(n; H, ell) for a single n, from the primes p <= R dividing P_H(n)."""
+    """Lambda_R(n; H, ell) for a single n >= 1 (any Python int), walked over
+    the primes p <= R dividing P_H(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if not R > 1:
         raise DomainError("R must exceed 1")
-    small = [
-        p for p in prime_engine.primes_upto(int(R)) if any((n + h) % p == 0 for h in H.shifts)
+    # Other primes open no branch; walking them costs numpy calls per prime.
+    primes = [
+        p for p in prime_engine.primes_upto(int(R)).primes.tolist()
+        if any((n + h) % p == 0 for h in H.shifts)
     ]
-    return _lambda_terms(small, H.size + ell, math.log(R))
+    # Beyond int64, np.array holds n as uint64 or as a Python int object.
+    return float(_lambda_walk(np.array([n]), H, primes, H.size + ell, math.log(R))[0])
 
 
 def _divides(H: tc.TupleH, q: int, N: int) -> np.ndarray:
@@ -145,67 +156,16 @@ def _mask_primes(params: WeightParams) -> list:
     return [int(q) for q in table.primes if q > params.V]
 
 
-def _lambda_table(Q: list, a: int, R: float) -> np.ndarray:
-    """Lookup table over prime subsets: entry at bitmask m is
-    Lambda's inner sum for an n whose prime support (within Q) is m."""
-    B = len(Q)
-    table = np.zeros(1 << B, dtype=np.float64)
-    # Deposit each squarefree product d <= R at its support mask.
-    for mask, term in zip(*_divisor_terms([math.log(q) for q in Q], a, math.log(R))):
-        table[mask] += term
-
-    # Subset-sum (zeta) transform: each mask accumulates all its subsets.
-    for b in range(B):
-        s = 1 << b
-        view = table.reshape(-1, 2, s)
-        view[:, 1, :] += view[:, 0, :]
-    return table / math.factorial(a)
-
-
-def _support_masks(cands: np.ndarray, H: tc.TupleH, Q: list, N: int) -> np.ndarray:
-    """Per-candidate bitmasks: bit i is set iff Q[i] divides P_H(n)."""
-    masks = np.zeros(cands.size, dtype=np.uint32)
-    offsets = cands - (N + 1)
-    for bi, q in enumerate(Q):
-        masks[_divides(H, q, N)[offsets]] |= np.uint32(1 << bi)
-    return masks
-
-
-def _prime_lists(cands: np.ndarray, H: tc.TupleH, Q: list, N: int) -> list:
-    """Per-candidate sorted lists of primes q in Q dividing P_H(n)."""
-    lists: list = [[] for _ in range(cands.size)]
-    offsets = cands - (N + 1)
-    for q in Q:
-        for i in np.flatnonzero(_divides(H, q, N)[offsets]).tolist():
-            lists[i].append(q)
-    return lists
-
-
 def lambda_window(
     cands: np.ndarray, H: tc.TupleH, ell: int, params: WeightParams
 ) -> np.ndarray:
     """Lambda_R(n; H, ell) for every candidate n, vectorized.
 
-    The candidates are regular n in the window (N, 2N] of `params`.  With
-    few enough primes in (V, R] the weights come from a lookup table
-    indexed by each n's prime-support bitmask; otherwise each candidate's
-    prime list is walked depth-first.
+    The candidates are regular n in the window (N, 2N] of `params`, so only
+    the primes in (V, R] can divide P_H(n); one divisor walk over them
+    evaluates the whole array.
     """
-    Q = _mask_primes(params)
-    a = H.size + ell
-    if len(Q) <= MAX_MASK_PRIMES:
-        table = _lambda_table(Q, a, params.R)
-        return table[_support_masks(cands, H, Q, params.N)]
-    log_R = math.log(params.R)
-    cache: dict = {}
-    lists = _prime_lists(cands, H, Q, params.N)
-    out = np.empty(cands.size, dtype=np.float64)
-    for i, lst in enumerate(lists):
-        key = tuple(lst)
-        if key not in cache:
-            cache[key] = _lambda_terms(lst, a, log_R)
-        out[i] = cache[key]
-    return out
+    return _lambda_walk(cands, H, _mask_primes(params), H.size + ell, math.log(params.R))
 
 
 def _check_pair_inputs(H1: tc.TupleH, H2: tc.TupleH) -> tc.TupleH:

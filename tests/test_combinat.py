@@ -59,11 +59,6 @@ def test_coeff_A_routes_agree_small_grid():
                         assert s == c, (j, nu, d, u, v)
 
 
-def test_coeff_A_asserts_internal_agreement():
-    val = combinat.coeff_A(1, 2, 3, 4, 4)
-    assert val == combinat.coeff_A_closed(1, 2, 3, 4, 4)
-
-
 def test_double_prime_bounds_on_grid():
     rep = combinat.coeff_ratio_check(3, 4, 4)
     assert rep["violations"] == []
@@ -78,17 +73,6 @@ def test_double_prime_small_nu_is_at_most_one():
             for nu in range(0, 2 * (v + 1) + 1):
                 val = combinat.coeff_A_double_prime(0, nu, u, v)
                 assert val <= 1
-
-
-def test_divisor_m_is_m_to_omega():
-    for q in (1, 2, 6, 30, 210, 97):
-        for m in (2, 3, 5):
-            assert combinat.divisor_m(q, m) == m ** len(sympy.factorint(q))
-
-
-def test_divisor_m_rejects_non_squarefree():
-    with pytest.raises(DomainError):
-        combinat.divisor_m(12, 2)
 
 
 def test_divisor_mean_bound_holds():

@@ -67,8 +67,11 @@ def test_primorial_values_and_cap():
     assert tc.primorial(2) == 2
     assert tc.primorial(5) == 30
     assert tc.primorial(13) == 30030
-    with pytest.raises(CapacityError):
-        tc.primorial(tc.MAX_V + 2)
+    # MAX_V = 43 is the largest V accepted.
+    assert tc.primorial(43) == 13082761331670030
+    for V in (44, tc.MAX_V + 2):
+        with pytest.raises(CapacityError):
+            tc.primorial(V)
 
 
 def test_regular_class_count_formula():
@@ -128,12 +131,22 @@ def test_crt_lift_capacity_at_int64_boundary():
         tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), 2**63)
 
 
+def test_class_member_cap_at_its_boundary(monkeypatch):
+    H = tc.TupleH((0, 2, 6))
+    count = tc.regular_class_count(H, 13)
+    monkeypatch.setattr(tc, "MAX_CLASS_MEMBERS", count)
+    assert len(tc.regular_classes(H, 13)) == count
+    monkeypatch.setattr(tc, "MAX_CLASS_MEMBERS", count - 1)
+    with pytest.raises(CapacityError):
+        tc.regular_classes(H, 13)
+
+
 def test_intersection_of_class_sets_is_union_tuple_classes():
     H1, H2 = tc.TupleH((0, 2)), tc.TupleH((0, 6))
     a = tc.regular_classes(H1, 5)
     b = tc.regular_classes(H2, 5)
     c = tc.regular_classes(H1.union(H2), 5)
-    assert set(a.intersection(b).members.tolist()) == set(c.members.tolist())
+    assert np.array_equal(np.intersect1d(a.members, b.members), c.members)
 
 
 def test_tuple_normalization_and_errors():

@@ -1,5 +1,7 @@
 """Sieve weights: single values, vectorized windows, and the pair sums."""
 
+import functools
+import gc
 import math
 import tracemalloc
 
@@ -17,13 +19,16 @@ H1 = tc.TupleH((0, 2))
 H2 = tc.TupleH((0, 6))
 
 
+mobius = functools.lru_cache(maxsize=None)(sympy.mobius)
+
+
 def brute_lambda(n, H, ell, R):
     """Divisor-sum definition, term by term over squarefree d <= R."""
     value = math.prod(n + h for h in H.shifts)
     a = H.size + ell
     terms = []
     for d in range(1, int(R) + 1):
-        mu = sympy.mobius(d)
+        mu = mobius(d)
         if mu == 0 or value % d != 0:
             continue
         terms.append(mu * math.log(R / d) ** a)
@@ -63,34 +68,61 @@ def regular_candidates(H, params):
     return weights._window_candidates(H, params, None)
 
 
-def test_lambda_window_bitmask_path_matches_lambda_R():
-    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=500)
-    cands = regular_candidates(H1, params)
-    vals = weights.lambda_window(cands, H1, 1, params)
-    for i in (0, 7, len(cands) - 1):
-        assert vals[i] == pytest.approx(weights.lambda_R(int(cands[i]), H1, 1, 30.0), abs=1e-10)
+def check_window_against_brute_force(H, ell, params):
+    cands = regular_candidates(H, params)
+    vals = weights.lambda_window(cands, H, ell, params).tolist()
+    want = [brute_lambda(int(n), H, ell, params.R) for n in cands]
+    assert vals == pytest.approx(want, rel=1e-12, abs=1e-9)
+    # lambda_R runs the same walk, so it agrees exactly.
+    assert vals == [weights.lambda_R(int(n), H, ell, params.R) for n in cands]
 
 
-def test_lambda_window_list_path_matches_lambda_R():
-    # More than 16 primes in (V, R] forces the per-candidate list path.
-    params = weights.WeightParams(K=2, ell=0, R=200.0, V=5, N=300)
-    assert len(weights._mask_primes(params)) > weights.MAX_MASK_PRIMES
-    cands = regular_candidates(H1, params)
-    vals = weights.lambda_window(cands, H1, 0, params)
-    for i in (0, 11, len(cands) - 1):
-        assert vals[i] == pytest.approx(weights.lambda_R(int(cands[i]), H1, 0, 200.0), abs=1e-9)
-
-
-@pytest.mark.parametrize("R, size", [(67.0, 16), (71.0, 17)])
-def test_lambda_window_at_mask_prime_guard(R, size):
-    # |Q| = MAX_MASK_PRIMES = 16 keeps the bitmask table; one more prime walks.
-    assert weights.MAX_MASK_PRIMES == 16
-    params = weights.WeightParams(K=2, ell=1, R=R, V=5, N=3000)
+@pytest.mark.parametrize("R, size", [(6.5, 0), (13.0, 3), (67.0, 16), (71.0, 17), (1000.0, 165)])
+def test_lambda_window_matches_brute_force(R, size):
+    # |Q| = 0 (no prime in (V, R]) up to 165 (R = 1000) on one walk.
+    params = weights.WeightParams(K=2, ell=1, R=R, V=5, N=3000 if R < 1000 else 300)
     assert len(weights._mask_primes(params)) == size
-    cands = regular_candidates(H1, params)
-    vals = weights.lambda_window(cands, H1, 1, params)
-    want = [weights.lambda_R(int(n), H1, 1, R) for n in cands]
-    assert vals.tolist() == pytest.approx(want, abs=1e-9)
+    check_window_against_brute_force(H1, 1, params)
+
+
+# Shifts = 0 or 2 mod 6 leave a class free mod 2 and mod 3.
+shift_sets = st.sets(st.integers(0, 11), min_size=1, max_size=4).map(
+    lambda ks: tc.TupleH(tuple(6 * (k // 2) + 2 * (k % 2) for k in ks))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    H=shift_sets.filter(tc.is_admissible),
+    ell=st.integers(0, 2),
+    R=st.floats(2.0, 200.0),
+    V=st.integers(2, 13),
+    N=st.integers(1, 3000),
+)
+def test_lambda_window_matches_brute_force_on_random_inputs(H, ell, R, V, N):
+    check_window_against_brute_force(H, ell, weights.WeightParams(K=H.size, ell=ell, R=R, V=V, N=N))
+
+
+@pytest.mark.parametrize("n", [10**20 + 3, 2**63 + 5])
+def test_lambda_R_beyond_int64(n):
+    H = tc.TupleH((0, 2, 6))
+    for R in (30.0, 200.0):
+        assert weights.lambda_R(n, H, 1, R) == pytest.approx(brute_lambda(n, H, 1, R), rel=1e-12, abs=1e-9)
+
+
+def test_lambda_walk_leaves_no_reference_cycle():
+    # Index arrays held by a reference cycle outlive the call until the
+    # cyclic collector runs.
+    params = weights.WeightParams(K=2, ell=1, R=200.0, V=5, N=3000)
+    cands = regular_candidates(H1.union(H2), params)
+    gc.collect()
+    gc.disable()
+    try:
+        weights.lambda_window(cands, H1, 1, params)
+        weights.lambda_R(10**6 + 3, H1, 1, 200.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_window_is_the_gcd_filter_at_v29():
@@ -147,6 +179,28 @@ def test_divisor_pair_budget_at_its_boundary(monkeypatch):
         weights.pair_sum_divisor(H1, H2, 1, 1, params)
 
 
+def test_rough_value_budget_at_its_boundary(monkeypatch):
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
+    roughs = len(weights._rough_squarefree(weights._mask_primes(params), params.R))
+    monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs)
+    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
+    monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs - 1)
+    with pytest.raises(CapacityError, match="squarefree values"):
+        weights.pair_sum_divisor(H1, H2, 1, 1, params)
+
+
+def test_expansion_budget_at_r_squared_1e7(monkeypatch):
+    # 3162.27^2 < 10^7 < 3162.28^2.  With no divisor pair allowed, the
+    # passing R stops at the pair guard instead of running the expansion.
+    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", 0)
+    params = weights.WeightParams(K=2, ell=1, R=3162.27, V=5, N=1000)
+    with pytest.raises(CapacityError, match="divisor pairs"):
+        weights.pair_sum_divisor(H1, H2, 1, 1, params)
+    params = weights.WeightParams(K=2, ell=1, R=3162.28, V=5, N=1000)
+    with pytest.raises(CapacityError, match="expansion budget"):
+        weights.pair_sum_divisor(H1, H2, 1, 1, params)
+
+
 def test_per_class_sums_add_up_to_aggregate():
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     Hu = H1.union(H2)
@@ -170,9 +224,7 @@ def test_per_class_rejects_irregular_class_and_reduces_mod_P():
 
 @st.composite
 def admissible_pairs(draw):
-    # Shifts = 0 or 2 mod 6 leave a class free mod 2 and mod 3.
-    ks = st.sets(st.integers(0, 11), min_size=1, max_size=4)
-    Ha, Hb = (tc.TupleH(tuple(6 * (k // 2) + 2 * (k % 2) for k in draw(ks))) for _ in "ab")
+    Ha, Hb = draw(shift_sets), draw(shift_sets)
     assume(tc.is_admissible(Ha.union(Hb)))
     return Ha, Hb
 
