@@ -563,10 +563,13 @@ def _envelope(args, payload: dict, runtime: float) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
+    # `seq generate --out F` writes its tuple file to F; the report then goes
+    # to standard output in either format.
+    out = args.out if args.out and payload.get("file") != args.out else None
     if args.format == "csv":
         rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (dict, list)))
-        if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(("key", "value"))
                 w.writerows(rows)
@@ -575,8 +578,8 @@ def _emit(payload: dict, args) -> None:
                 print(f"{k},{v}")
         return
     text = json.dumps(payload, sort_keys=True, indent=2, default=str)
-    if args.out and payload.get("file") != args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)

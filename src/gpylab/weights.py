@@ -12,9 +12,12 @@ regular n, then evaluates every weight of the window in one depth-first
 walk over the squarefree d <= R built from the primes in (V, R], carrying at
 each d the window entries n with d | P_H(n).  lambda_R runs the same walk
 on a single n over the primes p <= R that divide P_H(n).  The direct route
-shares no class code with the divisor route, which expands into divisor
-pairs and counts them exactly over the regular classes mod P by CRT
-lifting.  Their agreement is the module's main correctness oracle.
+shares no class code with the divisor route, which lists those squarefree
+d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
+e | P_H2(n) exactly: the roots of P_H1 mod d, lifted once per d, are lifted
+by the roots of P_H2 mod e and then by the regular classes mod P.  The
+divisor route calls no window code.  Their agreement is the module's main
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -230,89 +233,69 @@ def pair_sum_theta(
     return _pair_sum(H1, H2, ell1, ell2, params, per_class, h0)
 
 
-def _rough_squarefree(Q: list, R: float) -> list:
-    """Squarefree products of primes in Q, value <= R, as
-    (value, support_mask, num_factors) sorted by value; includes 1."""
-    out = [(1, 0, 0)]
-
-    def walk(idx: int, val: int, mask: int, k: int) -> None:
-        for i in range(idx, len(Q)):
-            v = val * Q[i]
-            if v > R:
-                break
-            out.append((v, mask | (1 << i), k + 1))
-            walk(i + 1, v, mask | (1 << i), k + 1)
-
-    walk(0, 1, 0, 0)
-    if len(out) > MAX_ROUGH_VALUES:
-        raise CapacityError(
-            f"{len(out)} squarefree values <= R (budget {MAX_ROUGH_VALUES})"
-        )
-    out.sort()
-    return out
-
-
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
     """Pair sum by divisor-pair expansion with exact residue counting.
 
-    Each pair (d, e) of squarefree values <= R coprime to P contributes
-    mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times the exact
-    count of regular window n with d | P_H1(n) and e | P_H2(n).  Counting
-    lifts by CRT, per prime of d or e, the roots of P_H1, of P_H2, or (for a
-    prime of gcd(d, e)) of both, then the regular classes mod P.
+    Each pair (d, e) of squarefree values <= R built from the primes in (V, R]
+    contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times
+    the exact count of regular window n with d | P_H1(n) and e | P_H2(n).
+    The count lifts by CRT: first the roots of P_H1 mod each prime of d, then,
+    for each prime of e, the roots of P_H2 (a prime shared with d instead
+    keeps the classes that are also roots of P_H2), then, last because they
+    are the most numerous, the regular classes mod P; the window is counted
+    over the resulting classes mod lcm(d, e) P.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
         raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
     Q = _mask_primes(params)
-    roughs = _rough_squarefree(Q, params.R)
-    if len(roughs) ** 2 > MAX_DIVISOR_PAIRS:
-        raise CapacityError(f"{len(roughs)}^2 divisor pairs (budget {MAX_DIVISOR_PAIRS})")
+    # Every squarefree d <= R over Q, with the indices of its primes in Q.
+    ds = []
+    stack = [(1, ())]
+    while stack:
+        d, idx = stack.pop()
+        ds.append((d, idx))
+        for i in range(idx[-1] + 1 if idx else 0, len(Q)):
+            if d * Q[i] > params.R:
+                break
+            stack.append((d * Q[i], idx + (i,)))
+    if len(ds) > MAX_ROUGH_VALUES:
+        raise CapacityError(f"{len(ds)} squarefree values <= R (budget {MAX_ROUGH_VALUES})")
+    if len(ds) ** 2 > MAX_DIVISOR_PAIRS:
+        raise CapacityError(f"{len(ds)}^2 divisor pairs (budget {MAX_DIVISOR_PAIRS})")
     N = params.N
     log_R = math.log(params.R)
-
-    def weights_for(a: int) -> list:
-        fact = math.factorial(a)
-        return [(-1.0) ** k * (log_R - math.log(v)) ** a / fact for v, _, k in roughs]
-
-    w1 = weights_for(H1.size + ell1)
-    w2 = weights_for(H2.size + ell2)
-
+    w1, w2 = (
+        [(-1.0) ** len(idx) * (log_R - math.log(d)) ** a / math.factorial(a) for d, idx in ds]
+        for a in (H1.size + ell1, H2.size + ell2)
+    )
+    roots1, roots2 = (
+        [np.array(sorted({(-h) % q for h in H.shifts}), dtype=np.int64) for q in Q]
+        for H in (H1, H2)
+    )
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V).members % P
 
-    # Residues mod q hitting each tuple, and their intersection.
-    res1 = {q: np.array(sorted({(-h) % q for h in H1.shifts}), dtype=np.int64) for q in Q}
-    res2 = {q: np.array(sorted({(-h) % q for h in H2.shifts}), dtype=np.int64) for q in Q}
-    res12 = {
-        q: np.intersect1d(res1[q], res2[q]) for q in Q
-    }
-
-    def count_for(mask1: int, mask2: int, mask12: int, m: int) -> int:
-        x = np.zeros(1, dtype=np.int64)
-        mod = 1
-        for role_mask, res in ((mask1, res1), (mask2, res2), (mask12, res12)):
-            mm = role_mask
-            while mm:
-                bi = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                q = Q[bi]
-                r = res[q]
-                if r.size == 0:
-                    return 0
-                x, mod = tc.crt_lift(x, mod, r, q)
-        x, mod = tc.crt_lift(x, mod, reg, P)
-        assert mod == m * P
-        hi = (2 * N - x) // mod
-        lo = (N - x) // mod
-        return int((hi - lo).sum())
-
     terms = []
-    for (d, md, _), f1 in zip(roughs, w1):
-        for (e, me, _), f2 in zip(roughs, w2):
-            cnt = count_for(md & ~me, me & ~md, md & me, math.lcm(d, e))
+    for (d, idx_d), f1 in zip(ds, w1):
+        x_d, m_d = np.zeros(1, dtype=np.int64), 1
+        for i in idx_d:
+            x_d, m_d = tc.crt_lift(x_d, m_d, roots1[i], Q[i])
+        for (e, idx_e), f2 in zip(ds, w2):
+            x, m = x_d, m_d
+            for i in idx_e:
+                if d % Q[i]:
+                    x, m = tc.crt_lift(x, m, roots2[i], Q[i])
+                else:
+                    # q | gcd(d, e): keep the classes that are roots of P_H2 too.
+                    x = x[np.isin(x % Q[i], roots2[i])]
+            if x.size == 0:
+                continue
+            x, m = tc.crt_lift(x, m, reg, P)
+            assert m == math.lcm(d, e) * P
+            cnt = int(((2 * N - x) // m - (N - x) // m).sum())
             if cnt:
                 terms.append(f1 * f2 * cnt)
     return math.fsum(terms)

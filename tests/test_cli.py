@@ -180,6 +180,16 @@ def test_csv_format_emits_rows(capsys):
     assert "J" in rows
 
 
+def test_csv_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
+    path = tmp_path / "seq.txt"
+    argv = ["seq", "generate", "--kind", "interval", "--n", "100", "--h", "5", "--out", str(path)]
+    code, out = run(argv + ["--format", "csv"], capsys)
+    assert code == cli.EXIT_OK
+    assert [H.shifts for H in tc.read_tuple_file(path)] == [(1, 2, 3, 4, 5)]
+    rows = dict(line.split(",", 1) for line in out.strip().splitlines())
+    assert rows["file"] == str(path)
+
+
 def test_empty_sequence_warns_but_succeeds(capsys):
     code, out = run(["seq", "generate", "--kind", "powers_k", "--n", "1"], capsys)
     assert code == cli.EXIT_OK

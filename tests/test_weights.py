@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -120,6 +121,7 @@ def test_lambda_walk_leaves_no_reference_cycle():
     try:
         weights.lambda_window(cands, H1, 1, params)
         weights.lambda_R(10**6 + 3, H1, 1, 200.0)
+        weights.pair_sum_divisor(H1, H2, 1, 1, weights.WeightParams(K=2, ell=1, R=100.0, V=5, N=2000))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -156,9 +158,13 @@ def test_window_memory_at_v31_is_a_few_bytes_per_n():
 
 def test_pair_sum_direct_matches_brute_force():
     params = weights.WeightParams(K=2, ell=1, R=20.0, V=3, N=400)
-    got = weights.pair_sum_direct(H1, H2, 1, 1, params)
-    want = brute_pair_sum(H1, H2, 1, 1, params)
-    assert got == pytest.approx(want, rel=1e-12)
+    # The roots of (0,2) and (6,8) are disjoint mod 5 and mod 7: a shared
+    # prime of d and e leaves no class there.
+    for Ha, Hb in ((H1, H2), (H1, tc.TupleH((6, 8)))):
+        want = brute_pair_sum(Ha, Hb, 1, 1, params)
+        assert want > 0
+        assert weights.pair_sum_direct(Ha, Hb, 1, 1, params) == pytest.approx(want, rel=1e-12)
+        assert weights.pair_sum_divisor(Ha, Hb, 1, 1, params) == pytest.approx(want, rel=1e-12)
 
 
 def test_pair_sum_strategies_agree():
@@ -169,19 +175,27 @@ def test_pair_sum_strategies_agree():
         assert divisor == pytest.approx(direct, rel=1e-9)
 
 
+def rough_squarefree_count(params):
+    """The squarefree d <= R whose primes all lie in (V, R], d = 1 included."""
+    return sum(
+        1 for d in range(1, int(params.R) + 1)
+        if mobius(d) != 0 and all(p > params.V for p in sympy.primefactors(d))
+    )
+
+
 def test_divisor_pair_budget_at_its_boundary(monkeypatch):
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
-    pairs = len(weights._rough_squarefree(weights._mask_primes(params), params.R)) ** 2
+    pairs = rough_squarefree_count(params) ** 2
     monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs)
     assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
     monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs - 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="divisor pairs"):
         weights.pair_sum_divisor(H1, H2, 1, 1, params)
 
 
 def test_rough_value_budget_at_its_boundary(monkeypatch):
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
-    roughs = len(weights._rough_squarefree(weights._mask_primes(params), params.R))
+    roughs = rough_squarefree_count(params)
     monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs)
     assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
     monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs - 1)
@@ -276,6 +290,17 @@ def test_direct_routes_use_no_class_code(monkeypatch):
     assert math.isfinite(weights.detector_sum(tc.TupleH((0, 2, 6)), params)["value"])
 
 
+def test_divisor_route_uses_no_window_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("window code called")
+
+    for name in ("_lambda_walk", "lambda_window", "_window_candidates", "_divides"):
+        monkeypatch.setattr(weights, name, refuse)
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
+    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
+    assert weights.pair_sum_divisor(H1, tc.TupleH((6, 8)), 1, 2, params) > 0
+
+
 def test_pair_sum_rejects_inadmissible_union():
     bad = tc.TupleH((0, 4))  # union {0, 2, 4} covers all residues mod 3
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
@@ -308,19 +333,96 @@ def test_detector_sum_reports_negative_at_desk_scale():
     assert rep["positive"] == (rep["value"] > 0)
 
 
+def brute_detector(A, params):
+    """detector_sum by its definition, one n at a time."""
+    N, P = params.N, tc.primorial(params.V)
+    subsets = [
+        H for H in itertools.combinations(A.shifts, params.K)
+        if all(len({h % p for h in H}) < p for p in sympy.primerange(2, params.K + 1))
+    ]
+    terms = []
+    for n in range(N + 1, 2 * N + 1):
+        psi = math.fsum(
+            brute_lambda(n, tc.TupleH(H), params.ell, params.R)
+            for H in subsets if all(math.gcd(n + h, P) == 1 for h in H)
+        )
+        inner = sum(math.log(n + a) for a in A.shifts if n + a <= 3 * N and sympy.isprime(n + a))
+        terms.append((inner - math.log(3 * N)) * psi * psi)
+    return math.fsum(terms) / (N * float(max(A.shifts)) ** (2 * params.K + 1))
+
+
 def test_detector_sum_counts_prime_at_window_start():
     # The shift 0 reaches n + 0 = N + 1 = 11, a prime: log 11 belongs in the
     # inner weight at n = 11, where every pair in A is regular.
     A = tc.TupleH((0, 2, 6))
     params = weights.WeightParams(K=2, ell=0, R=8.0, V=3, N=10)
-    N, P = params.N, tc.primorial(params.V)
-    terms = []
-    for n in range(N + 1, 2 * N + 1):
-        psi = 0.0
-        for H in (tc.TupleH(c) for c in ((0, 2), (0, 6), (2, 6))):
-            if all(math.gcd(n + h, P) == 1 for h in H.shifts):
-                psi += brute_lambda(n, H, params.ell, params.R)
-        inner = sum(math.log(n + a) for a in A.shifts if n + a <= 3 * N and sympy.isprime(n + a))
-        terms.append((inner - math.log(3 * N)) * psi * psi)
-    want = math.fsum(terms) / (N * 6.0 ** 5)
+    want = brute_detector(A, params)
+    assert weights.detector_sum(A, params)["value"] == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    A=st.sets(st.integers(0, 12), min_size=1, max_size=5).filter(lambda a: max(a) > 0),
+    K=st.integers(1, 3),
+    ell=st.integers(0, 1),
+    R=st.floats(2.0, 30.0),
+    V=st.integers(2, 7),
+    N=st.integers(1, 40),
+)
+def test_detector_sum_matches_brute_force_on_random_inputs(A, K, ell, R, V, N):
+    A = tc.TupleH(tuple(sorted(A)))
+    assume(K <= A.size)
+    params = weights.WeightParams(K=K, ell=ell, R=R, V=V, N=N)
+    want = brute_detector(A, params)
+    got = weights.detector_sum(A, params)["value"]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    pair=admissible_pairs(),
+    ells=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    h0=st.integers(1, 30),
+    R=st.floats(2.0, 40.0),
+    V=st.integers(2, 7),
+    N=st.integers(1, 400),
+)
+def test_pair_sum_theta_matches_brute_force_on_random_inputs(pair, ells, h0, R, V, N):
+    Ha, Hb = pair
+    params = weights.WeightParams(K=max(Ha.size, Hb.size), ell=ells[0], R=R, V=V, N=N)
+    want = brute_pair_sum(Ha, Hb, *ells, params, h0=h0)
+    got = weights.pair_sum_theta(Ha, Hb, *ells, h0, params)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def pair_decomposition(A, params):
+    """detector_sum rebuilt from pair sums over ordered pairs of admissible
+    K-subsets: psi^2 expands into lambda(H1) lambda(H2) on n regular for
+    H1 u H2.  Returns the value and the number of pairs skipped because
+    H1 u H2 is not admissible."""
+    subsets = [tc.TupleH(H) for H in itertools.combinations(A.shifts, params.K)]
+    subsets = [H for H in subsets if tc.is_admissible(H)]
+    ell, N = params.ell, params.N
+    terms, skipped = [], 0
+    for Ha in subsets:
+        for Hb in subsets:
+            if not tc.is_admissible(Ha.union(Hb)):
+                skipped += 1
+                continue
+            terms.extend(weights.pair_sum_theta(Ha, Hb, ell, ell, a, params) for a in A.shifts)
+            terms.append(-math.log(3 * N) * weights.pair_sum_divisor(Ha, Hb, ell, ell, params))
+    return math.fsum(terms) / (N * float(max(A.shifts)) ** (2 * params.K + 1)), skipped
+
+
+@pytest.mark.parametrize("shifts, K, N, R, V, skipped", [
+    ((2, 6, 8, 12, 14), 2, 3000, 40.0, 3, 0),
+    # The 80 skipped unions cover every class mod 5 <= V, so no n is
+    # regular for them; at V = 3 their n would stay regular.
+    ((1, 3, 7, 9, 13, 15), 3, 1000, 30.0, 5, 80),
+])
+def test_detector_sum_is_a_sum_of_pair_sums(shifts, K, N, R, V, skipped):
+    A = tc.TupleH(shifts)
+    params = weights.WeightParams(K=K, ell=1, R=R, V=V, N=N)
+    want, n_skipped = pair_decomposition(A, params)
+    assert n_skipped == skipped
     assert weights.detector_sum(A, params)["value"] == pytest.approx(want, rel=1e-12)
