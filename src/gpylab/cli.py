@@ -10,6 +10,7 @@ stdout.  Exit codes: 0 success, 2 domain error, 3 capacity error, 64 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
@@ -566,23 +567,17 @@ def _emit(payload: dict, args) -> None:
     # `seq generate --out F` writes its tuple file to F; the report then goes
     # to standard output in either format.
     out = args.out if args.out and payload.get("file") != args.out else None
-    if args.format == "csv":
-        rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (dict, list)))
-        if out:
-            with open(out, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(("key", "value"))
-                w.writerows(rows)
-        else:
-            for k, v in rows:
-                print(f"{k},{v}")
-        return
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str)
+    dest = contextlib.nullcontext(sys.stdout)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        dest = open(out, "w", newline="", encoding="utf-8")
+    with dest as fh:
+        if args.format == "csv":
+            rows = sorted((k, v) for k, v in payload.items() if not isinstance(v, (dict, list)))
+            w = csv.writer(fh)
+            w.writerow(("key", "value"))
+            w.writerows(rows)
+        else:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def main(argv=None) -> int:

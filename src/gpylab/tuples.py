@@ -154,7 +154,9 @@ def regular_class_count(H: TupleH, V: int) -> int:
     return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
 
 
-def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+def crt_lift(
+    x: np.ndarray, m: int, res: np.ndarray, q: int | np.ndarray
+) -> tuple[np.ndarray, int | np.ndarray]:
     """Classes x mod m crossed with residues res mod q, gcd(m, q) = 1.
 
     x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * m^{-1} mod q);
@@ -162,7 +164,23 @@ def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: int) -> tuple[np.ndarray
     Classes lie in [0, m) and residues in [0, q).  The lift is based on the
     larger modulus, so |r - a| < max(m, q) and the inverse is below
     min(m, q): every int64 product stays below m*q, which must fit.
+
+    q may instead be an int64 array aligned with res, each residue with its
+    own modulus.  The lift then returns a (len(res), len(x)) array, row j
+    holding x lifted by res[j] mod m*q[j], and the array m*q.  It is based
+    on m: |r - a| < max(m, q) and the inverse of m is below q, so every
+    product stays below max(m, q) * q, which must fit for each element.
     """
+    if isinstance(q, np.ndarray):
+        q_max = int(q.max())
+        if max(m, q_max) * q_max >= 2**63:
+            raise CapacityError(f"lifted modulus {m}*{q_max} does not fit in int64")
+        # One inverse of m per distinct modulus.
+        qs = q.tolist()
+        inverse = {u: pow(m % u, -1, u) for u in set(qs)}
+        inv = np.array([inverse[u] for u in qs], dtype=np.int64)
+        a, b = x[None, :], res[:, None]
+        return a + m * ((b - a) * inv[:, None] % q[:, None]), m * q
     if m * q >= 2**63:
         raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
     a, b = x[:, None], res[None, :]

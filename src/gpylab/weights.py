@@ -14,10 +14,12 @@ each d the window entries n with d | P_H(n).  lambda_R runs the same walk
 on a single n over the primes p <= R that divide P_H(n).  The direct route
 shares no class code with the divisor route, which lists those squarefree
 d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
-e | P_H2(n) exactly: the roots of P_H1 mod d, lifted once per d, are lifted
-by the roots of P_H2 mod e and then by the regular classes mod P.  The
-divisor route calls no window code.  Their agreement is the module's main
-correctness oracle.
+e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
+lifted once.  For each d and each g | d, the roots of P_H1 mod d that are
+also roots of P_H2 mod g are lifted by the regular classes mod P, then
+crossed in one array operation with the roots mod every e' coprime to d
+with g e' <= R, so e = g e'.  The divisor route calls no window code.
+Their agreement is the module's main correctness oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ MAX_MASK_PRIMES = 16
 # Divisor-pair expansion guards.
 MAX_ROUGH_VALUES = 4000
 MAX_DIVISOR_PAIRS = 10**7
+# Lifted classes per batched run of pair_sum_divisor: 512 KiB per int64 temporary.
+_MAX_RUN_CLASSES = 2**16
 
 # Detector subset-enumeration guard.
 MAX_DETECTOR_SUBSETS = 5000
@@ -233,6 +237,15 @@ def pair_sum_theta(
     return _pair_sum(H1, H2, ell1, ell2, params, per_class, h0)
 
 
+def _root_classes(idx: tuple, Q: list, roots: list) -> np.ndarray:
+    """The classes mod d = prod of Q[i], i in idx, that are roots of P_H mod
+    every prime of d, lifted by CRT from the roots mod each prime."""
+    x, m = np.zeros(1, dtype=np.int64), 1
+    for i in idx:
+        x, m = tc.crt_lift(x, m, roots[i], Q[i])
+    return x
+
+
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
@@ -241,11 +254,15 @@ def pair_sum_divisor(
     Each pair (d, e) of squarefree values <= R built from the primes in (V, R]
     contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times
     the exact count of regular window n with d | P_H1(n) and e | P_H2(n).
-    The count lifts by CRT: first the roots of P_H1 mod each prime of d, then,
-    for each prime of e, the roots of P_H2 (a prime shared with d instead
-    keeps the classes that are also roots of P_H2), then, last because they
-    are the most numerous, the regular classes mod P; the window is counted
-    over the resulting classes mod lcm(d, e) P.
+    The count lifts by CRT.  The roots of P_H2 mod each e are lifted once,
+    and so are the roots of P_H1 mod each d.  A pair is written e = g e'
+    with g = gcd(d, e): for each squarefree g | d, the classes of d that are
+    also roots of P_H2 at the primes of g are lifted by the regular classes
+    mod P, once, and then crossed in one array operation with the roots of
+    P_H2 mod every e' coprime to d with g e' <= R.  Such a run holds at most
+    _MAX_RUN_CLASSES lifted classes, unless one e' alone has more; the
+    window is counted over the classes mod lcm(d, e) P = d e' P and the
+    counts are summed per e.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -265,10 +282,14 @@ def pair_sum_divisor(
         raise CapacityError(f"{len(ds)} squarefree values <= R (budget {MAX_ROUGH_VALUES})")
     if len(ds) ** 2 > MAX_DIVISOR_PAIRS:
         raise CapacityError(f"{len(ds)}^2 divisor pairs (budget {MAX_DIVISOR_PAIRS})")
+    # Ascending, so the e' <= R/g coprime to d are a prefix of those coprime to d.
+    ds.sort()
     N = params.N
     log_R = math.log(params.R)
     w1, w2 = (
-        [(-1.0) ** len(idx) * (log_R - math.log(d)) ** a / math.factorial(a) for d, idx in ds]
+        np.array([
+            (-1.0) ** len(idx) * (log_R - math.log(d)) ** a / math.factorial(a) for d, idx in ds
+        ])
         for a in (H1.size + ell1, H2.size + ell2)
     )
     roots1, roots2 = (
@@ -278,27 +299,64 @@ def pair_sum_divisor(
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V).members % P
 
-    terms = []
-    for (d, idx_d), f1 in zip(ds, w1):
-        x_d, m_d = np.zeros(1, dtype=np.int64), 1
-        for i in idx_d:
-            x_d, m_d = tc.crt_lift(x_d, m_d, roots1[i], Q[i])
-        for (e, idx_e), f2 in zip(ds, w2):
-            x, m = x_d, m_d
-            for i in idx_e:
-                if d % Q[i]:
-                    x, m = tc.crt_lift(x, m, roots2[i], Q[i])
-                else:
-                    # q | gcd(d, e): keep the classes that are roots of P_H2 too.
-                    x = x[np.isin(x % Q[i], roots2[i])]
-            if x.size == 0:
-                continue
-            x, m = tc.crt_lift(x, m, reg, P)
-            assert m == math.lcm(d, e) * P
-            cnt = int(((2 * N - x) // m - (N - x) // m).sum())
-            if cnt:
-                terms.append(f1 * f2 * cnt)
-    return math.fsum(terms)
+    vals = np.array([d for d, _ in ds], dtype=np.int64)
+    y = [_root_classes(idx, Q, roots2) for _, idx in ds]
+    sizes = np.array([r.size for r in y])
+    # The roots of P_H2 mod every e, concatenated, each beside its e.
+    y_all, e_all = np.concatenate(y), np.repeat(vals, sizes)
+    # Per run: the count of each of its pairs, their e, and (index of d, pairs).
+    counts, es, runs = [], [], []
+    for j, (d, idx_d) in enumerate(ds):
+        x_d = _root_classes(idx_d, Q, roots1)
+        shared = {i: np.isin(x_d % Q[i], roots2[i]) for i in idx_d}
+        coprime = np.gcd(vals, d) == 1
+        keep_y = np.repeat(coprime, sizes)
+        ys, qs = y_all[keep_y], e_all[keep_y]
+        e_cop = vals[coprime]
+        ends = np.cumsum(sizes[coprime])
+        begins = ends - sizes[coprime]
+        for k in range(len(idx_d) + 1):
+            for sub in combinations(idx_d, k):
+                # g = prod of Q[i], i in sub: keep the classes of d that are
+                # also roots of P_H2 at the primes of g.
+                keep = np.ones(x_d.size, dtype=bool)
+                for i in sub:
+                    keep &= shared[i]
+                if not keep.any():
+                    continue
+                X, m = tc.crt_lift(x_d[keep], d, reg, P)
+                g = math.prod(Q[i] for i in sub)
+                n_e = int(np.count_nonzero(g * e_cop <= params.R))
+                budget = _MAX_RUN_CLASSES // X.size
+                start = 0
+                while start < n_e:
+                    lo = int(begins[start])
+                    stop = int(np.searchsorted(ends, lo + budget, side="right"))
+                    stop = min(max(stop, start + 1), n_e)
+                    hi = int(ends[stop - 1])
+                    lift, mods = tc.crt_lift(X, m, ys[lo:hi], qs[lo:hi])
+                    assert (mods == np.lcm(d, g * qs[lo:hi]) * P).all()
+                    # The window count (2N - c) // M - (N - c) // M of each
+                    # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1
+                    # where c > kN % M.  One division per modulus, then one
+                    # comparison per class.
+                    (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
+                    cnt = (
+                        (k2 - k1) * X.size
+                        + np.add.reduce(lift > r1[:, None], axis=1)
+                        - np.add.reduce(lift > r2[:, None], axis=1)
+                    )
+                    # One count per e = g e' of the run, from its block of roots.
+                    counts.append(np.add.reduceat(cnt, begins[start:stop] - lo))
+                    es.append(g * e_cop[start:stop])
+                    runs.append((j, stop - start))
+                    start = stop
+    cnt = np.concatenate(counts)
+    nz = cnt != 0
+    run_d, run_pairs = zip(*runs)
+    f1 = np.repeat(w1[list(run_d)], run_pairs)[nz]
+    f2 = w2[np.searchsorted(vals, np.concatenate(es)[nz])]
+    return math.fsum(f1 * f2 * cnt[nz])
 
 
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:

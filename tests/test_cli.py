@@ -1,7 +1,9 @@
 """End-to-end driver checks: coverage of every exposed operation, exit codes,
 output formats, and deterministic --stable output."""
 
+import csv
 import functools
+import io
 import json
 import os
 import subprocess
@@ -176,8 +178,22 @@ def test_out_flag_writes_json_file(tmp_path, capsys):
 def test_csv_format_emits_rows(capsys):
     code, out = run(["oracle", "jprod", "--t", "1.0", "--x", "100", "--format", "csv"], capsys)
     assert code == cli.EXIT_OK
-    rows = dict(line.split(",", 1) for line in out.strip().splitlines())
-    assert "J" in rows
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert "J" in dict(rows[1:])
+
+
+def test_csv_report_is_the_same_on_stdout_and_in_a_file(tmp_path, capsys):
+    argv = ["tuple", "check", "--shifts", "0,2,6", "--format", "csv", "--stable"]
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    path = tmp_path / "report.csv"
+    code, _ = run(argv + ["--out", str(path)], capsys)
+    assert code == cli.EXIT_OK
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == out
+    # None is an empty field, as csv.writer writes it.
+    assert ["empirical", ""] in list(csv.reader(io.StringIO(out)))
 
 
 def test_csv_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
@@ -186,7 +202,7 @@ def test_csv_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
     code, out = run(argv + ["--format", "csv"], capsys)
     assert code == cli.EXIT_OK
     assert [H.shifts for H in tc.read_tuple_file(path)] == [(1, 2, 3, 4, 5)]
-    rows = dict(line.split(",", 1) for line in out.strip().splitlines())
+    rows = dict(csv.reader(io.StringIO(out)))
     assert rows["file"] == str(path)
 
 

@@ -131,6 +131,33 @@ def test_crt_lift_capacity_at_int64_boundary():
         tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), 2**63)
 
 
+def test_crt_lift_by_array_moduli_matches_python_ints():
+    # Each residue with its own modulus, as pair_sum_divisor crosses the
+    # classes mod d P with the roots mod a run of e'.  2^63 - 1 = 49 * m with
+    # coprime factors, so the residues mod 49 lift to the largest modulus
+    # that fits; a q of 1 keeps the classes as they are.
+    m = 188232082384791343
+    x = np.array([0, 5, m - 1], dtype=np.int64)
+    res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
+    q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
+    lift, mods = tc.crt_lift(x, m, res, q)
+    assert mods.tolist() == [m * k for k in q.tolist()]
+    assert mods.max() == 2**63 - 1
+    assert lift.tolist() == [
+        python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())
+    ]
+    # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
+    lift, mods = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), np.array([3037000499]))
+    assert lift.tolist() == [python_crt([0, 1], 2, [3037000498], 3037000499)]
+    with pytest.raises(CapacityError):
+        tc.crt_lift(np.array([0]), 2, np.array([0]), np.array([3037000501]))
+    # 50 * m passes 2^63; so does 2^63 * 1.
+    with pytest.raises(CapacityError):
+        tc.crt_lift(x, m, np.array([0, 1]), np.array([49, 50]))
+    with pytest.raises(CapacityError):
+        tc.crt_lift(np.array([0]), 2**63, np.array([0]), np.array([1]))
+
+
 def test_class_member_cap_at_its_boundary(monkeypatch):
     H = tc.TupleH((0, 2, 6))
     count = tc.regular_class_count(H, 13)

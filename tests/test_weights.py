@@ -159,8 +159,9 @@ def test_window_memory_at_v31_is_a_few_bytes_per_n():
 def test_pair_sum_direct_matches_brute_force():
     params = weights.WeightParams(K=2, ell=1, R=20.0, V=3, N=400)
     # The roots of (0,2) and (6,8) are disjoint mod 5 and mod 7: a shared
-    # prime of d and e leaves no class there.
-    for Ha, Hb in ((H1, H2), (H1, tc.TupleH((6, 8)))):
+    # prime of d and e leaves no class there.  For (3,9) and (9,15) both
+    # n = N, just outside the window (N, 2N], and n = 2N are regular.
+    for Ha, Hb in ((H1, H2), (H1, tc.TupleH((6, 8))), (tc.TupleH((3, 9)), tc.TupleH((9, 15)))):
         want = brute_pair_sum(Ha, Hb, 1, 1, params)
         assert want > 0
         assert weights.pair_sum_direct(Ha, Hb, 1, 1, params) == pytest.approx(want, rel=1e-12)
@@ -301,6 +302,17 @@ def test_divisor_route_uses_no_window_code(monkeypatch):
     assert weights.pair_sum_divisor(H1, tc.TupleH((6, 8)), 1, 2, params) > 0
 
 
+@pytest.mark.parametrize("V, R", [(5, 1000.0), (13, 300.0)])
+def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
+    params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=10**4)
+    want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
+    assert want > 0
+    # 1: every e' in its own run; 2^40: every e' of a (d, g) in one run.
+    for bound in (1, 2**40):
+        monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
+        assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
+
+
 def test_pair_sum_rejects_inadmissible_union():
     bad = tc.TupleH((0, 4))  # union {0, 2, 4} covers all residues mod 3
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
@@ -398,19 +410,32 @@ def test_pair_sum_theta_matches_brute_force_on_random_inputs(pair, ells, h0, R, 
 def pair_decomposition(A, params):
     """detector_sum rebuilt from pair sums over ordered pairs of admissible
     K-subsets: psi^2 expands into lambda(H1) lambda(H2) on n regular for
-    H1 u H2.  Returns the value and the number of pairs skipped because
-    H1 u H2 is not admissible."""
+    H1 u H2.  Returns the value and the number of ordered pairs skipped
+    because H1 u H2 is not admissible."""
     subsets = [tc.TupleH(H) for H in itertools.combinations(A.shifts, params.K)]
     subsets = [H for H in subsets if tc.is_admissible(H)]
     ell, N = params.ell, params.N
+
+    def pair_terms(Ha, Hb):
+        return [weights.pair_sum_theta(Ha, Hb, ell, ell, a, params) for a in A.shifts] + [
+            -math.log(3 * N) * weights.pair_sum_divisor(Ha, Hb, ell, ell, params)
+        ]
+
+    # (H1, H2) and (H2, H1) give equal sums; checked on one pair, then each
+    # unordered pair off the diagonal is counted twice.
+    Ha, Hb = next(
+        pair for pair in itertools.combinations(subsets, 2)
+        if tc.is_admissible(pair[0].union(pair[1]))
+    )
+    assert pair_terms(Ha, Hb) == pair_terms(Hb, Ha)
     terms, skipped = [], 0
-    for Ha in subsets:
-        for Hb in subsets:
+    for i, Ha in enumerate(subsets):
+        for Hb in subsets[i:]:
+            weight = 1 if Hb is Ha else 2
             if not tc.is_admissible(Ha.union(Hb)):
-                skipped += 1
+                skipped += weight
                 continue
-            terms.extend(weights.pair_sum_theta(Ha, Hb, ell, ell, a, params) for a in A.shifts)
-            terms.append(-math.log(3 * N) * weights.pair_sum_divisor(Ha, Hb, ell, ell, params))
+            terms.extend(weight * t for t in pair_terms(Ha, Hb))
     return math.fsum(terms) / (N * float(max(A.shifts)) ** (2 * params.K + 1)), skipped
 
 
