@@ -48,13 +48,20 @@ def _worst_residue(p: np.ndarray, logs: np.ndarray, mod: int, N: int) -> float:
     return float(np.abs(theta_by_a[prime_engine.coprime_mask(mod)] - target).max())
 
 
+def _moduli_sum(p: np.ndarray, M: int, Q: int, N: int) -> float:
+    """Sum over q <= Q with gcd(q, M) = 1 of the worst-residue deviation mod Mq."""
+    logs = np.log(p.astype(np.float64))
+    return math.fsum(
+        _worst_residue(p, logs, M * q, N) for q in range(1, Q + 1) if gcd(q, M) == 1
+    )
+
+
 def bv_sum(cfg: BVConfig, table: prime_engine.PrimeTable | None = None) -> float:
     """Classical sum: Sum_{q <= Q} max_{(a,q)=1} |theta(N; q, a) - N/phi(q)|."""
     if cfg.M != 1:
         raise DomainError("classical sum requires M = 1")
     p = prime_engine._primes_le(prime_engine._table_for(cfg.N, table), cfg.N)
-    logs = np.log(p.astype(np.float64))
-    return math.fsum(_worst_residue(p, logs, q, cfg.N) for q in range(1, cfg.Q + 1))
+    return _moduli_sum(p, 1, cfg.Q, cfg.N)
 
 
 def bv_sum_restricted(
@@ -73,10 +80,7 @@ def bv_sum_restricted(
             f"prime table [{table.lo}, {table.hi}] does not cover [{N + 1}, {2 * N}]"
         )
     p = table.primes[(table.primes > N) & (table.primes <= 2 * N)]
-    logs = np.log(p.astype(np.float64))
-    return math.fsum(
-        _worst_residue(p, logs, M * q, N) for q in range(1, cfg.Q + 1) if gcd(q, M) == 1
-    )
+    return _moduli_sum(p, M, cfg.Q, N)
 
 
 def estar_aggregate(

@@ -29,13 +29,13 @@ MAX_ORDERED_SUBSETS = 10**8
 # quasiprime_density needs the full prime list below z only; keep z modest.
 MAX_QUASIPRIME_Z = 100
 
-# The histogram fallback in check_monotone tabulates residues modulo
-# primorial(z); z = 23 gives modulus 223092870.  Its coprimality table (one
-# byte per residue) is most of the memory: check_monotone([1,25], 6) peaks
-# at about 250 MB RSS.
+# The histogram fallback in check_monotone counts residues modulo
+# Z = primorial(z) = Z1 * Z2 (CRT) from a Z1- and a Z2-row float32 table, one
+# column per shift: 4 (Z1 + Z2) bytes per shift, 150 KB at z = 23 (Z1 = 30030,
+# Z2 = 7429), so past ~1500 shifts they outgrow a Z-byte table (Z = 223092870).
 HISTOGRAM_Z = 23
 
-# Residues per chunk when the histogram route counts shifted coprime hits.
+# Residues mod Z per chunk of the histogram's count matrix.
 HISTOGRAM_CHUNK = 1 << 20
 
 
@@ -83,6 +83,12 @@ def _tail_log_bound(k: int, cutoff: int) -> float:
     return per_p2 * sum_inv_p2
 
 
+def _generic_log(k: int, gp: np.ndarray) -> float:
+    """sum over the primes gp of log[(1 - k/p)(1 - 1/p)^{-k}], the generic
+    Euler factors (nu_p = k)."""
+    return math.fsum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp))
+
+
 def default_cutoff(H: tc.TupleH) -> int:
     k = H.size
     lpf = max(_delta_prime_factors(H), default=2)
@@ -122,8 +128,7 @@ def singular_series(H: tc.TupleH, cutoff: int | None = None) -> SingularValue:
         special_factor *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-K)
 
     gp = ps[~special]
-    log_generic = math.fsum(np.log1p(-K / gp) - K * np.log1p(-1.0 / gp))
-    exact = special_factor * math.exp(log_generic)
+    exact = special_factor * math.exp(_generic_log(K, gp))
 
     # True value lies in [exact * e^{-T}, exact]; add float slack to rad.
     T = _tail_log_bound(K, cutoff)
@@ -162,9 +167,7 @@ def _subset_products(A: tc.TupleH, k: int, cutoff: int) -> tuple[np.ndarray, flo
 
     # Shared generic factor over pmax < p <= cutoff.
     table = prime_engine.primes_upto(cutoff)
-    gp = table.primes[table.primes > pmax].astype(np.float64)
-    if gp.size:
-        prod *= math.exp(math.fsum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp)))
+    prod *= math.exp(_generic_log(k, table.primes[table.primes > pmax].astype(np.float64)))
     tail_rel = math.exp(_tail_log_bound(k, cutoff)) - 1.0
     return prod, tail_rel
 
@@ -222,59 +225,57 @@ def quasiprime_count(H: tc.TupleH, z: int) -> int:
     return int(good.sum())
 
 
+def _coprime_table(ps: list, shifts) -> np.ndarray:
+    """[gcd(i + a, m) = 1] as float32 for m = prod(ps), the residues i mod m
+    by rows and the shifts a by columns."""
+    table = np.ones((math.prod(ps), len(shifts)), dtype=np.float32)
+    for j, a in enumerate(shifts):
+        for p in ps:
+            table[-a % p :: p, j] = 0  # rows i with p | i + a
+    return table
+
+
 def _s_star_histogram(A: tc.TupleH, k_values, cutoff: int) -> dict:
     """Estimate S*(k) for all requested k via the quasi-prime histogram.
 
-    For z = HISTOGRAM_Z and Z = primorial(z), tabulate
-    f_i = #{a in A : i + a coprime to all p <= z} for i in [1, Z]; then
-    sum over ordered k-subsets of R(H) equals Z^{-1} sum_i f_i^{(k)}
-    (falling factorial), and each S(H) is approximated by
-    R(H) * Y_z^k * T(k) with Y_z = prod_{p<=z}(1-1/p)^{-1} and T(k) the
-    generic continuation of the Euler product above z.
+    For z = HISTOGRAM_Z and Z = primorial(z), count the residues i mod Z by
+    f_i = #{a in A : i + a coprime to all p <= z}; then the sum over ordered
+    k-subsets of R(H) equals Z^{-1} sum_i f_i^{(k)} (falling factorial), and
+    each S(H) is approximated by R(H) * Y_z^k * T(k) with
+    Y_z = prod_{p<=z}(1-1/p)^{-1} and T(k) the generic continuation of the
+    Euler product above z.
+
+    Z = Z1 Z2, with Z2 the product of the largest primes <= z while
+    Z2^2 <= Z.  By CRT, i is the pair (i mod Z1, i mod Z2), and i + a is
+    coprime to Z when it is coprime to Z1 and to Z2; so f = u v^T for the
+    _coprime_table u of Z1 and v of Z2, exact in float32 as |A| < 2^24.
     """
     z = HISTOGRAM_Z
     Z = tc.primorial(z)
-    small = prime_engine.primes_upto(z)
-    coprime = np.ones(Z, dtype=bool)  # index r represents residue r mod Z
-    for p in small:
-        coprime[::p] = False
+    small = list(prime_engine.primes_upto(z))
+    ps1, ps2 = small[:], []
+    while ps1 and (ps1[-1] * math.prod(ps2)) ** 2 <= Z:
+        ps2.append(ps1.pop())
+    u, vT = _coprime_table(ps1, A.shifts), _coprime_table(ps2, A.shifts).T
 
-    # f[i] = sum over a in A of coprime[(i + a) mod Z], built and
-    # histogrammed one chunk of i at a time from two slices of coprime.
+    # hist[f] = #{i mod Z : f_i = f}, from blocks of rows of f = u v^T.
     hist = np.zeros(A.size + 1, dtype=np.int64)
-    f = np.empty(HISTOGRAM_CHUNK, dtype=np.uint8 if A.size < 256 else np.uint16)
-    for lo in range(0, Z, HISTOGRAM_CHUNK):
-        n = min(HISTOGRAM_CHUNK, Z - lo)
-        fc = f[:n]
-        fc[:] = 0
-        for a in A.shifts:
-            start = (lo + a) % Z
-            head = min(n, Z - start)
-            fc[:head] += coprime[start : start + head]
-            fc[head:] += coprime[: n - head]
-        hist += np.bincount(fc, minlength=A.size + 1)
+    rows = max(1, HISTOGRAM_CHUNK // vT.shape[1])
+    for lo in range(0, len(u), rows):
+        f = (u[lo : lo + rows] @ vT).astype(np.intp)
+        hist += np.bincount(f.ravel(), minlength=A.size + 1)
 
     Y_z = 1.0
     for p in small:
         Y_z /= 1.0 - 1.0 / p
 
-    table = prime_engine.primes_upto(cutoff)
-    gp = table.primes[table.primes > z].astype(np.float64)
+    gp = prime_engine.primes_upto(cutoff).primes[len(small) :].astype(np.float64)
 
     out = {}
-    h = A.size
     for k in k_values:
-        # Exact integer sum of falling factorials f^(k), weighted by counts.
-        total = 0
-        for fv, cnt in enumerate(hist.tolist()):
-            if cnt and fv >= k:
-                term = 1
-                for j in range(k):
-                    term *= fv - j
-                total += cnt * term
-        r_avg = total / Z  # ordered-subset sum of R(H), scaled by 1/Z
-        tail = math.exp(math.fsum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp)))
-        out[k] = r_avg * (Y_z**k) * tail / h**k
+        # Exact sum of the falling factorials f^(k); over Z, the ordered-subset sum of R(H).
+        r_avg = sum(cnt * math.perm(fv, k) for fv, cnt in enumerate(hist.tolist())) / Z
+        out[k] = r_avg * (Y_z**k) * math.exp(_generic_log(k, gp)) / A.size**k
     return out
 
 

@@ -257,9 +257,9 @@ def pair_sum_divisor(
     The count lifts by CRT.  The roots of P_H2 mod each e are lifted once,
     and so are the roots of P_H1 mod each d.  A pair is written e = g e'
     with g = gcd(d, e): for each squarefree g | d, the classes of d that are
-    also roots of P_H2 at the primes of g are lifted by the regular classes
-    mod P, once, and then crossed in one array operation with the roots of
-    P_H2 mod every e' coprime to d with g e' <= R.  Such a run holds at most
+    also roots of P_H2 mod g are lifted by the regular classes mod P, once,
+    and then crossed in one array operation with the roots of P_H2 mod
+    every e' coprime to d with g e' <= R.  Such a run holds at most
     _MAX_RUN_CLASSES lifted classes, unless one e' alone has more; the
     window is counted over the classes mod lcm(d, e) P = d e' P and the
     counts are summed per e.
@@ -308,49 +308,43 @@ def pair_sum_divisor(
     counts, es, runs = [], [], []
     for j, (d, idx_d) in enumerate(ds):
         x_d = _root_classes(idx_d, Q, roots1)
-        shared = {i: np.isin(x_d % Q[i], roots2[i]) for i in idx_d}
         coprime = np.gcd(vals, d) == 1
         keep_y = np.repeat(coprime, sizes)
         ys, qs = y_all[keep_y], e_all[keep_y]
         e_cop = vals[coprime]
         ends = np.cumsum(sizes[coprime])
         begins = ends - sizes[coprime]
-        for k in range(len(idx_d) + 1):
-            for sub in combinations(idx_d, k):
-                # g = prod of Q[i], i in sub: keep the classes of d that are
-                # also roots of P_H2 at the primes of g.
-                keep = np.ones(x_d.size, dtype=bool)
-                for i in sub:
-                    keep &= shared[i]
-                if not keep.any():
-                    continue
-                X, m = tc.crt_lift(x_d[keep], d, reg, P)
-                g = math.prod(Q[i] for i in sub)
-                n_e = int(np.count_nonzero(g * e_cop <= params.R))
-                budget = _MAX_RUN_CLASSES // X.size
-                start = 0
-                while start < n_e:
-                    lo = int(begins[start])
-                    stop = int(np.searchsorted(ends, lo + budget, side="right"))
-                    stop = min(max(stop, start + 1), n_e)
-                    hi = int(ends[stop - 1])
-                    lift, mods = tc.crt_lift(X, m, ys[lo:hi], qs[lo:hi])
-                    assert (mods == np.lcm(d, g * qs[lo:hi]) * P).all()
-                    # The window count (2N - c) // M - (N - c) // M of each
-                    # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1
-                    # where c > kN % M.  One division per modulus, then one
-                    # comparison per class.
-                    (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
-                    cnt = (
-                        (k2 - k1) * X.size
-                        + np.add.reduce(lift > r1[:, None], axis=1)
-                        - np.add.reduce(lift > r2[:, None], axis=1)
-                    )
-                    # One count per e = g e' of the run, from its block of roots.
-                    counts.append(np.add.reduceat(cnt, begins[start:stop] - lo))
-                    es.append(g * e_cop[start:stop])
-                    runs.append((j, stop - start))
-                    start = stop
+        for i_g in np.flatnonzero(d % vals == 0).tolist():
+            g = ds[i_g][0]
+            keep = ((x_d % g)[:, None] == y[i_g]).any(axis=1)
+            if not keep.any():
+                continue
+            X, m = tc.crt_lift(x_d[keep], d, reg, P)
+            n_e = int(np.count_nonzero(g * e_cop <= params.R))
+            budget = _MAX_RUN_CLASSES // X.size
+            start = 0
+            while start < n_e:
+                lo = int(begins[start])
+                stop = int(np.searchsorted(ends, lo + budget, side="right"))
+                stop = min(max(stop, start + 1), n_e)
+                hi = int(ends[stop - 1])
+                lift, mods = tc.crt_lift(X, m, ys[lo:hi], qs[lo:hi])
+                assert (mods == np.lcm(d, g * qs[lo:hi]) * P).all()
+                # The window count (2N - c) // M - (N - c) // M of each
+                # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1
+                # where c > kN % M.  One division per modulus, then one
+                # comparison per class.
+                (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
+                cnt = (
+                    (k2 - k1) * X.size
+                    + np.add.reduce(lift > r1[:, None], axis=1)
+                    - np.add.reduce(lift > r2[:, None], axis=1)
+                )
+                # One count per e = g e' of the run, from its block of roots.
+                counts.append(np.add.reduceat(cnt, begins[start:stop] - lo))
+                es.append(g * e_cop[start:stop])
+                runs.append((j, stop - start))
+                start = stop
     cnt = np.concatenate(counts)
     nz = cnt != 0
     run_d, run_pairs = zip(*runs)

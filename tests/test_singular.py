@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -103,22 +104,38 @@ def test_histogram_counts_past_255_shifts(monkeypatch):
     assert singular._s_star_histogram(A, [1], 1000)[1] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_histogram_counts_match_quasiprime_densities(monkeypatch):
-    # Z = 210 with a chunk that does not divide it, and shifts above Z: the
-    # streamed counts must give k! * sum of the exact R(H) over k-subsets.
-    monkeypatch.setattr(singular, "HISTOGRAM_Z", 7)
-    monkeypatch.setattr(singular, "HISTOGRAM_CHUNK", 64)
+@pytest.mark.parametrize("z, chunk", [(7, 64), (13, 1200)])
+def test_histogram_counts_match_quasiprime_densities(monkeypatch, z, chunk):
+    # Z = Z1 Z2 = 30 * 7 and 210 * 143, in blocks of 9 and 8 rows that do not
+    # divide Z1, with shifts above Z1 and Z2: the counts must give k! * sum of
+    # the exact R(H) over k-subsets.
+    monkeypatch.setattr(singular, "HISTOGRAM_Z", z)
+    monkeypatch.setattr(singular, "HISTOGRAM_CHUNK", chunk)
     A = tc.TupleH((1, 5, 12, 250, 333))
     est = singular._s_star_histogram(A, [2, 3], 1000)
-    generic = [p for p in range(11, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = [p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    Y = math.prod(Fraction(p, p - 1) for p in primes if p <= z)
     for k in (2, 3):
         r_sum = math.factorial(k) * sum(
-            singular.quasiprime_density(tc.TupleH(c), 7)
+            singular.quasiprime_density(tc.TupleH(c), z)
             for c in itertools.combinations(A.shifts, k)
         )
-        tail = math.prod((1 - k / p) / (1 - 1 / p) ** k for p in generic)
-        want = float(r_sum) * (210 / 48) ** k * tail / A.size**k
+        tail = math.prod((1 - k / p) / (1 - 1 / p) ** k for p in primes if p > z)
+        want = float(r_sum * Y**k) * tail / A.size**k
         assert est[k] == pytest.approx(want, rel=1e-9)
+
+
+def test_histogram_at_z23_is_pinned_and_allocates_no_table_mod_Z():
+    # The value the length-Z table gave; a bool array of length Z would need
+    # Z bytes, four times the bound on the traced peak.
+    A = tc.TupleH(tuple(range(1, 26)))
+    tracemalloc.start()
+    try:
+        assert singular._s_star_histogram(A, [6], 10**5)[6] == 0.01643745104422517
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tc.primorial(singular.HISTOGRAM_Z) // 4
 
 
 def test_histogram_estimate_tracks_exact_values():
