@@ -1,9 +1,10 @@
 """Exact rational identities behind the sieve's coefficient analysis.
 
-Everything here runs in Fraction arithmetic: the Z(d, u, y) alternating
-sum collapses to a closed product formula, the A coefficients have two
-independent evaluation routes, and the normalized |A''| values obey
-sharp size bounds.  A sieved mean-value inequality for the generalized
+Every value here is an exact Fraction.  The defining sums add one integer
+numerator per term over a factorial denominator and divide once at the
+end.  The Z(d, u, y) alternating sum collapses to a closed product
+formula, the A coefficients have two independent evaluation routes, and
+the normalized |A''| values obey sharp size bounds.  A sieved mean-value inequality for the generalized
 divisor function d_m(q) = m^omega(q) closes the demo.
 """
 

@@ -4,7 +4,9 @@ Three families: the Z(d, u, y) sums with their closed product form, the
 residue coefficients A_{j, nu} (two independent evaluation routes plus the
 normalized ratio bounds A'' <= 1 and A'' < 2^nu), and the generalized
 divisor function d_m(q) = m^omega(q) with its mean-value inequality.
-Everything runs in Fraction arithmetic: these are exact identities, not
+Every result is exact: the defining sums add one integer numerator per
+term over a shared factorial denominator and return one Fraction, and the
+closed forms are Fractions too.  These are exact identities, not
 approximations.
 """
 
@@ -13,11 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, isqrt, log
+from operator import mul
 
 import numpy as np
 
 from .errors import DomainError
+from .primes import primes_upto
 
 
 @dataclass(frozen=True)
@@ -38,29 +43,22 @@ def _fact(n: int) -> int:
     return factorial(n)
 
 
-def _rising(d: int, m: int) -> int:
-    """d (d+1) ... (d+m-1); empty product is 1."""
-    out = 1
-    for i in range(m):
-        out *= d + i
-    return out
-
-
 def Z_sum(t: SuitableTriplet) -> Fraction:
     """Defining sum of Z(d, u, y), term by term.
 
     Z = (1/u!) sum_{m=0}^{u} C(u, m) (-1)^m d(d+1)...(d+m-1) / (y+m)!,
     where terms with (y+m) < 0 are dropped (the 1/n! = 0 convention for
-    negative n).
+    negative n).  Each term is put over (y+u)!, so 1/(y+m)! becomes the
+    integer (y+m+1)...(y+u); the numerators add as integers and one
+    Fraction is built at the end.
     """
     d, u, y = t.d, t.u, t.y
-    total = Fraction(0)
-    for m in range(u + 1):
-        if y + m < 0:
-            continue
-        term = Fraction(comb(u, m) * (-1) ** m * _rising(d, m), _fact(y + m))
-        total += term
-    return total / _fact(u)
+    rising = list(accumulate(range(d, d + u), mul, initial=1))
+    total, tail = 0, 1  # tail = (y+m+1)...(y+u) = (y+u)!/(y+m)!
+    for m in range(u, max(0, -y) - 1, -1):
+        total += comb(u, m) * (-1) ** m * rising[m] * tail
+        tail *= y + m
+    return Fraction(total, _fact(u) * _fact(y + u))
 
 
 def Z_closed(t: SuitableTriplet) -> Fraction:
@@ -117,18 +115,20 @@ def coeff_A_sum(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
 
     (j! nu! / u!) sum_{m=0, m>=-y}^{u-j}
         C(u, m+j) (-1)^m C(m+j, j) d(d+1)...(d+m-1) / ((v+d+m-nu)! nu!)
-    with y = v + d - nu.
+    with y = v + d - nu.  The nu! of every term cancels the prefactor's;
+    each term is then put over top! with top = y + u - j, so
+    1/(y+m)! becomes the integer (y+m+1)...top, and the numerators add
+    as integers into one Fraction.
     """
     _check_coeff_domain(j, nu, d, u, v)
     y = v + d - nu
-    total = Fraction(0)
-    for m in range(max(0, -y), u - j + 1):
-        term = Fraction(
-            comb(u, m + j) * (-1) ** m * comb(m + j, j) * _rising(d, m),
-            _fact(v + d + m - nu) * _fact(nu),
-        )
-        total += term
-    return total * Fraction(_fact(j) * _fact(nu), _fact(u))
+    top = y + u - j
+    rising = list(accumulate(range(d, d + u - j), mul, initial=1))
+    total, tail = 0, 1  # tail = (y+m+1)...top = top!/(y+m)!
+    for m in range(u - j, max(0, -y) - 1, -1):
+        total += comb(u, m + j) * (-1) ** m * comb(m + j, j) * rising[m] * tail
+        tail *= y + m
+    return Fraction(total * _fact(j), _fact(u) * _fact(top))
 
 
 def coeff_identity_scan(bound: int) -> list:
@@ -187,15 +187,26 @@ def coeff_ratio_check(d: int, u: int, v: int) -> dict:
 
 
 def _squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """For q in [1, x]: squarefree flags and omega(q), by sieving."""
+    """For q in [1, x]: squarefree flags and omega(q), by sieving.
+
+    A prime p <= sqrt(x) marks its multiples by slicing.  The primes above
+    sqrt(x) are handled together per cofactor k <= x/(isqrt(x)+1): one
+    fancy-index add marks every k p <= x.  The k p of one add are
+    distinct, so no increment is lost to a repeated index.
+    """
     omega = np.zeros(x + 1, dtype=np.int8)
     squarefree = np.ones(x + 1, dtype=bool)
     squarefree[0] = False
-    for p in range(2, x + 1):
-        if omega[p] == 0:  # p is prime (untouched so far)
-            omega[p::p] += 1
-            if p <= isqrt(x):
-                squarefree[p * p :: p * p] = False
+    primes = primes_upto(x).primes
+    s = isqrt(x)
+    split = int(np.searchsorted(primes, s, side="right"))
+    for p in primes[:split].tolist():
+        omega[p::p] += 1
+        squarefree[p * p :: p * p] = False
+    large = primes[split:]
+    for k in range(1, x // (s + 1) + 1):
+        top = int(np.searchsorted(large, x // k, side="right"))
+        omega[k * large[:top]] += 1
     return squarefree, omega
 
 

@@ -360,8 +360,10 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
     over K-subsets H of A for which n is regular; its square is weighted by
     (sum of log p over primes p = n + a, a in A, p <= 3N) - log 3N, and the
     total is normalized by N h^{2K+1} with h = max(A).  Positivity would
-    certify a prime pair inside some length-h window; at desk scale the
-    value is negative and reported, not asserted.
+    certify a prime pair inside some length-h window.  At desk scale the
+    sign depends on A and R (at N = 1e5, K = 2, ell = 1, V = 5 it is
+    positive for A = {2, 6, 8, 12, 14} and negative for A = [1, 10] at
+    R = (3N)^0.2), so it is reported, not asserted.
     """
     K, ell = params.K, params.ell
     h = max(A.shifts)

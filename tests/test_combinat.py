@@ -2,14 +2,52 @@
 
 import math
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpylab import combinat
 from gpylab.errors import DomainError
+
+
+def _rising(d, m):
+    out = 1
+    for i in range(m):
+        out *= d + i
+    return out
+
+
+def reference_Z_sum(d, u, y):
+    """The defining sum of Z(d, u, y), one normalised Fraction per term."""
+    total = Fraction(0)
+    for m in range(u + 1):
+        if y + m < 0:
+            continue
+        total += Fraction(comb(u, m) * (-1) ** m * _rising(d, m), factorial(y + m))
+    return total / factorial(u)
+
+
+def reference_coeff_A_sum(j, nu, d, u, v):
+    """The defining sum of A_{j,nu}, one normalised Fraction per term."""
+    y = v + d - nu
+    total = Fraction(0)
+    for m in range(max(0, -y), u - j + 1):
+        total += Fraction(
+            comb(u, m + j) * (-1) ** m * comb(m + j, j) * _rising(d, m),
+            factorial(v + d + m - nu) * factorial(nu),
+        )
+    return total * Fraction(factorial(j) * factorial(nu), factorial(u))
+
+
+@st.composite
+def coeff_points(draw):
+    d, u, v = (draw(st.integers(0, 15)) for _ in range(3))
+    j = draw(st.integers(0, u))
+    nu = draw(st.integers(0, v + d + u - j))
+    return j, nu, d, u, v
 
 
 def test_suitable_triplet_validation():
@@ -38,6 +76,41 @@ def test_Z_sum_equals_closed_form(d, u, y):
         y = -u
     t = combinat.SuitableTriplet(d, u, y)
     assert combinat.Z_sum(t) == combinat.Z_closed(t)
+
+
+# Edge cases by name: y < 0 drops the m < -y terms; y + u = 0 leaves only
+# m = u over 0!; d = 0 leaves only the m = 0 term.
+@pytest.mark.parametrize(
+    "d, u, y",
+    [(3, 6, -4), (2, 4, -4), (0, 5, 2), (0, 5, -3), (7, 0, 0)],
+    ids=["y<0", "y+u=0", "d=0", "d=0,y<0", "u=0"],
+)
+def test_Z_sum_edge_cases_equal_reference(d, u, y):
+    assert combinat.Z_sum(combinat.SuitableTriplet(d, u, y)) == reference_Z_sum(d, u, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(0, 15), u=st.integers(0, 15), y=st.integers(-15, 15))
+def test_Z_sum_equals_reference(d, u, y):
+    y = max(y, -u)
+    assert combinat.Z_sum(combinat.SuitableTriplet(d, u, y)) == reference_Z_sum(d, u, y)
+
+
+# y = v + d - nu and top = y + u - j, the factorial the terms share.
+@pytest.mark.parametrize(
+    "j, nu, d, u, v",
+    [(1, 8, 2, 6, 3), (4, 3, 2, 4, 5), (1, 9, 2, 5, 3), (0, 2, 0, 5, 4), (0, 0, 0, 0, 0)],
+    ids=["y<0", "j=u", "top=0", "d=0", "all-zero"],
+)
+def test_coeff_A_sum_edge_cases_equal_reference(j, nu, d, u, v):
+    assert combinat.coeff_A_sum(j, nu, d, u, v) == reference_coeff_A_sum(j, nu, d, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=coeff_points())
+@example(point=(0, 45, 15, 15, 15))
+def test_coeff_A_sum_equals_reference(point):
+    assert combinat.coeff_A_sum(*point) == reference_coeff_A_sum(*point)
 
 
 @settings(max_examples=80, deadline=None)
@@ -92,3 +165,24 @@ def test_divisor_mean_lhs_brute_force():
     rep = combinat.divisor_mean_check(x, m)
     assert rep["lhs"] == lhs
     assert rep["rhs"] == pytest.approx(x * (1 + math.log(x)) ** m, rel=1e-12)
+
+
+def brute_divisor_sum(x, m):
+    return sum(
+        m ** len(fac)
+        for fac in (sympy.factorint(q) for q in range(1, x + 1))
+        if all(e == 1 for e in fac.values())
+    )
+
+
+# Either side of the prime squares 4, 49 and 121, where sqrt(x) changes
+# which primes the sieve slices and which it adds per cofactor.
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 48, 49, 50, 120, 121, 122, 2000])
+def test_divisor_mean_lhs_at_sieve_boundaries(x):
+    for m in (2, 3):
+        assert combinat.divisor_mean_check(x, m)["lhs"] == brute_divisor_sum(x, m)
+
+
+def test_divisor_mean_rejects_x_above_ceiling():
+    with pytest.raises(DomainError):
+        combinat.divisor_mean_check(10**7 + 1, 2)
