@@ -4,6 +4,7 @@ Three desk-scale statistics: the classical sum over moduli q <= Q of the
 worst-residue deviation |theta(N; q, a) - N/phi(q)|, the variant restricted
 to moduli Pq with q coprime to a fixed base P (primes counted over the
 dyadic window (N, 2N]), and the aggregate of the running maxima E*(X, Mq).
+Each statistic sieves the primes it counts, so its only input is a BVConfig.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def _worst_residue(p: np.ndarray, logs: np.ndarray, mod: int, N: int) -> float:
     """max over a coprime to mod of |sum of log p over p = a (mod mod) - N/phi(mod)|."""
     theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
     target = N / prime_engine._phi(mod)
-    return float(np.abs(theta_by_a[prime_engine.coprime_mask(mod)] - target).max())
+    coprime = np.gcd(np.arange(mod), mod) == 1
+    return float(np.abs(theta_by_a[coprime] - target).max())
 
 
 def _moduli_sum(p: np.ndarray, M: int, Q: int, N: int) -> float:
@@ -56,44 +58,33 @@ def _moduli_sum(p: np.ndarray, M: int, Q: int, N: int) -> float:
     )
 
 
-def bv_sum(cfg: BVConfig, table: prime_engine.PrimeTable | None = None) -> float:
+def bv_sum(cfg: BVConfig) -> float:
     """Classical sum: Sum_{q <= Q} max_{(a,q)=1} |theta(N; q, a) - N/phi(q)|."""
     if cfg.M != 1:
         raise DomainError("classical sum requires M = 1")
-    p = prime_engine._primes_le(prime_engine._table_for(cfg.N, table), cfg.N)
-    return _moduli_sum(p, 1, cfg.Q, cfg.N)
+    return _moduli_sum(prime_engine.primes_upto(cfg.N).primes, 1, cfg.Q, cfg.N)
 
 
-def bv_sum_restricted(
-    cfg: BVConfig, table: prime_engine.PrimeTable | None = None
-) -> float:
+def bv_sum_restricted(cfg: BVConfig) -> float:
     """P-restricted dyadic sum.
 
     Sum over q <= Q with gcd(q, M) = 1 of the worst-residue deviation
     |sum_{N < p <= 2N, p = a (mod Mq)} log p - N/phi(Mq)|, a coprime to Mq.
     """
-    N, M = cfg.N, cfg.M
-    if table is None:
-        table = prime_engine.sieve_range(N + 1, 2 * N)
-    elif table.lo > N + 1 or table.hi < 2 * N:
-        raise DomainError(
-            f"prime table [{table.lo}, {table.hi}] does not cover [{N + 1}, {2 * N}]"
-        )
-    p = table.primes[(table.primes > N) & (table.primes <= 2 * N)]
-    return _moduli_sum(p, M, cfg.Q, N)
+    N = cfg.N
+    p = prime_engine.sieve_range(N + 1, 2 * N).primes
+    return _moduli_sum(p, cfg.M, cfg.Q, N)
 
 
-def estar_aggregate(
-    cfg: BVConfig, table: prime_engine.PrimeTable | None = None
-) -> float:
+def estar_aggregate(cfg: BVConfig) -> float:
     """Sum over q <= Q with gcd(q, M) = 1 of E*(N, Mq).
 
     With use_estar off, each term degrades to the endpoint deviation
     max_{(a, Mq)=1} |E(N; Mq, a)| instead of the running maximum.
     """
     X, M = cfg.N, cfg.M
-    table = prime_engine._table_for(X, table)
-    p = prime_engine._primes_le(table, X)
+    table = prime_engine.primes_upto(X)
+    p = table.primes
     terms = []
     for q in range(1, cfg.Q + 1):
         if gcd(q, M) != 1:

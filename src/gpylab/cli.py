@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("moment1", "moment2"):
         t = gs.add_parser(name)
         _add_pair(t)
-        t.add_argument("--per-class", type=_num, default=None)
         if name == "moment1":
+            t.add_argument("--per-class", type=_num, default=None)
             t.add_argument(
                 "--strategy", choices=("direct", "divisor", "both"), default="direct"
             )
@@ -416,7 +416,7 @@ def _cmd_gpy(args) -> dict:
     else:
         base["h0"] = args.h0
         emp = base["empirical"] = weights.pair_sum_theta(
-            H1, H2, args.ell, ell2, args.h0, params, args.per_class
+            H1, H2, args.ell, ell2, args.h0, params
         )
         pred = oracle.main_term_t5(mp)
     base["predicted"] = pred

@@ -57,18 +57,6 @@ class PrimeTable:
         return i < self.primes.size and int(self.primes[i]) == n
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    """Dense sieve of Eratosthenes up to ``limit`` inclusive."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Exact primes in [lo, hi] via a segmented odd-only sieve."""
     if lo < 0:
@@ -80,7 +68,9 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
     if hi < 2:
         return PrimeTable(lo, hi, np.empty(0, dtype=np.int64))
 
-    base = _small_primes(math.isqrt(hi))
+    # The base primes come from this sieve; isqrt(hi) < hi, so the recursion
+    # ends at the hi < 2 case above.
+    base = sieve_range(0, math.isqrt(hi)).primes
     chunks = []
     if lo <= 2 <= hi:
         chunks.append(np.array([2], dtype=np.int64))
@@ -127,11 +117,7 @@ def primes_upto(x: int) -> PrimeTable:
 
 def theta_sum(x: int, table: PrimeTable | None = None) -> float:
     """Chebyshev theta(x) = sum of log p over primes p <= x."""
-    if x < 0:
-        raise DomainError("x must be non-negative")
-    table = _table_for(x, table)
-    p = _primes_le(table, x)
-    return math.fsum(np.log(p)) if p.size else 0.0
+    return theta_progression(x, 1, 0, table)
 
 
 def theta_progression(x: int, q: int, a: int, table: PrimeTable | None = None) -> float:
@@ -212,11 +198,6 @@ def coprime_classes(p: np.ndarray, q: int) -> Iterator[np.ndarray]:
         yield grouped[bounds[i] : bounds[i + 1]]
     if coprime.size < _phi(q):
         yield p[:0]
-
-
-def coprime_mask(q: int) -> np.ndarray:
-    """Mask over residues 0..q-1 of those coprime to q (0 only when q = 1)."""
-    return np.gcd(np.arange(q), q) == 1
 
 
 def _phi(q: int) -> int:

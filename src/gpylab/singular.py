@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -153,13 +153,12 @@ def _subset_products(A: tc.TupleH, k: int, cutoff: int) -> tuple[np.ndarray, flo
     subset by subset (vectorized per prime); above that every subset is
     generic, contributing one shared constant.
     """
-    shifts = np.array(A.shifts, dtype=np.int64)
-    subsets = np.array(list(combinations(range(A.size), k)), dtype=np.int64)
-    S = shifts[subsets]  # (M, k)
+    M = math.comb(A.size, k)
+    S = np.fromiter(chain.from_iterable(combinations(A.shifts, k)), np.int64, M * k)
+    S = S.reshape(M, k)
 
-    maxdiff = int(shifts.max() - shifts.min())
-    pmax = max(maxdiff, k, 2)
-    prod = np.ones(S.shape[0], dtype=np.float64)
+    pmax = max(A.shifts[-1] - A.shifts[0], k, 2)
+    prod = np.ones(M, dtype=np.float64)
     for p in prime_engine.primes_upto(pmax):
         r = np.sort(S % p, axis=1)
         nu = 1 + (r[:, 1:] != r[:, :-1]).sum(axis=1)

@@ -41,7 +41,6 @@ class TupleH:
         if len(set(s)) != len(s):
             raise DomainError(f"duplicate shifts in {s}")
         object.__setattr__(self, "shifts", tuple(sorted(s)))
-        object.__setattr__(self, "_nu_cache", {})
 
     @property
     def size(self) -> int:
@@ -85,11 +84,8 @@ def _require_prime(p: int) -> None:
 
 def nu_p(H: TupleH, p: int) -> int:
     """Number of distinct residue classes mod p occupied by H."""
-    cache = H._nu_cache
-    if p not in cache:
-        _require_prime(p)
-        cache[p] = len({h % p for h in H.shifts})
-    return cache[p]
+    _require_prime(p)
+    return len({h % p for h in H.shifts})
 
 
 def nu_d(H: TupleH, d: int) -> int:

@@ -229,12 +229,11 @@ def pair_sum_theta(
     ell2: int,
     h0: int,
     params: WeightParams,
-    per_class: int | None = None,
 ) -> float:
     """Theta-weighted pair sum: the same product times log(n + h0) at primes."""
     if h0 < 1:
         raise DomainError("h0 must be >= 1")
-    return _pair_sum(H1, H2, ell1, ell2, params, per_class, h0)
+    return _pair_sum(H1, H2, ell1, ell2, params, None, h0)
 
 
 def _root_classes(idx: tuple, Q: list, roots: list) -> np.ndarray:

@@ -60,23 +60,6 @@ def test_bv_sum_bit_identical_to_per_residue_gcd_loop():
     assert bv.bv_sum(bv.BVConfig(N=N, Q=Q)) == math.fsum(terms)
 
 
-def test_bv_sums_reject_tables_that_miss_their_range():
-    N = 5000
-    cfg = bv.BVConfig(N=N, Q=8)
-    for table in (prime_engine.sieve_range(1000, N), prime_engine.primes_upto(N // 2)):
-        with pytest.raises(DomainError):
-            bv.bv_sum(cfg, table)
-    restricted = bv.BVConfig(N=N, Q=4, M=6)
-    for lo, hi in ((N + 2, 2 * N), (N + 1, 2 * N - 1)):
-        table = prime_engine.sieve_range(lo, hi)
-        with pytest.raises(DomainError):
-            bv.bv_sum_restricted(restricted, table)
-    # A wider table is cut to the window (N, 2N].
-    want = bv.bv_sum_restricted(restricted)
-    assert bv.bv_sum_restricted(restricted, prime_engine.primes_upto(2 * N)) == want
-    assert bv.bv_sum(cfg, prime_engine.primes_upto(2 * N)) == bv.bv_sum(cfg)
-
-
 def test_bv_sum_requires_classical_base():
     with pytest.raises(DomainError):
         bv.bv_sum(bv.BVConfig(N=1000, Q=5, M=6))
@@ -104,9 +87,8 @@ def test_restricted_sum_matches_brute_force():
 
 def test_estar_dominates_endpoint_version():
     N, Q = 3000, 5
-    table = prime_engine.primes_upto(N)
-    star = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=True), table)
-    endpoint = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=False), table)
+    star = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=True))
+    endpoint = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=False))
     assert star >= endpoint - 1e-9
 
 
@@ -124,7 +106,7 @@ def test_estar_endpoint_equals_max_ap_error():
                 for a in range(mod) if math.gcd(a if a else mod, mod) == 1
             ))
         cfg = bv.BVConfig(N=N, Q=Q, M=M, use_estar=False)
-        assert bv.estar_aggregate(cfg, table) == math.fsum(terms)
+        assert bv.estar_aggregate(cfg) == math.fsum(terms)
 
 
 def test_normalized_classical_sum_decays():

@@ -148,6 +148,13 @@ def test_per_class_needs_the_direct_strategy(capsys):
         assert cli.main([*argv, "--strategy", strategy]) == cli.EXIT_DOMAIN
 
 
+def test_moment2_has_no_per_class_flag(capsys):
+    # main_term_t5 predicts the sum over every regular class, so a one-class
+    # theta sum has nothing to be compared with.
+    argv = ["gpy", "moment2", "--h1", "0,2", "--h2", "0,6", "--h0", "12", "--n", "1e5"]
+    assert cli.main([*argv, "--per-class", "11"]) == cli.EXIT_USAGE
+
+
 def test_detector_rejects_zero_span(capsys):
     # h = max(A) normalizes the detector sum, so A = {0} has no value.
     code = cli.main(["gpy", "detector", "--shifts", "0", "--k", "1", "--n", "100"])

@@ -1,6 +1,6 @@
 """The demo scripts run to completion against the library as it stands.
 
-02 is left out: its check_monotone call on [1, 100] takes about 17 s.
+02 is left out: its s_star calls on [1, 100] for k <= 4 take about 17 s.
 """
 
 import os

@@ -21,7 +21,14 @@ def test_primes_upto_counts():
 
 
 def test_sieve_range_matches_sympy_on_windows():
-    for lo, hi in [(0, 100), (90, 150), (10**6 - 50, 10**6 + 50), (2, 2)]:
+    # The base primes come from the sieve itself at isqrt(hi): lo in 0..3 with
+    # hi up to 10 covers isqrt(hi) < 2, = 2 and = 3; the rest sit next to the
+    # prime squares 25, 49, 121 and 169.
+    windows = [(0, 100), (90, 150), (10**6 - 50, 10**6 + 50), (2, 2)]
+    windows += [(lo, hi) for lo in range(4) for hi in range(lo, 11)]
+    hi_near_squares = (24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170)
+    windows += [(lo, hi) for lo in range(4) for hi in hi_near_squares]
+    for lo, hi in windows:
         got = primes.sieve_range(lo, hi).primes.tolist()
         want = list(sympy.primerange(max(lo, 2), hi + 1))
         assert got == want
@@ -210,7 +217,7 @@ def test_factorize_at_its_bound():
 def test_nu_p_rejects_composite_modulus():
     with pytest.raises(DomainError):
         tc.nu_p(tc.TupleH((0, 2)), 4)
-    # The primality check runs on a cache miss only; the cache holds primes.
+    # A valid call leaves nothing behind that lets a composite modulus through.
     H = tc.TupleH((0, 2))
     assert tc.nu_p(H, 5) == 2
     with pytest.raises(DomainError):

@@ -138,6 +138,19 @@ def test_histogram_at_z23_is_pinned_and_allocates_no_table_mod_Z():
     assert peak < tc.primorial(singular.HISTOGRAM_Z) // 4
 
 
+def test_subset_matrix_is_built_in_one_allocation():
+    # C(60, 4) = 487635 subsets make a 15.6 MB int64 matrix; a list of index
+    # tuples and a gathered copy on top of it would peak above 75 MB.
+    A = tc.TupleH(tuple(range(1, 61)))
+    tracemalloc.start()
+    try:
+        singular.s_star(A, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * 2**20
+
+
 def test_histogram_estimate_tracks_exact_values():
     A = tc.TupleH(tuple(range(1, 41)))
     est = singular._s_star_histogram(A, [2, 3], 10**4)
