@@ -469,7 +469,9 @@ def _cmd_oracle(args) -> dict:
         out = {"params": {"N": args.n, "R": p.R, "V": args.v, "scope": args.scope}}
         out.update(pred)
         if args.empirical is not None:
-            out["comparison"] = oracle.compare(args.empirical, pred["mid"], pred["rad"])
+            out["comparison"] = oracle.compare(
+                args.empirical, pred["density_adjusted_mid"], pred["density_adjusted_rad"]
+            )
         return out
     pred = oracle.main_term_t5(p)
     pred["params"] = {"N": args.n, "R": p.R, "V": args.v, "h0": args.h0}

@@ -89,12 +89,6 @@ def _generic_log(k: int, gp: np.ndarray) -> float:
     return math.fsum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp))
 
 
-def default_cutoff(H: tc.TupleH) -> int:
-    k = H.size
-    lpf = max(_delta_prime_factors(H), default=2)
-    return max(10**5, 10 * k * k, lpf)
-
-
 def singular_series(H: tc.TupleH, cutoff: int | None = None) -> SingularValue:
     """S(H) as exact product over p <= cutoff plus certified tail interval.
 
@@ -102,11 +96,11 @@ def singular_series(H: tc.TupleH, cutoff: int | None = None) -> SingularValue:
     each factor is the generic (1 - K/p)(1 - 1/p)^{-K}; the tail enclosure
     is one-sided (generic log-factors are negative).
     """
-    if cutoff is None:
-        cutoff = default_cutoff(H)
     K = H.size
     dprimes = _delta_prime_factors(H)
     lpf = max(dprimes, default=2)
+    if cutoff is None:
+        cutoff = max(10**5, 10 * K * K, lpf)
     if cutoff < 100:
         raise DomainError("cutoff must be at least 100")
     if cutoff < max(K, lpf):
@@ -160,7 +154,8 @@ def _subset_products(A: tc.TupleH, k: int, cutoff: int) -> tuple[np.ndarray, flo
     pmax = max(A.shifts[-1] - A.shifts[0], k, 2)
     prod = np.ones(M, dtype=np.float64)
     for p in prime_engine.primes_upto(pmax):
-        r = np.sort(S % p, axis=1)
+        r = S % p
+        r.sort(axis=1)
         nu = 1 + (r[:, 1:] != r[:, :-1]).sum(axis=1)
         prod *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-k)
 

@@ -17,8 +17,9 @@ d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
 lifted once.  For each d and each g | d, the roots of P_H1 mod d that are
 also roots of P_H2 mod g are lifted by the regular classes mod P, then
-crossed in one array operation with the roots mod every e' coprime to d
-with g e' <= R, so e = g e'.  The divisor route calls no window code.
+crossed with the roots mod every e' coprime to d with g e' <= R, so
+e = g e', and the counts of each d are tallied in one vector over e.  The
+divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -37,10 +38,7 @@ from .errors import CapacityError, DomainError
 # Selects nothing: the benchmark alone reads it, to label its walk items.
 MAX_MASK_PRIMES = 16
 
-# Divisor-pair expansion guards.
-MAX_ROUGH_VALUES = 4000
-MAX_DIVISOR_PAIRS = 10**7
-# Lifted classes per batched run of pair_sum_divisor: 512 KiB per int64 temporary.
+# Lifted classes per crt_lift call of pair_sum_divisor: 512 KiB per int64 temporary.
 _MAX_RUN_CLASSES = 2**16
 
 # Detector subset-enumeration guard.
@@ -257,11 +255,13 @@ def pair_sum_divisor(
     and so are the roots of P_H1 mod each d.  A pair is written e = g e'
     with g = gcd(d, e): for each squarefree g | d, the classes of d that are
     also roots of P_H2 mod g are lifted by the regular classes mod P, once,
-    and then crossed in one array operation with the roots of P_H2 mod
-    every e' coprime to d with g e' <= R.  Such a run holds at most
-    _MAX_RUN_CLASSES lifted classes, unless one e' alone has more; the
-    window is counted over the classes mod lcm(d, e) P = d e' P and the
-    counts are summed per e.
+    and then crossed with the roots of P_H2 mod every e' coprime to d with
+    g e' <= R, a step of root rows per crt_lift call, so that one call
+    holds at most max(_MAX_RUN_CLASSES, lifted classes) classes.  The
+    window is counted over the classes mod lcm(d, e) P = d e' P, and each
+    row's count is added into one count vector per d, indexed by e.  The
+    R^2 <= 10^7 guard also bounds the pairs: the d are distinct integers
+    in [1, R], so there are at most 3162 of them.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -277,10 +277,6 @@ def pair_sum_divisor(
             if d * Q[i] > params.R:
                 break
             stack.append((d * Q[i], idx + (i,)))
-    if len(ds) > MAX_ROUGH_VALUES:
-        raise CapacityError(f"{len(ds)} squarefree values <= R (budget {MAX_ROUGH_VALUES})")
-    if len(ds) ** 2 > MAX_DIVISOR_PAIRS:
-        raise CapacityError(f"{len(ds)}^2 divisor pairs (budget {MAX_DIVISOR_PAIRS})")
     # Ascending, so the e' <= R/g coprime to d are a prefix of those coprime to d.
     ds.sort()
     N = params.N
@@ -303,32 +299,26 @@ def pair_sum_divisor(
     sizes = np.array([r.size for r in y])
     # The roots of P_H2 mod every e, concatenated, each beside its e.
     y_all, e_all = np.concatenate(y), np.repeat(vals, sizes)
-    # Per run: the count of each of its pairs, their e, and (index of d, pairs).
-    counts, es, runs = [], [], []
+    terms = []
     for j, (d, idx_d) in enumerate(ds):
         x_d = _root_classes(idx_d, Q, roots1)
-        coprime = np.gcd(vals, d) == 1
-        keep_y = np.repeat(coprime, sizes)
+        keep_y = np.repeat(np.gcd(vals, d) == 1, sizes)
         ys, qs = y_all[keep_y], e_all[keep_y]
-        e_cop = vals[coprime]
-        ends = np.cumsum(sizes[coprime])
-        begins = ends - sizes[coprime]
+        # The count of each pair (d, e), e = vals[i], at index i.
+        count = np.zeros(vals.size, dtype=np.int64)
         for i_g in np.flatnonzero(d % vals == 0).tolist():
             g = ds[i_g][0]
             keep = ((x_d % g)[:, None] == y[i_g]).any(axis=1)
             if not keep.any():
                 continue
             X, m = tc.crt_lift(x_d[keep], d, reg, P)
-            n_e = int(np.count_nonzero(g * e_cop <= params.R))
-            budget = _MAX_RUN_CLASSES // X.size
-            start = 0
-            while start < n_e:
-                lo = int(begins[start])
-                stop = int(np.searchsorted(ends, lo + budget, side="right"))
-                stop = min(max(stop, start + 1), n_e)
-                hi = int(ends[stop - 1])
-                lift, mods = tc.crt_lift(X, m, ys[lo:hi], qs[lo:hi])
-                assert (mods == np.lcm(d, g * qs[lo:hi]) * P).all()
+            n_y = int(np.count_nonzero(g * qs <= params.R))
+            step = max(1, _MAX_RUN_CLASSES // X.size)
+            for lo in range(0, n_y, step):
+                hi = min(lo + step, n_y)
+                ye, qe = ys[lo:hi], qs[lo:hi]
+                lift, mods = tc.crt_lift(X, m, ye, qe)
+                assert (mods == np.lcm(d, g * qe) * P).all()
                 # The window count (2N - c) // M - (N - c) // M of each
                 # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1
                 # where c > kN % M.  One division per modulus, then one
@@ -339,17 +329,10 @@ def pair_sum_divisor(
                     + np.add.reduce(lift > r1[:, None], axis=1)
                     - np.add.reduce(lift > r2[:, None], axis=1)
                 )
-                # One count per e = g e' of the run, from its block of roots.
-                counts.append(np.add.reduceat(cnt, begins[start:stop] - lo))
-                es.append(g * e_cop[start:stop])
-                runs.append((j, stop - start))
-                start = stop
-    cnt = np.concatenate(counts)
-    nz = cnt != 0
-    run_d, run_pairs = zip(*runs)
-    f1 = np.repeat(w1[list(run_d)], run_pairs)[nz]
-    f2 = w2[np.searchsorted(vals, np.concatenate(es)[nz])]
-    return math.fsum(f1 * f2 * cnt[nz])
+                np.add.at(count, np.searchsorted(vals, g * qe), cnt)
+        nz = count != 0
+        terms.append(w1[j] * w2[nz] * count[nz])
+    return math.fsum(np.concatenate(terms))
 
 
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:

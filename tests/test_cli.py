@@ -242,6 +242,16 @@ def test_moment1_reports_comparison_against_adjusted_prediction(capsys):
     )
 
 
+def test_oracle_t4_empirical_ratio_matches_moment1(capsys):
+    pair = ["--h1", "0,2", "--h2", "0,6", "--n", "1e5"]
+    code, out = run(["gpy", "moment1", *pair], capsys)
+    assert code == cli.EXIT_OK
+    moment = json.loads(out)
+    code, out = run(["oracle", "t4", *pair, "--empirical", repr(moment["direct"])], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["comparison"] == moment["comparison"]
+
+
 def test_verify_all_fast_passes(capsys):
     code, out = run(["verify", "all", "--fast"], capsys)
     assert code == cli.EXIT_OK

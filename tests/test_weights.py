@@ -186,41 +186,14 @@ def test_pair_sum_strategies_agree():
         assert divisor == pytest.approx(direct, rel=1e-9)
 
 
-def rough_squarefree_count(params):
-    """The squarefree d <= R whose primes all lie in (V, R], d = 1 included."""
-    return sum(
-        1 for d in range(1, int(params.R) + 1)
-        if mobius(d) != 0 and all(p > params.V for p in sympy.primefactors(d))
-    )
-
-
-def test_divisor_pair_budget_at_its_boundary(monkeypatch):
-    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
-    pairs = rough_squarefree_count(params) ** 2
-    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs)
-    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
-    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", pairs - 1)
-    with pytest.raises(CapacityError, match="divisor pairs"):
-        weights.pair_sum_divisor(H1, H2, 1, 1, params)
-
-
-def test_rough_value_budget_at_its_boundary(monkeypatch):
-    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=2000)
-    roughs = rough_squarefree_count(params)
-    monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs)
-    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
-    monkeypatch.setattr(weights, "MAX_ROUGH_VALUES", roughs - 1)
-    with pytest.raises(CapacityError, match="squarefree values"):
-        weights.pair_sum_divisor(H1, H2, 1, 1, params)
-
-
 def test_expansion_budget_at_r_squared_1e7(monkeypatch):
-    # 3162.27^2 < 10^7 < 3162.28^2.  With no divisor pair allowed, the
-    # passing R stops at the pair guard instead of running the expansion.
-    monkeypatch.setattr(weights, "MAX_DIVISOR_PAIRS", 0)
+    # 3162.27^2 < 10^7 < 3162.28^2.  With no prime in (V, R], the passing
+    # R runs a one-d expansion (d = e = 1) instead of the full one.
+    monkeypatch.setattr(weights, "_mask_primes", lambda params: [])
     params = weights.WeightParams(K=2, ell=1, R=3162.27, V=5, N=1000)
-    with pytest.raises(CapacityError, match="divisor pairs"):
-        weights.pair_sum_divisor(H1, H2, 1, 1, params)
+    direct = weights.pair_sum_direct(H1, H2, 1, 1, params)
+    assert direct > 0
+    assert weights.pair_sum_divisor(H1, H2, 1, 1, params) == pytest.approx(direct, rel=1e-12)
     params = weights.WeightParams(K=2, ell=1, R=3162.28, V=5, N=1000)
     with pytest.raises(CapacityError, match="expansion budget"):
         weights.pair_sum_divisor(H1, H2, 1, 1, params)
@@ -320,7 +293,7 @@ def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
     params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=10**4)
     want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
     assert want > 0
-    # 1: every e' in its own run; 2^40: every e' of a (d, g) in one run.
+    # 1: one root row per crt_lift call; 2^40: every row of a (d, g) in one call.
     for bound in (1, 2**40):
         monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
         assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
