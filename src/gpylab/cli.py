@@ -325,10 +325,10 @@ def _cmd_tuple(args) -> dict:
     return {
         "tuple": list(H.shifts),
         "V": args.v,
-        "P": classes.modulus,
+        "P": tc.primorial(args.v),
         "count": len(classes),
         "product_formula": tc.regular_class_count(H, args.v),
-        "members_head": classes.members[:20].tolist(),
+        "members_head": classes[:20].tolist(),
     }
 
 

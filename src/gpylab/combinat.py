@@ -145,14 +145,19 @@ def coeff_identity_scan(bound: int) -> list:
     return bad
 
 
-def coeff_A_double_prime(j: int, nu: int, u: int, v: int) -> Fraction:
-    """A''_{j,nu} = |(v-nu+1)...(v-nu+u-j)| / ((v+1)...(v+u-j))."""
+def _double_prime_terms(j: int, nu: int, u: int, v: int) -> tuple[int, int]:
+    """A''_{j,nu} as the integers |(v-nu+1)...(v-nu+u-j)| and (v+1)...(v+u-j)."""
     num = 1
     den = 1
     for i in range(1, u - j + 1):
         num *= v - nu + i
         den *= v + i
-    return Fraction(abs(num), den)
+    return abs(num), den
+
+
+def coeff_A_double_prime(j: int, nu: int, u: int, v: int) -> Fraction:
+    """A''_{j,nu} = |(v-nu+1)...(v-nu+u-j)| / ((v+1)...(v+u-j))."""
+    return Fraction(*_double_prime_terms(j, nu, u, v))
 
 
 def coeff_ratio_check(d: int, u: int, v: int) -> dict:
@@ -160,29 +165,28 @@ def coeff_ratio_check(d: int, u: int, v: int) -> dict:
 
     Checks A'' <= 1 whenever nu <= 2(v+1), and A'' < 2^nu for nu > 2(v+1)
     (where the bound's derivation needs u <= v).  Returns the violations
-    and the largest observed A'' * 2^{-nu}.
+    and the largest observed A'' * 2^{-nu}.  Every comparison
+    cross-multiplies integers; a Fraction is built only for the reported
+    values.
     """
     if d < 0 or u < 0 or v < 0:
         raise DomainError("d, u, v must be non-negative")
     if u > v:
         raise DomainError("ratio bound requires u <= v")
     violations = []
-    max_ratio = Fraction(0)
+    best_num, best_den = 0, 1  # the largest A'' 2^{-nu}, unreduced
     for j in range(u + 1):
         for nu in range(v + d + u - j + 1):
-            app = coeff_A_double_prime(j, nu, u, v)
-            scaled = app / 2**nu
-            max_ratio = max(max_ratio, scaled)
-            if nu <= 2 * (v + 1):
-                if app > 1:
-                    violations.append({"j": j, "nu": nu, "value": str(app)})
-            elif app >= 2**nu:
-                violations.append({"j": j, "nu": nu, "value": str(app)})
+            num, den = _double_prime_terms(j, nu, u, v)
+            if num * best_den > best_num * (den << nu):
+                best_num, best_den = num, den << nu
+            if (num > den) if nu <= 2 * (v + 1) else (num >= den << nu):
+                violations.append({"j": j, "nu": nu, "value": str(Fraction(num, den))})
     return {
         "check": "coeff_ratio",
         "grid": {"d": d, "u": u, "v": v},
         "violations": violations,
-        "max_ratio": str(max_ratio),
+        "max_ratio": str(Fraction(best_num, best_den)),
     }
 
 

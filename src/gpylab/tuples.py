@@ -11,7 +11,7 @@ are the residues a with gcd(P, P_H(a)) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +58,6 @@ class TupleH:
     def union(self, other: "TupleH | int") -> "TupleH":
         extra = other.shifts if isinstance(other, TupleH) else (int(other),)
         return TupleH(tuple(set(self.shifts) | set(extra)))
-
-
-@dataclass(frozen=True)
-class ResidueSet:
-    """Sorted residues in [1, modulus]."""
-
-    modulus: int
-    members: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.members.setflags(write=False)
-
-    def __len__(self):
-        return int(self.members.size)
-
-    def __iter__(self):
-        return iter(self.members.tolist())
 
 
 def _require_prime(p: int) -> None:
@@ -150,44 +133,42 @@ def regular_class_count(H: TupleH, V: int) -> int:
     return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
 
 
-def crt_lift(
-    x: np.ndarray, m: int, res: np.ndarray, q: int | np.ndarray
-) -> tuple[np.ndarray, int | np.ndarray]:
-    """Classes x mod m crossed with residues res mod q, gcd(m, q) = 1.
+def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Classes x mod m crossed with each residue res[j] mod q[j], gcd(m, q[j]) = 1.
 
     x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * m^{-1} mod q);
-    returns the len(x) * len(res) lifted classes mod m*q, and m*q.
-    Classes lie in [0, m) and residues in [0, q).  The lift is based on the
-    larger modulus, so |r - a| < max(m, q) and the inverse is below
-    min(m, q): every int64 product stays below m*q, which must fit.
-
-    q may instead be an int64 array aligned with res, each residue with its
-    own modulus.  The lift then returns a (len(res), len(x)) array, row j
-    holding x lifted by res[j] mod m*q[j], and the array m*q.  It is based
-    on m: |r - a| < max(m, q) and the inverse of m is below q, so every
-    product stays below max(m, q) * q, which must fit for each element.
+    returns the (len(res), len(x)) array whose row j holds x lifted by
+    res[j] mod m*q[j].  Classes lie in [0, m) and residues in [0, q[j]), so
+    |r - a| < max(m, q) and the inverse of m is below q: every int64 product
+    stays below max(m, q) * q, which must fit.  That bound is smallest when
+    m is the larger modulus, so a caller passes its larger modulus as m.
     """
-    if isinstance(q, np.ndarray):
-        q_max = int(q.max())
-        if max(m, q_max) * q_max >= 2**63:
-            raise CapacityError(f"lifted modulus {m}*{q_max} does not fit in int64")
-        # One inverse of m per distinct modulus.
-        qs = q.tolist()
-        inverse = {u: pow(m % u, -1, u) for u in set(qs)}
-        inv = np.array([inverse[u] for u in qs], dtype=np.int64)
-        a, b = x[None, :], res[:, None]
-        return a + m * ((b - a) * inv[:, None] % q[:, None]), m * q
-    if m * q >= 2**63:
-        raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
-    a, b = x[:, None], res[None, :]
-    if m < q:
-        (a, m), (b, q) = (b, q), (a, m)
-    lift = a + m * (((b - a) * pow(m % q, -1, q)) % q)
-    return lift.reshape(-1), m * q
+    # An empty res lifts to no classes.
+    q_max = int(q.max(initial=1))
+    if max(m, q_max) * q_max >= 2**63:
+        raise CapacityError(f"lifted modulus {m}*{q_max} does not fit in int64")
+    # One inverse of m per distinct modulus.
+    qs = q.tolist()
+    inverse = {u: pow(m % u, -1, u) for u in set(qs)}
+    inv = np.array([inverse[u] for u in qs], dtype=np.int64)
+    a, b = x[None, :], res[:, None]
+    return a + m * ((b - a) * inv[:, None] % q[:, None])
 
 
-def regular_classes(H: TupleH, V: int) -> ResidueSet:
-    """A(H) = {a in [1, P] : gcd(P, P_H(a)) = 1}, P = primorial(V).
+def crt_product(residues: list, moduli: list) -> np.ndarray:
+    """The classes c in [0, prod(moduli)) with c mod moduli[i] in residues[i]
+    for every i, the moduli pairwise coprime: one crt_lift per modulus, each
+    based on the product of the moduli before it."""
+    x, m = np.zeros(1, dtype=np.int64), 1
+    for r, q in zip(residues, moduli):
+        x = crt_lift(x, m, r, np.full(r.size, q)).ravel()
+        m *= q
+    return x
+
+
+def regular_classes(H: TupleH, V: int) -> np.ndarray:
+    """A(H) = {a in [1, P] : gcd(P, P_H(a)) = 1}, P = primorial(V), as an
+    ascending read-only int64 array.
 
     Built per prime then combined by CRT lifting, so the cost is
     O(|A(H)|) rather than O(P).
@@ -198,21 +179,19 @@ def regular_classes(H: TupleH, V: int) -> ResidueSet:
         raise CapacityError(
             f"|A(H)| = {expected} exceeds materialization cap {MAX_CLASS_MEMBERS}"
         )
-    if expected == 0:
-        return ResidueSet(P, np.empty(0, dtype=np.int64))
-
+    ps = prime_engine.primes_upto(V).primes.tolist()
     # Residues allowed mod p: those avoiding every -h mod p.
-    classes = np.array([0], dtype=np.int64)
-    mod = 1
-    for p in prime_engine.primes_upto(V):
+    allowed = []
+    for p in ps:
         banned = {(-h) % p for h in H.shifts}
-        allowed = np.array([r for r in range(p) if r not in banned], dtype=np.int64)
-        classes, mod = crt_lift(classes, mod, allowed, p)
-    assert mod == P and classes.size == expected
+        allowed.append(np.array([r for r in range(p) if r not in banned], dtype=np.int64))
+    classes = crt_product(allowed, ps)
+    assert classes.size == expected
     # Map representative 0 to P so members sit in [1, P].
     classes = np.where(classes == 0, P, classes)
     classes.sort()
-    return ResidueSet(P, classes)
+    classes.setflags(write=False)
+    return classes
 
 
 def parse_tuple_line(line: str) -> TupleH:
@@ -225,8 +204,6 @@ def parse_tuple_line(line: str) -> TupleH:
         shifts = [int(s) for s in parts]
     except ValueError as exc:
         raise DomainError(f"bad tuple entry in {line!r}") from exc
-    if len(set(shifts)) != len(shifts):
-        raise DomainError(f"duplicate shifts in {line!r}")
     return TupleH(tuple(shifts))
 
 

@@ -15,11 +15,11 @@ on a single n over the primes p <= R that divide P_H(n).  The direct route
 shares no class code with the divisor route, which lists those squarefree
 d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
-lifted once.  For each d and each g | d, the roots of P_H1 mod d that are
-also roots of P_H2 mod g are lifted by the regular classes mod P, then
-crossed with the roots mod every e' coprime to d with g e' <= R, so
-e = g e', and the counts of each d are tallied in one vector over e.  The
-divisor route calls no window code.
+lifted once.  For each d, the roots of P_H1 mod d are lifted by the
+regular classes mod P once; for each g | d, the rows of that lift whose
+root is also a root of P_H2 mod g are crossed with the roots mod every e'
+coprime to d with g e' <= R, so e = g e', and the counts of each d are
+tallied in one vector over e.  The divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -234,15 +234,6 @@ def pair_sum_theta(
     return _pair_sum(H1, H2, ell1, ell2, params, None, h0)
 
 
-def _root_classes(idx: tuple, Q: list, roots: list) -> np.ndarray:
-    """The classes mod d = prod of Q[i], i in idx, that are roots of P_H mod
-    every prime of d, lifted by CRT from the roots mod each prime."""
-    x, m = np.zeros(1, dtype=np.int64), 1
-    for i in idx:
-        x, m = tc.crt_lift(x, m, roots[i], Q[i])
-    return x
-
-
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
@@ -252,12 +243,13 @@ def pair_sum_divisor(
     contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times
     the exact count of regular window n with d | P_H1(n) and e | P_H2(n).
     The count lifts by CRT.  The roots of P_H2 mod each e are lifted once,
-    and so are the roots of P_H1 mod each d.  A pair is written e = g e'
-    with g = gcd(d, e): for each squarefree g | d, the classes of d that are
-    also roots of P_H2 mod g are lifted by the regular classes mod P, once,
-    and then crossed with the roots of P_H2 mod every e' coprime to d with
-    g e' <= R, a step of root rows per crt_lift call, so that one call
-    holds at most max(_MAX_RUN_CLASSES, lifted classes) classes.  The
+    and so are the roots of P_H1 mod each d, which are then lifted by the
+    regular classes mod P once per d, one row per root.  A pair is written
+    e = g e' with g = gcd(d, e): for each squarefree g | d, the rows of the
+    roots of d that are also roots of P_H2 mod g are crossed with the roots
+    of P_H2 mod every e' coprime to d with g e' <= R, a step of root rows
+    per crt_lift call, so that one call holds at most
+    max(_MAX_RUN_CLASSES, lifted classes) classes.  The
     window is counted over the classes mod lcm(d, e) P = d e' P, and each
     row's count is added into one count vector per d, indexed by e.  The
     R^2 <= 10^7 guard also bounds the pairs: the d are distinct integers
@@ -292,16 +284,18 @@ def pair_sum_divisor(
         for H in (H1, H2)
     )
     P = tc.primorial(params.V)
-    reg = tc.regular_classes(Hu, params.V).members % P
+    reg = tc.regular_classes(Hu, params.V) % P
 
     vals = np.array([d for d, _ in ds], dtype=np.int64)
-    y = [_root_classes(idx, Q, roots2) for _, idx in ds]
+    y = [tc.crt_product([roots2[i] for i in idx], [Q[i] for i in idx]) for _, idx in ds]
     sizes = np.array([r.size for r in y])
     # The roots of P_H2 mod every e, concatenated, each beside its e.
     y_all, e_all = np.concatenate(y), np.repeat(vals, sizes)
     terms = []
     for j, (d, idx_d) in enumerate(ds):
-        x_d = _root_classes(idx_d, Q, roots1)
+        x_d = tc.crt_product([roots1[i] for i in idx_d], [Q[i] for i in idx_d])
+        # Row i: the root x_d[i] lifted by every regular class, mod d P.
+        lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d))
         keep_y = np.repeat(np.gcd(vals, d) == 1, sizes)
         ys, qs = y_all[keep_y], e_all[keep_y]
         # The count of each pair (d, e), e = vals[i], at index i.
@@ -311,13 +305,15 @@ def pair_sum_divisor(
             keep = ((x_d % g)[:, None] == y[i_g]).any(axis=1)
             if not keep.any():
                 continue
-            X, m = tc.crt_lift(x_d[keep], d, reg, P)
+            # g = 1 keeps every row, and needs no copy.
+            X = lifted.ravel() if keep.all() else lifted[keep].ravel()
             n_y = int(np.count_nonzero(g * qs <= params.R))
             step = max(1, _MAX_RUN_CLASSES // X.size)
             for lo in range(0, n_y, step):
                 hi = min(lo + step, n_y)
                 ye, qe = ys[lo:hi], qs[lo:hi]
-                lift, mods = tc.crt_lift(X, m, ye, qe)
+                lift = tc.crt_lift(X, d * P, ye, qe)
+                mods = d * P * qe
                 assert (mods == np.lcm(d, g * qe) * P).all()
                 # The window count (2N - c) // M - (N - c) // M of each
                 # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpylab import tuples as tc
@@ -83,7 +83,7 @@ def test_regular_class_count_formula():
 def test_regular_classes_members_are_coprime_shifts():
     H = tc.TupleH((0, 2, 6))
     classes = tc.regular_classes(H, 5)
-    assert classes.modulus == 30
+    assert 1 <= classes.min() and classes.max() <= 30
     assert len(classes) == tc.regular_class_count(H, 5)
     for a in classes:
         for h in H.shifts:
@@ -100,6 +100,24 @@ def test_regular_classes_match_count_formula(shifts, V):
     assert len(tc.regular_classes(H, V)) == tc.regular_class_count(H, V)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    shifts=st.sets(st.integers(0, 40), min_size=1, max_size=4),
+    V=st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+# 30 + 1 and 30 + 7 are coprime to 30, so the class P itself is regular.
+@example(shifts={1, 7}, V=5)
+def test_regular_classes_are_the_coprime_residues_ascending(shifts, V):
+    H = tc.TupleH(tuple(shifts))
+    P = math.prod(sympy.primerange(2, V + 1))
+    want = [a for a in range(1, P + 1) if all(math.gcd(a + h, P) == 1 for h in H.shifts)]
+    classes = tc.regular_classes(H, V)
+    assert classes.tolist() == want
+    assert not classes.flags.writeable
+    with pytest.raises(ValueError):
+        classes[:1] = 0
+
+
 def python_crt(x, m, res, q):
     inv = pow(m, -1, q)
     return [a + m * ((r - a) * inv % q) for a in x for r in res]
@@ -108,27 +126,30 @@ def python_crt(x, m, res, q):
 def test_crt_lift_by_primorial_29_matches_python_ints():
     # The last lift of pair_sum_divisor at V = 29: a few classes mod 97 by
     # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
-    # where (r - a) * inverse mod P would reach P^2 > 2^63.
+    # where (r - a) * inverse mod P would reach P^2 > 2^63: the lift is
+    # based on P, and based on 97 it is refused.
     H = tc.TupleH((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50))
     P = tc.primorial(29)
-    reg = tc.regular_classes(H, 29).members % P
+    reg = tc.regular_classes(H, 29) % P
     x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
-    lift, mod = tc.crt_lift(x, 97, reg, P)
-    assert mod == 97 * P
-    assert lift.tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
+    lift = tc.crt_lift(reg, P, x, np.full(x.size, 97))
+    assert 0 <= lift.min() and lift.max() < 97 * P
+    assert lift.ravel().tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
+    with pytest.raises(CapacityError):
+        tc.crt_lift(x, 97, reg, np.full(reg.size, P))
 
 
 def test_crt_lift_capacity_at_int64_boundary():
     # 2^63 - 1 = 49 * 188232082384791343 with coprime factors: the largest
-    # lifted modulus that fits.
+    # lifted modulus that fits, based on the larger factor.
     m, q = 49, 188232082384791343
+    assert m * q == 2**63 - 1
     x = np.array([0, 5, 48], dtype=np.int64)
     res = np.array([1, q // 2, q - 1], dtype=np.int64)
-    lift, mod = tc.crt_lift(x, m, res, q)
-    assert mod == 2**63 - 1
-    assert lift.tolist() == python_crt(x.tolist(), m, res.tolist(), q)
+    lift = tc.crt_lift(res, q, x, np.full(x.size, m))
+    assert lift.ravel().tolist() == python_crt(x.tolist(), m, res.tolist(), q)
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), 2**63)
+        tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), np.array([2**63]))
 
 
 def test_crt_lift_by_array_moduli_matches_python_ints():
@@ -140,14 +161,13 @@ def test_crt_lift_by_array_moduli_matches_python_ints():
     x = np.array([0, 5, m - 1], dtype=np.int64)
     res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
     q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
-    lift, mods = tc.crt_lift(x, m, res, q)
-    assert mods.tolist() == [m * k for k in q.tolist()]
-    assert mods.max() == 2**63 - 1
+    lift = tc.crt_lift(x, m, res, q)
+    assert m * int(q.max()) == 2**63 - 1
     assert lift.tolist() == [
         python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())
     ]
     # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
-    lift, mods = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), np.array([3037000499]))
+    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), np.array([3037000499]))
     assert lift.tolist() == [python_crt([0, 1], 2, [3037000498], 3037000499)]
     with pytest.raises(CapacityError):
         tc.crt_lift(np.array([0]), 2, np.array([0]), np.array([3037000501]))
@@ -173,7 +193,7 @@ def test_intersection_of_class_sets_is_union_tuple_classes():
     a = tc.regular_classes(H1, 5)
     b = tc.regular_classes(H2, 5)
     c = tc.regular_classes(H1.union(H2), 5)
-    assert np.array_equal(np.intersect1d(a.members, b.members), c.members)
+    assert np.array_equal(np.intersect1d(a, b), c)
 
 
 def test_tuple_normalization_and_errors():

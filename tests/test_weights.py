@@ -293,8 +293,10 @@ def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
     params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=10**4)
     want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
     assert want > 0
-    # 1: one root row per crt_lift call; 2^40: every row of a (d, g) in one call.
-    for bound in (1, 2**40):
+    # 64: at most 32 root rows per crt_lift call at V = 5 (two regular
+    # classes), one row per call at V = 13 (640 classes); 2^40: every row
+    # of a (d, g) in one call.
+    for bound in (64, 2**40):
         monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
         assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
 
