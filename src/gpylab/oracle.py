@@ -31,6 +31,13 @@ _BERNOULLI = (
     7.0 / 6,
     -3617.0 / 510,
 )
+# B_2k / (2k)!, the coefficients of the Euler-Maclaurin tail.
+_EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+
+# The partial sums of _w_values run over blocks of _W_BLOCK n-columns; rows
+# go in chunks so that each block array holds at most _W_ENTRIES entries.
+_W_BLOCK = 128
+_W_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,43 +185,91 @@ def main_term_t5(p: MainTermParams) -> dict:
     return out
 
 
-def _zeta_em(s: complex, M: int) -> complex:
-    """zeta(s) by Euler-Maclaurin: partial sum to M plus tail corrections."""
-    total = sum(n ** (-s) for n in range(1, M))
-    total += M ** (1 - s) / (s - 1)
-    total += 0.5 * M ** (-s)
-    poch = s
-    fact = 1.0
-    for k, b in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * k - 1) * (2 * k)
-        total += b / fact * poch * M ** (-s - (2 * k - 1))
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-    return total
+def _w_values(ts: np.ndarray) -> np.ndarray:
+    """W(it) = it zeta(1 + it) at each t of ts, with W(0) = 1, as a complex array.
+
+    zeta(1 + it) is taken by Euler-Maclaurin: the partial sum of n^{-s} over
+    n < M = max(50, floor(10|t|)), then the tail terms at M.  The partial
+    sums run over blocks of _W_BLOCK n-columns for every t still summing.
+    Each term is n^{-1} (cos, sin)(-t log n), formed as CPython's complex
+    power forms n ** -s, and np.cumsum adds each row's terms to its running
+    total in increasing n.  So every value is bit for bit the scalar sum
+    sum(n ** -s for n in range(1, M)) plus the same tail, whatever other t
+    share the call.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.abs(ts) <= 1e3):
+        raise DomainError("|t| must be <= 1000")
+    Ms = np.maximum(50, (10 * np.abs(ts)).astype(np.int64))
+    # Rows in increasing M, so the rows still summing at any n are a suffix.
+    order = np.argsort(Ms, kind="stable")
+    t_rows, m_rows = ts[order], Ms[order]
+    # Column j holds n = j + 1.  n^{-1} and log n come from libm, as in
+    # CPython's complex power: numpy's n ** -1.0 is 1 / n and its log has
+    # its own rounding, and each differs from libm at a few n.
+    n_top = int(m_rows[-1]) if ts.size else 1
+    n = np.arange(1, n_top)
+    inv_n = np.array([float(k) ** -1.0 for k in range(1, n_top)])
+    log_n = np.array([math.log(k) for k in range(1, n_top)])
+    re, im = np.zeros(ts.size), np.zeros(ts.size)
+    height = _W_ENTRIES // (_W_BLOCK + 1)
+    for c0 in range(0, n_top - 1, _W_BLOCK):
+        cols = slice(c0, c0 + _W_BLOCK)
+        # A row with M <= c0 + 1 has no term n >= c0 + 1 left to add.
+        first = int(np.searchsorted(m_rows, c0 + 2, side="left"))
+        for r0 in range(first, ts.size, height):
+            rows = slice(r0, r0 + height)
+            phase = -t_rows[rows, None] * log_n[cols]
+            size = np.where(n[cols] < m_rows[rows, None], inv_n[cols], 0.0)
+            block = np.empty((phase.shape[0], phase.shape[1] + 1))
+            for total, trig in ((re, np.cos), (im, np.sin)):
+                block[:, 0] = total[rows]
+                np.multiply(size, trig(phase), out=block[:, 1:])
+                np.cumsum(block, axis=1, out=block)
+                total[rows] = block[:, -1]
+
+    w = []
+    for t, M, a, b in zip(t_rows.tolist(), m_rows.tolist(), re.tolist(), im.tolist()):
+        if t == 0.0:
+            w.append(1.0 + 0.0j)
+            continue
+        s = 1.0 + 1j * t
+        total = complex(a, b)
+        total += M ** (1 - s) / (s - 1)
+        total += 0.5 * M ** (-s)
+        poch = s
+        for k, c in enumerate(_EM_COEFFS, start=1):
+            total += c * poch * M ** (-s - (2 * k - 1))
+            poch *= (s + 2 * k - 1) * (s + 2 * k)
+        w.append(1j * t * total)
+    out = np.empty(ts.size, dtype=complex)
+    out[order] = w
+    return out
 
 
 def w_function(t: float) -> complex:
-    """W(it) = it zeta(1 + it), by Euler-Maclaurin for every t != 0."""
-    if abs(t) > 1e3:
-        raise DomainError("|t| must be <= 1000")
-    if t == 0.0:
-        return 1.0 + 0.0j
-    s = 1.0 + 1j * t
-    M = max(50, int(10 * abs(t)))
-    return 1j * t * _zeta_em(s, M)
+    """W(it) = it zeta(1 + it) for |t| <= 1000: _w_values at the one point t."""
+    return complex(_w_values(np.array([t], dtype=float))[0])
 
 
 def verify_w_bounds(t_grid_max: float = 100.0, step: float = 0.01) -> dict:
-    """Grid scan of the two lower bounds on |W(it)|.
+    """Grid scan of the two lower bounds on |W(it)| at t = step, 2 step, ...
 
-    Reports t0 = largest prefix endpoint with |W(it)| >= e^{t^2/6} on
-    (0, t0], and t1 = smallest grid point >= 1 from which |W(it)| >= t^{2/3}
-    holds through t_grid_max.  Either may be absent; the scan reports what
-    it finds rather than asserting unstated constants.
+    The grid runs to t_grid_max, which must lie in [step, 1000], and all of
+    it goes through _w_values at once; |W| is np.hypot of its parts, which
+    rounds as Python's abs(complex) does.  Reports t0 = largest prefix
+    endpoint with |W(it)| >= e^{t^2/6} on (0, t0], and t1 = smallest grid
+    point >= 1 from which |W(it)| >= t^{2/3} holds through t_grid_max.
+    Either may be absent; the scan reports what it finds rather than
+    asserting unstated constants.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
+    if not step > 0:
+        raise DomainError(f"step must be positive, got {step}")
+    if not step <= t_grid_max <= 1e3:
+        raise DomainError(f"t_grid_max must lie in [step, 1000], got {t_grid_max}")
     ts = np.arange(step, t_grid_max + step / 2, step)
-    w = np.array([abs(w_function(float(t))) for t in ts])
+    w = _w_values(ts)
+    w = np.hypot(w.real, w.imag)
 
     # exp overflows to inf for large t; the comparison is then correctly False.
     with np.errstate(over="ignore"):

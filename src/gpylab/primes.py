@@ -19,8 +19,12 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Segment length in sieve entries; 2**18 keeps the working set inside L2.
-SEGMENT_SIZE = 1 << 18
+# Segment length in sieve entries.  Each segment makes one Python pass over
+# the base primes below its length, so fewer segments cost less: on a 2-core
+# Xeon VM (2 MiB L2 per core), primes_upto(2e8) took 0.61-0.75 s in 96
+# segments of 2**20 (1 MiB of flags), 1.11-1.40 s in 381 segments of 2**18,
+# and 0.77-1.1 s with 2**21 or 2**22.
+SEGMENT_SIZE = 1 << 20
 
 # Practical ceiling: a full table above this would not fit desk-scale memory.
 MAX_SIEVE_HI = 1 << 40

@@ -140,6 +140,14 @@ def test_domain_error_exit_code(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def test_wscan_rejects_grid_before_scanning(capsys):
+    # An empty grid, a non-finite end and an end past |t| = 1000 are refused
+    # up front, as domain errors rather than tracebacks.
+    for tmax in ("0", "nan", "inf", "1000.01"):
+        code = cli.main(["oracle", "wscan", "--tmax", tmax, "--step", "0.01"])
+        assert code == cli.EXIT_DOMAIN
+
+
 def test_per_class_needs_the_direct_strategy(capsys):
     # pair_sum_divisor sums every regular class; it has no per-class mode.
     argv = ["gpy", "moment1", "--h1", "0,2", "--h2", "0,6", "--n", "20000", "--per-class", "11"]

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from gpylab import oracle
@@ -132,9 +134,80 @@ def test_w_at_zero_is_one():
     assert oracle.w_function(0.0) == 1.0 + 0.0j
 
 
-def test_verify_w_bounds_report_shape():
-    rep = oracle.verify_w_bounds(t_grid_max=20.0, step=0.05)
-    assert set(rep) >= {"t0", "t1", "power_bound_worst_t", "power_bound_worst_margin"}
+def _w_scalar(t):
+    """W(it) by the one-point Euler-Maclaurin sum that _w_values must equal."""
+    s = 1.0 + 1j * t
+    M = max(50, int(10 * abs(t)))
+    total = sum(n ** (-s) for n in range(1, M))
+    total += M ** (1 - s) / (s - 1)
+    total += 0.5 * M ** (-s)
+    poch = s
+    fact = 1.0
+    for k, b in enumerate(oracle._BERNOULLI, start=1):
+        fact *= (2 * k - 1) * (2 * k)
+        total += b / fact * poch * M ** (-s - (2 * k - 1))
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    return 1j * t * total
+
+
+def _edge_ts():
+    # M = max(50, floor(10|t|)) leaves 50 at t = 5.1; the t with M - 1 next to
+    # a multiple of _W_BLOCK end their sums at or just past a block edge.
+    B = oracle._W_BLOCK
+    ts = [4.95, 5.0, 5.05, 5.1, 5.15]
+    ts += [(m + 0.5) / 10 for k in (1, 2) for m in range(k * B - 1, k * B + 4)]
+    return ts + [-t for t in ts[::3]]
+
+
+def test_w_values_batch_equals_each_point_alone():
+    ts = _edge_ts()
+    batch = oracle._w_values(np.array(ts)).tolist()
+    for t, w in zip(ts, batch):
+        assert w == oracle.w_function(t) == _w_scalar(t)
+
+
+def test_w_values_against_mpmath_at_block_edges():
+    ts = _edge_ts()
+    with mpmath.workdps(30):
+        want = [complex(1j * t * mpmath.zeta(1 + 1j * mpmath.mpf(t))) for t in ts]
+    for w, v in zip(oracle._w_values(np.array(ts)).tolist(), want):
+        assert cmath.isclose(w, v, rel_tol=1e-12)
+
+
+def test_w_values_rows_in_chunks_bound_memory_not_values(monkeypatch):
+    # 200 rows with M up to 300: one block over every row would hold
+    # 200 * (_W_BLOCK + 1) floats per array; chunks of 4 rows hold 4 rows.
+    ts = np.linspace(0.01, 30.0, 200)
+    whole = oracle._w_values(ts)
+    monkeypatch.setattr(oracle, "_W_ENTRIES", 4 * (oracle._W_BLOCK + 1))
+    tracemalloc.start()
+    try:
+        chunked = oracle._w_values(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, whole)
+    assert peak < 200 * (oracle._W_BLOCK + 1) * 8
+
+
+def test_verify_w_bounds_pinned_report():
+    rep = oracle.verify_w_bounds(100.0, 0.01)
+    assert rep["t0"] is None
+    assert rep["t1"] == 14.5
+    assert rep["power_bound_worst_t"] == 14.12
+    assert rep["power_bound_worst_margin"] == -1.2382872101413174
+
+
+def test_verify_w_bounds_grid_edges():
+    step = 0.05
+    rep = oracle.verify_w_bounds(step, step)
+    assert rep["power_bound_worst_t"] == step
+    for tmax in (math.nextafter(step, 0.0), 1000 + step, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            oracle.verify_w_bounds(tmax, step)
+    for bad_step in (0.0, -step, math.nan):
+        with pytest.raises(DomainError):
+            oracle.verify_w_bounds(1.0, bad_step)
 
 
 def test_j_product_small_X_by_hand():

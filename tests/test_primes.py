@@ -34,11 +34,29 @@ def test_sieve_range_matches_sympy_on_windows():
         assert got == want
 
 
+def _twin_prime_above(n):
+    p = sympy.nextprime(n)
+    while not sympy.isprime(p + 2):
+        p = sympy.nextprime(p)
+    return p
+
+
 def test_sieve_range_crosses_segment_boundary():
-    lo = primes.SEGMENT_SIZE - 100
-    hi = primes.SEGMENT_SIZE + 100
-    got = primes.sieve_range(lo, hi).primes.tolist()
-    assert got == list(sympy.primerange(lo, hi + 1))
+    # A segment holds SEGMENT_SIZE odd numbers, so it spans 2 * SEGMENT_SIZE
+    # integers; each window spans 2.5 segments and crosses two boundaries.
+    # The twin primes p, p + 2 end the first segment and start the second, so
+    # a segment that starts one odd number late drops p + 2, and one that
+    # starts one early yields p twice.  The window starts once at an odd lo,
+    # once at the even number before it.
+    span = 2 * primes.SEGMENT_SIZE
+    p = _twin_prime_above(span)
+    for lo in (p + 2 - span, p + 1 - span):
+        hi = lo + 5 * primes.SEGMENT_SIZE
+        got = primes.sieve_range(lo, hi).primes
+        assert got.size == sympy.primepi(hi) - sympy.primepi(lo - 1)
+        for edge in (p + 2, p + 2 + span):
+            near = got[(got >= edge - 300) & (got <= edge + 300)].tolist()
+            assert near == list(sympy.primerange(edge - 300, edge + 301))
 
 
 @settings(max_examples=30, deadline=None)
