@@ -80,25 +80,16 @@ def estar_aggregate(cfg: BVConfig) -> float:
     """Sum over q <= Q with gcd(q, M) = 1 of E*(N, Mq).
 
     With use_estar off, each term degrades to the endpoint deviation
-    max_{(a, Mq)=1} |E(N; Mq, a)| instead of the running maximum.
+    max_{(a, Mq)=1} |E(N; Mq, a)|, which is the worst-residue sum of
+    bv_sum over all primes <= N: one weighted bincount per modulus, so
+    O(Mq) memory each.  It adds each class's logs in increasing p, as the
+    cumulative sums of ap_error_star do, so E* >= endpoint term by term.
     """
     X, M = cfg.N, cfg.M
     table = prime_engine.primes_upto(X)
-    p = table.primes
-    terms = []
-    for q in range(1, cfg.Q + 1):
-        if gcd(q, M) != 1:
-            continue
-        mod = M * q
-        if cfg.use_estar:
-            terms.append(prime_engine.ap_error_star(X, mod, table))
-            continue
-        # Each class summed as theta_progression sums it, so each term
-        # equals max |ap_error(X, mod, a)| over a coprime to mod.
-        target = X / prime_engine._phi(mod)
-        best = 0.0
-        for pa in prime_engine.coprime_classes(p, mod):
-            theta = math.fsum(np.log(pa)) if pa.size else 0.0
-            best = max(best, abs(theta - target))
-        terms.append(best)
-    return math.fsum(terms)
+    if not cfg.use_estar:
+        return _moduli_sum(table.primes, M, cfg.Q, X)
+    return math.fsum(
+        prime_engine.ap_error_star(X, M * q, table)
+        for q in range(1, cfg.Q + 1) if gcd(q, M) == 1
+    )

@@ -21,8 +21,11 @@ from operator import mul
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .primes import primes_upto
+
+# Largest x of divisor_mean_check, whose sieve holds per-integer arrays of x + 1 entries.
+MAX_DIVISOR_MEAN_X = 10**7
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,8 @@ def divisor_mean_check(x: int, m: int) -> dict:
     """Exact sum_{q <= x squarefree} d_m(q) against the bound x(1+log x)^ceil(m)."""
     if x < 1:
         raise DomainError("x must be >= 1")
-    if x > 10**7:
-        raise DomainError("x limited to 10^7")
+    if x > MAX_DIVISOR_MEAN_X:
+        raise CapacityError(f"x={x} exceeds guard {MAX_DIVISOR_MEAN_X}")
     if m < 1:
         raise DomainError("m must be >= 1")
     squarefree, omega = _squarefree_omega(x)

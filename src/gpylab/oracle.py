@@ -17,7 +17,7 @@ import numpy as np
 
 from . import primes as prime_engine
 from . import tuples as tc
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .singular import SingularValue, singular_series
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
@@ -38,6 +38,11 @@ _EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, s
 # go in chunks so that each block array holds at most _W_ENTRIES entries.
 _W_BLOCK = 128
 _W_ENTRIES = 1 << 16
+
+# Grid points of verify_w_bounds: 10^6 points hold about 50 MB of per-point arrays.
+MAX_W_POINTS = 10**6
+# Largest X of j_product, whose prime table and per-prime arrays grow with pi(X).
+MAX_J_X = 10**8
 
 
 @dataclass(frozen=True)
@@ -255,11 +260,12 @@ def w_function(t: float) -> complex:
 def verify_w_bounds(t_grid_max: float = 100.0, step: float = 0.01) -> dict:
     """Grid scan of the two lower bounds on |W(it)| at t = step, 2 step, ...
 
-    The grid runs to t_grid_max, which must lie in [step, 1000], and all of
-    it goes through _w_values at once; |W| is np.hypot of its parts, which
-    rounds as Python's abs(complex) does.  Reports t0 = largest prefix
-    endpoint with |W(it)| >= e^{t^2/6} on (0, t0], and t1 = smallest grid
-    point >= 1 from which |W(it)| >= t^{2/3} holds through t_grid_max.
+    The grid runs to t_grid_max, which must lie in [step, 1000], holds at
+    most MAX_W_POINTS points, and goes through _w_values at once; |W| is
+    np.hypot of its parts, which rounds as Python's abs(complex) does.
+    Reports t0 = largest prefix endpoint with |W(it)| >= e^{t^2/6} on
+    (0, t0], and t1 = smallest grid point >= 1 from which |W(it)| >= t^{2/3}
+    holds through t_grid_max.
     Either may be absent; the scan reports what it finds rather than
     asserting unstated constants.
     """
@@ -267,6 +273,10 @@ def verify_w_bounds(t_grid_max: float = 100.0, step: float = 0.01) -> dict:
         raise DomainError(f"step must be positive, got {step}")
     if not step <= t_grid_max <= 1e3:
         raise DomainError(f"t_grid_max must lie in [step, 1000], got {t_grid_max}")
+    # The length np.arange computes for the grid below.
+    points = math.ceil((t_grid_max + step / 2 - step) / step)
+    if points > MAX_W_POINTS:
+        raise CapacityError(f"{points} grid points exceed guard {MAX_W_POINTS}")
     ts = np.arange(step, t_grid_max + step / 2, step)
     w = _w_values(ts)
     w = np.hypot(w.real, w.imag)
@@ -302,8 +312,8 @@ def j_product(t: float, X: int) -> float:
     """J(t, X) = prod_{p <= X} |1 - p^{-1-it}| / (1 - 1/p), in log space."""
     if t <= 0:
         raise DomainError("t must be positive")
-    if X > 10**8:
-        raise DomainError("X limited to 10^8")
+    if X > MAX_J_X:
+        raise CapacityError(f"X={X} exceeds guard {MAX_J_X}")
     if X < 2:
         return 1.0
     ps = prime_engine.primes_upto(X).primes.astype(np.float64)

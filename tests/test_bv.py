@@ -86,27 +86,36 @@ def test_restricted_sum_matches_brute_force():
 
 
 def test_estar_dominates_endpoint_version():
+    # Both add each class's logs in increasing p, so the bound needs no slack.
     N, Q = 3000, 5
-    star = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=True))
-    endpoint = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, use_estar=False))
-    assert star >= endpoint - 1e-9
+    for M in (1, 6):
+        star = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, M=M, use_estar=True))
+        endpoint = bv.estar_aggregate(bv.BVConfig(N=N, Q=Q, M=M, use_estar=False))
+        assert star >= endpoint
 
 
 def test_estar_endpoint_equals_max_ap_error():
     N = 3000
     table = prime_engine.primes_upto(N)
+    p = table.primes
+    logs = np.log(p.astype(np.float64))
     for Q, M in ((12, 1), (8, 6)):
-        terms = []
+        by_ap_error, by_bincount = [], []
         for q in range(1, Q + 1):
             if math.gcd(q, M) != 1:
                 continue
             mod = M * q
-            terms.append(max(
-                abs(prime_engine.ap_error(N, mod, a, table))
-                for a in range(mod) if math.gcd(a if a else mod, mod) == 1
-            ))
+            coprime = [a for a in range(mod) if math.gcd(a if a else mod, mod) == 1]
+            by_ap_error.append(max(abs(prime_engine.ap_error(N, mod, a, table)) for a in coprime))
+            theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
+            target = N / int(sympy.totient(mod))
+            by_bincount.append(max(abs(float(theta_by_a[a]) - target) for a in coprime))
         cfg = bv.BVConfig(N=N, Q=Q, M=M, use_estar=False)
-        assert bv.estar_aggregate(cfg) == math.fsum(terms)
+        got = bv.estar_aggregate(cfg)
+        assert got == pytest.approx(math.fsum(by_ap_error), rel=1e-12)
+        assert got == math.fsum(by_bincount)
+        if M == 1:
+            assert got == bv.bv_sum(cfg)
 
 
 def test_normalized_classical_sum_decays():

@@ -1,9 +1,7 @@
 """End-to-end driver checks: coverage of every exposed operation, exit codes,
-output formats, and deterministic --stable output."""
+the JSON report's envelope, and deterministic --stable output."""
 
-import csv
 import functools
-import io
 import json
 import os
 import subprocess
@@ -64,7 +62,7 @@ def test_every_operation_has_a_working_subcommand(capsys):
         code, out = run(argv, capsys)
         assert code == cli.EXIT_OK, f"{name}: exit {code}"
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["experiment"] == name
 
 
@@ -94,22 +92,34 @@ def test_every_mapped_operation_is_reached_by_its_subcommand(monkeypatch, capsys
         assert mapped <= reached, f"{command} never calls {sorted(mapped - reached)}"
 
 
+# The keys the envelope used to write, and the only calls whose payload has them.
+_PAYLOAD_ONLY = {
+    "seed": {"verify all"},
+    "params": {"oracle t4", "oracle t5"},
+    "empirical": {"gpy moment2"},
+    "predicted_mid": set(),
+    "predicted_rad": set(),
+}
+
+
 def test_stable_envelope_of_every_invocation(capsys):
+    # The envelope holds only what is true of every call.
     for name, argv in INVOCATIONS.items():
-        code, out = run([*argv, "--stable", "--seed", "5"], capsys)
+        seed = ["--seed", "5"] if name == "verify all" else []
+        code, out = run([*argv, *seed, "--stable"], capsys)
         assert code == cli.EXIT_OK, f"{name}: exit {code}"
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["experiment"] == name
-        assert payload["seed"] == 5
         assert payload["version"] == "0.1.0"
         assert "runtime_seconds" not in payload
-        # Payload keys win over the envelope's: oracle t4 and t5 report
-        # their resolved inputs under "params", everything else leaves it empty.
+        for key, owners in _PAYLOAD_ONLY.items():
+            assert (key in payload) == (name in owners), f"{name}: {key}"
+            assert payload.get(key, "absent") is not None, f"{name}: {key}"
+        if name == "verify all":
+            assert payload["seed"] == 5
         if name in ("oracle t4", "oracle t5"):
             assert {"N", "R", "V"} <= set(payload["params"])
-        else:
-            assert payload["params"] == {}
     _, out = run(INVOCATIONS["oracle jprod"], capsys)
     assert "runtime_seconds" in json.loads(out)
 
@@ -123,6 +133,9 @@ def test_usage_error_exit_code(capsys):
 def test_removed_flags_are_usage_errors(capsys):
     assert cli.main(["primes", "--hi", "100", "--jobs", "2"]) == cli.EXIT_USAGE
     assert cli.main(["primes", "--hi", "100", "--cache", "primes.bin"]) == cli.EXIT_USAGE
+    assert cli.main(["primes", "--hi", "100", "--format", "json"]) == cli.EXIT_USAGE
+    assert cli.main(["gpy", "lambda", "--shifts", "0,2", "--n", "101", "--r", "30",
+                     "--seed", "1"]) == cli.EXIT_USAGE
 
 
 def test_cli_import_leaves_sympy_out():
@@ -170,8 +183,14 @@ def test_detector_rejects_zero_span(capsys):
 
 
 def test_capacity_error_exit_code(capsys):
-    code = cli.main(["singular", "quasidensity", "--shifts", "0,2", "--z", "200"])
-    assert code == cli.EXIT_CAPACITY
+    # Each guard fires before the allocation it bounds, so no call does work.
+    for argv in (
+        ["singular", "quasidensity", "--shifts", "0,2", "--z", "200"],
+        ["oracle", "wscan", "--tmax", "1000", "--step", "1e-9"],
+        ["oracle", "jprod", "--t", "1.0", "--x", str(oracle.MAX_J_X + 1)],
+        ["combi", "divisor-mean", "--x", str(combinat.MAX_DIVISOR_MEAN_X + 1), "--m", "2"],
+    ):
+        assert cli.main(argv) == cli.EXIT_CAPACITY, argv
 
 
 def test_stable_output_is_deterministic(capsys):
@@ -190,35 +209,13 @@ def test_out_flag_writes_json_file(tmp_path, capsys):
     assert payload["J"] > 1.0
 
 
-def test_csv_format_emits_rows(capsys):
-    code, out = run(["oracle", "jprod", "--t", "1.0", "--x", "100", "--format", "csv"], capsys)
-    assert code == cli.EXIT_OK
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["key", "value"]
-    assert "J" in dict(rows[1:])
-
-
-def test_csv_report_is_the_same_on_stdout_and_in_a_file(tmp_path, capsys):
-    argv = ["tuple", "check", "--shifts", "0,2,6", "--format", "csv", "--stable"]
-    code, out = run(argv, capsys)
-    assert code == cli.EXIT_OK
-    path = tmp_path / "report.csv"
-    code, _ = run(argv + ["--out", str(path)], capsys)
-    assert code == cli.EXIT_OK
-    with open(path, newline="", encoding="utf-8") as fh:
-        assert fh.read() == out
-    # None is an empty field, as csv.writer writes it.
-    assert ["empirical", ""] in list(csv.reader(io.StringIO(out)))
-
-
-def test_csv_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
+def test_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     argv = ["seq", "generate", "--kind", "interval", "--n", "100", "--h", "5", "--out", str(path)]
-    code, out = run(argv + ["--format", "csv"], capsys)
+    code, out = run(argv, capsys)
     assert code == cli.EXIT_OK
     assert [H.shifts for H in tc.read_tuple_file(path)] == [(1, 2, 3, 4, 5)]
-    rows = dict(csv.reader(io.StringIO(out)))
-    assert rows["file"] == str(path)
+    assert json.loads(out)["file"] == str(path)
 
 
 def test_empty_sequence_warns_but_succeeds(capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpylab import combinat
-from gpylab.errors import DomainError
+from gpylab.errors import CapacityError, DomainError
 
 
 def _rising(d, m):
@@ -183,6 +183,8 @@ def test_divisor_mean_lhs_at_sieve_boundaries(x):
         assert combinat.divisor_mean_check(x, m)["lhs"] == brute_divisor_sum(x, m)
 
 
-def test_divisor_mean_rejects_x_above_ceiling():
-    with pytest.raises(DomainError):
-        combinat.divisor_mean_check(10**7 + 1, 2)
+def test_divisor_mean_rejects_x_above_ceiling(monkeypatch):
+    monkeypatch.setattr(combinat, "MAX_DIVISOR_MEAN_X", 50)
+    assert combinat.divisor_mean_check(50, 2)["lhs"] == brute_divisor_sum(50, 2)
+    with pytest.raises(CapacityError):
+        combinat.divisor_mean_check(51, 2)

@@ -10,7 +10,7 @@ import pytest
 
 from gpylab import oracle
 from gpylab import tuples as tc
-from gpylab.errors import DomainError
+from gpylab.errors import CapacityError, DomainError
 from gpylab.singular import singular_series
 
 H1 = tc.TupleH((0, 2))
@@ -208,6 +208,23 @@ def test_verify_w_bounds_grid_edges():
     for bad_step in (0.0, -step, math.nan):
         with pytest.raises(DomainError):
             oracle.verify_w_bounds(1.0, bad_step)
+
+
+def test_verify_w_bounds_point_guard(monkeypatch):
+    # Step 0.1 puts 20 points on (0, 2]; 0.0975 puts a 21st at 2.0475,
+    # inside the grid's half-step margin.  The guard counts as np.arange does.
+    monkeypatch.setattr(oracle, "MAX_W_POINTS", 20)
+    assert oracle.verify_w_bounds(2.0, 0.1)["step"] == 0.1
+    assert oracle.verify_w_bounds(2.0, 0.0976)["step"] == 0.0976
+    with pytest.raises(CapacityError):
+        oracle.verify_w_bounds(2.0, 0.0975)
+
+
+def test_j_product_x_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_J_X", 100)
+    assert oracle.j_product(1.0, 100) > 1.0
+    with pytest.raises(CapacityError):
+        oracle.j_product(1.0, 101)
 
 
 def test_j_product_small_X_by_hand():
