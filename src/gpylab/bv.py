@@ -5,11 +5,18 @@ worst-residue deviation |theta(N; q, a) - N/phi(q)|, the variant restricted
 to moduli Pq with q coprime to a fixed base P (primes counted over the
 dyadic window (N, 2N]), and the aggregate of the running maxima E*(X, Mq).
 Each statistic sieves the primes it counts, so its only input is a BVConfig.
+
+The two worst-residue sums build their class tables by folding: a few base
+moduli b <= FOLD_BASE, each divisible by the moduli it covers, get one
+weighted bincount each, and the table mod m | b is that table folded.  The
+endpoint-only form of the E* aggregate keeps one bincount per modulus in
+increasing p, so that E* >= endpoint holds exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -19,6 +26,18 @@ from . import primes as prime_engine
 from .errors import CapacityError, DomainError
 
 MAX_N = 10**9
+
+# Each modulus Mq, q <= Q, has a class table of Mq entries, M*Q(Q+1)/2 in
+# all, which the per-modulus routes of estar_aggregate build one by one, so
+# their time grows with this count: the endpoint-only aggregate took 2.4 s
+# at N = 1e5, Q = 2e4 (2e8 entries) on a 2-core Xeon VM.
+MAX_BV_TABLE_ENTRIES = 10**9
+
+# Largest fold base.  On a 2-core Xeon VM, bv_sum at N = 1e7, Q = 300 took
+# 0.34 s with bases up to 2**12 or 2**14 (83 or 76 bincounts) and 0.23-0.27 s
+# with 2**16 (49) or 2**18 (40); the cover's hits table has FOLD_BASE + 1
+# entries, so take the smaller of the two.
+FOLD_BASE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,22 +59,100 @@ class BVConfig:
             raise DomainError("M*Q must not exceed N (progressions degenerate)")
         if self.N > MAX_N:
             raise CapacityError(f"N={self.N} exceeds guard {MAX_N}")
+        entries = self.M * self.Q * (self.Q + 1) // 2
+        if entries > MAX_BV_TABLE_ENTRIES:
+            raise CapacityError(
+                f"M*Q(Q+1)/2 = {entries} class-table entries exceed guard {MAX_BV_TABLE_ENTRIES}"
+            )
 
 
-def _worst_residue(p: np.ndarray, logs: np.ndarray, mod: int, N: int) -> float:
-    """max over a coprime to mod of |sum of log p over p = a (mod mod) - N/phi(mod)|."""
-    theta_by_a = np.bincount(p % mod, weights=logs, minlength=mod)
-    target = N / prime_engine._phi(mod)
-    coprime = np.gcd(np.arange(mod), mod) == 1
-    return float(np.abs(theta_by_a[coprime] - target).max())
+def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:
+    """Sum over class tables theta_by_a, one per modulus m = len(theta_by_a),
+    of max over a coprime to m of |theta_by_a[a] - N/phi(m)|.
+
+    fsum rounds the exact sum, so the order of the tables does not matter.
+    """
+    terms = []
+    for theta_by_a in tables:
+        mod = theta_by_a.size
+        coprime = np.ones(mod, dtype=bool)
+        for p in prime_engine._prime_divisors(mod):
+            coprime[::p] = False
+        target = N / np.count_nonzero(coprime)  # phi(mod) residues are coprime
+        terms.append(float(np.abs(theta_by_a[coprime] - target).max()))
+    return math.fsum(terms)
+
+
+def _moduli(M: int, Q: int) -> list[int]:
+    """The moduli Mq, q <= Q with gcd(q, M) = 1, ascending."""
+    return [M * q for q in range(1, Q + 1) if gcd(q, M) == 1]
+
+
+def _divisors(n: int) -> list[int]:
+    """All divisors of n."""
+    divs = [1]
+    for p in prime_engine._prime_divisors(n):
+        more, pk = [], p
+        while n % pk == 0:
+            more += [d * pk for d in divs]
+            pk *= p
+        divs += more
+    return divs
+
+
+def _fold_cover(moduli: list[int]) -> list[tuple[int, list[int]]]:
+    """Greedy cover of the ascending moduli by (base, covered) pairs.
+
+    Each modulus is covered once and divides its base.  The largest modulus
+    m not yet covered takes as base the multiple of m <= FOLD_BASE that the
+    most uncovered moduli divide (the smallest on a tie); a modulus above
+    FOLD_BASE is its own base and covers only itself.  hits[b] counts the
+    uncovered moduli that divide b, and a base's moduli come from its
+    divisors, so each modulus enters and leaves hits once: the cover costs
+    O(FOLD_BASE log Q) in all, not a scan of the moduli left per base.
+    """
+    left = {m for m in moduli if m <= FOLD_BASE}
+    hits = np.zeros(FOLD_BASE + 1, dtype=np.int64)
+    for m in left:
+        hits[m::m] += 1
+    cover = []
+    for m in reversed(moduli):
+        if m > FOLD_BASE:
+            cover.append((m, [m]))
+        elif m in left:
+            base = m * (1 + int(np.argmax(hits[m::m])))
+            covered = sorted(d for d in _divisors(base) if d in left)
+            for d in covered:
+                hits[d::d] -= 1
+            left.difference_update(covered)
+            cover.append((base, covered))
+    return cover
+
+
+def _folded_tables(p: np.ndarray, moduli: list[int]) -> Iterator[np.ndarray]:
+    """Yield the table of sum of log p by class mod m for each modulus m,
+    in the order of _fold_cover's bases.
+
+    If m divides b, the class table mod m is the table mod b folded:
+    table_b.reshape(-1, m).sum(axis=0).  So one weighted bincount per base
+    serves every modulus the base covers.  The fold adds partial sums in
+    another order than increasing p, so an entry can differ from a
+    per-modulus bincount in its last bits.
+    """
+    logs = np.log(p.astype(np.float64))
+    # p <= 2N <= 2 * MAX_N < 2**32, so uint32 remainders are exact (and
+    # cheaper than int64 ones).
+    p32 = p.astype(np.uint32)
+    for base, covered in _fold_cover(moduli):
+        table = np.bincount(p32 % np.uint32(base), weights=logs, minlength=base)
+        for m in covered:
+            yield table.reshape(-1, m).sum(axis=0)
 
 
 def _moduli_sum(p: np.ndarray, M: int, Q: int, N: int) -> float:
-    """Sum over q <= Q with gcd(q, M) = 1 of the worst-residue deviation mod Mq."""
-    logs = np.log(p.astype(np.float64))
-    return math.fsum(
-        _worst_residue(p, logs, M * q, N) for q in range(1, Q + 1) if gcd(q, M) == 1
-    )
+    """Sum over q <= Q with gcd(q, M) = 1 of the worst-residue deviation mod
+    Mq, from the folded class tables."""
+    return _deviation_sum(_folded_tables(p, _moduli(M, Q)), N)
 
 
 def bv_sum(cfg: BVConfig) -> float:
@@ -80,16 +177,18 @@ def estar_aggregate(cfg: BVConfig) -> float:
     """Sum over q <= Q with gcd(q, M) = 1 of E*(N, Mq).
 
     With use_estar off, each term degrades to the endpoint deviation
-    max_{(a, Mq)=1} |E(N; Mq, a)|, which is the worst-residue sum of
-    bv_sum over all primes <= N: one weighted bincount per modulus, so
-    O(Mq) memory each.  It adds each class's logs in increasing p, as the
-    cumulative sums of ap_error_star do, so E* >= endpoint term by term.
+    max_{(a, Mq)=1} |E(N; Mq, a)|, the worst-residue term of bv_sum over
+    all primes <= N.  This path does not fold: one weighted bincount per
+    modulus adds each class's logs in increasing p, as the cumulative sums
+    of ap_error_star do, so E* >= endpoint holds term by term with no
+    slack.  A folded table adds them in another order and can exceed E*
+    by rounding: E*(3000, 6) is 4.5e-13 below its folded endpoint term.
     """
-    X, M = cfg.N, cfg.M
+    X = cfg.N
     table = prime_engine.primes_upto(X)
+    moduli = _moduli(cfg.M, cfg.Q)
     if not cfg.use_estar:
-        return _moduli_sum(table.primes, M, cfg.Q, X)
-    return math.fsum(
-        prime_engine.ap_error_star(X, M * q, table)
-        for q in range(1, cfg.Q + 1) if gcd(q, M) == 1
-    )
+        p = table.primes
+        logs = np.log(p.astype(np.float64))
+        return _deviation_sum((np.bincount(p % m, weights=logs, minlength=m) for m in moduli), X)
+    return math.fsum(prime_engine.ap_error_star(X, m, table) for m in moduli)

@@ -337,13 +337,10 @@ def _cmd_singular(args) -> dict:
             sv = singular.singular_series_extended(H, args.h0, args.cutoff)
         else:
             sv = singular.singular_series(H, args.cutoff)
-        return {
-            "tuple": list(H.shifts),
-            "h0": getattr(args, "h0", None),
-            "mid": sv.mid,
-            "rad": sv.rad,
-            "cutoff": sv.cutoff,
-        }
+        out = {"tuple": list(H.shifts), "mid": sv.mid, "rad": sv.rad, "cutoff": sv.cutoff}
+        if args.h0 is not None:
+            out["h0"] = args.h0
+        return out
     if args.action == "average":
         B, rad = singular.average_B(H, args.k, args.cutoff)
         return {

@@ -204,18 +204,26 @@ def coprime_classes(p: np.ndarray, q: int) -> Iterator[np.ndarray]:
         yield p[:0]
 
 
-def _phi(q: int) -> int:
-    result = q
+def _prime_divisors(q: int) -> list[int]:
+    """The distinct primes dividing q, ascending, by trial division."""
+    out = []
     n = q
     p = 2
     while p * p <= n:
         if n % p == 0:
+            out.append(p)
             while n % p == 0:
                 n //= p
-            result -= result // p
         p += 1
     if n > 1:
-        result -= result // n
+        out.append(n)
+    return out
+
+
+def _phi(q: int) -> int:
+    result = q
+    for p in _prime_divisors(q):
+        result -= result // p
     return result
 
 

@@ -37,27 +37,78 @@ def test_config_validation():
         bv.BVConfig(N=bv.MAX_N * 10, Q=1)
 
 
+def test_class_table_guard_at_its_limit(monkeypatch):
+    # M*Q(Q+1)/2 = 6 * 5 * 6 / 2 = 90 class-table entries; no sum is run.
+    monkeypatch.setattr(bv, "MAX_BV_TABLE_ENTRIES", 90)
+    bv.BVConfig(N=1000, Q=5, M=6)
+    monkeypatch.setattr(bv, "MAX_BV_TABLE_ENTRIES", 89)
+    with pytest.raises(CapacityError):
+        bv.BVConfig(N=1000, Q=5, M=6)
+
+
 def test_bv_sum_matches_brute_force():
     N, Q = 2000, 8
     got = bv.bv_sum(bv.BVConfig(N=N, Q=Q))
     assert got == pytest.approx(brute_bv_sum(N, Q), rel=1e-12)
 
 
-def test_bv_sum_bit_identical_to_per_residue_gcd_loop():
-    N, Q = 20000, 40
-    p = prime_engine.primes_upto(N).primes
+def p_order_terms(p, moduli, N):
+    """Worst-residue term per modulus from one bincount of all of p per
+    modulus, which adds each class's logs in increasing p."""
     logs = np.log(p.astype(np.float64))
-    terms = []
-    for q in range(1, Q + 1):
-        theta_by_a = np.bincount(p % q, weights=logs, minlength=q)
-        target = N / int(sympy.totient(q))
-        best = 0.0
-        for a in range(q):
-            if math.gcd(a if a else q, q) != 1:
-                continue
-            best = max(best, abs(float(theta_by_a[a]) - target))
-        terms.append(best)
-    assert bv.bv_sum(bv.BVConfig(N=N, Q=Q)) == math.fsum(terms)
+    terms = {}
+    for m in moduli:
+        theta_by_a = np.bincount(p % m, weights=logs, minlength=m)
+        target = N / int(sympy.totient(m))
+        terms[m] = max(abs(float(theta_by_a[a]) - target) for a in range(m) if math.gcd(a, m) == 1)
+    return terms
+
+
+def folded_terms(p, moduli, N):
+    """Worst-residue term per modulus from the folded class tables."""
+    return {t.size: bv._deviation_sum([t], N) for t in bv._folded_tables(p, moduli)}
+
+
+def coprime_moduli(M, Q):
+    return [M * q for q in range(1, Q + 1) if math.gcd(q, M) == 1]
+
+
+# (M, Q, FOLD_BASE): each cover has several bases.  Each patched FOLD_BASE
+# leaves moduli above it (their own bases) and in (FOLD_BASE/2, FOLD_BASE].
+PATCHED_FOLD_CASES = ((1, 40, 32), (6, 20, 64), (30, 12, 256))
+FOLD_CASES = ((1, 40, bv.FOLD_BASE), *PATCHED_FOLD_CASES)
+
+
+def test_folded_terms_match_per_modulus_bincount(monkeypatch):
+    N = 20000
+    for M, Q, fold_base in FOLD_CASES:
+        monkeypatch.setattr(bv, "FOLD_BASE", fold_base)
+        moduli = coprime_moduli(M, Q)
+        # bv_sum counts primes <= N, bv_sum_restricted those in (N, 2N].
+        p = prime_engine.primes_upto(N).primes if M == 1 else prime_engine.sieve_range(N + 1, 2 * N).primes
+        expected = p_order_terms(p, moduli, N)
+        got = folded_terms(p, moduli, N)
+        assert sorted(got) == moduli
+        for m in moduli:
+            assert got[m] == pytest.approx(expected[m], rel=0, abs=1e-12 * N), (M, Q, fold_base, m)
+        cfg = bv.BVConfig(N=N, Q=Q, M=M)
+        total = bv.bv_sum(cfg) if M == 1 else bv.bv_sum_restricted(cfg)
+        assert total == math.fsum(got.values())
+
+
+def test_fold_cover_covers_each_modulus_once(monkeypatch):
+    for M, Q, fold_base in FOLD_CASES:
+        monkeypatch.setattr(bv, "FOLD_BASE", fold_base)
+        moduli = coprime_moduli(M, Q)
+        cover = bv._fold_cover(moduli)
+        assert len(cover) > 1
+        assert sorted(m for _, covered in cover for m in covered) == moduli
+        for base, covered in cover:
+            assert all(base % m == 0 for m in covered)
+            assert base <= fold_base or covered == [base]
+        if (M, Q, fold_base) in PATCHED_FOLD_CASES:
+            assert any(base > fold_base for base, _ in cover)
+            assert any(fold_base < 2 * base <= 2 * fold_base for base, _ in cover)
 
 
 def test_bv_sum_requires_classical_base():
@@ -115,7 +166,12 @@ def test_estar_endpoint_equals_max_ap_error():
         assert got == pytest.approx(math.fsum(by_ap_error), rel=1e-12)
         assert got == math.fsum(by_bincount)
         if M == 1:
-            assert got == bv.bv_sum(cfg)
+            # bv_sum folds its class tables; compare it term by term.
+            folded = folded_terms(p, list(range(1, Q + 1)), N)
+            assert sorted(folded) == list(range(1, Q + 1))
+            for q, term in zip(range(1, Q + 1), by_bincount):
+                assert folded[q] == pytest.approx(term, rel=0, abs=1e-12 * N)
+            assert bv.bv_sum(cfg) == math.fsum(folded.values())
 
 
 def test_normalized_classical_sum_decays():

@@ -176,6 +176,15 @@ def test_moment2_has_no_per_class_flag(capsys):
     assert cli.main([*argv, "--per-class", "11"]) == cli.EXIT_USAGE
 
 
+def test_singular_value_reports_h0_only_when_given(capsys):
+    argv = INVOCATIONS["singular value"]
+    _, out = run(argv, capsys)
+    assert json.loads(out)["h0"] == 6
+    i = argv.index("--h0")
+    _, out = run(argv[:i] + argv[i + 2:], capsys)
+    assert "h0" not in json.loads(out)
+
+
 def test_detector_rejects_zero_span(capsys):
     # h = max(A) normalizes the detector sum, so A = {0} has no value.
     code = cli.main(["gpy", "detector", "--shifts", "0", "--k", "1", "--n", "100"])
@@ -189,6 +198,7 @@ def test_capacity_error_exit_code(capsys):
         ["oracle", "wscan", "--tmax", "1000", "--step", "1e-9"],
         ["oracle", "jprod", "--t", "1.0", "--x", str(oracle.MAX_J_X + 1)],
         ["combi", "divisor-mean", "--x", str(combinat.MAX_DIVISOR_MEAN_X + 1), "--m", "2"],
+        ["bv", "classic", "--n", "1e9", "--qmax", "1e8"],
     ):
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv
 
