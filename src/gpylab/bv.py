@@ -27,11 +27,15 @@ from .errors import CapacityError, DomainError
 
 MAX_N = 10**9
 
-# Each modulus Mq, q <= Q, has a class table of Mq entries, M*Q(Q+1)/2 in
-# all, which the per-modulus routes of estar_aggregate build one by one, so
-# their time grows with this count: the endpoint-only aggregate took 2.4 s
-# at N = 1e5, Q = 2e4 (2e8 entries) on a 2-core Xeon VM.
-MAX_BV_TABLE_ENTRIES = 10**9
+# Each modulus Mq, q <= Q, costs at most one pass over the primes a statistic
+# counts (the per-modulus routes of estar_aggregate take one remainder and
+# one bincount over them, the folded sums fewer) and one pass over its class
+# table of Mq entries.  So Q * P + M*Q(Q+1)/2 bounds the entries all moduli
+# touch, where P = prime_count_bound of the primes <= N or of (N, 2N],
+# whichever is larger: one config serves all three statistics.  perfbench's
+# largest, bv_sum at N = 1.01e7, Q = 300, comes to 3.8e8; N = 1e5, Q = 2e4 to
+# 5.5e8 (2.4 s for the endpoint-only aggregate on a 2-core Xeon VM).
+MAX_BV_WORK = 10**9
 
 # Largest fold base.  On a 2-core Xeon VM, bv_sum at N = 1e7, Q = 300 took
 # 0.34 s with bases up to 2**12 or 2**14 (83 or 76 bincounts) and 0.23-0.27 s
@@ -59,10 +63,13 @@ class BVConfig:
             raise DomainError("M*Q must not exceed N (progressions degenerate)")
         if self.N > MAX_N:
             raise CapacityError(f"N={self.N} exceeds guard {MAX_N}")
-        entries = self.M * self.Q * (self.Q + 1) // 2
-        if entries > MAX_BV_TABLE_ENTRIES:
+        N, Q = self.N, self.Q
+        primes = max(prime_engine.prime_count_bound(0, N), prime_engine.prime_count_bound(N + 1, 2 * N))
+        work = Q * primes + self.M * Q * (Q + 1) // 2
+        if work > MAX_BV_WORK:
             raise CapacityError(
-                f"M*Q(Q+1)/2 = {entries} class-table entries exceed guard {MAX_BV_TABLE_ENTRIES}"
+                f"Q*P + M*Q(Q+1)/2 = {work} entries of work (P = {primes} primes) "
+                f"exceed guard {MAX_BV_WORK}"
             )
 
 

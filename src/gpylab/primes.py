@@ -1,11 +1,15 @@
 """Prime generation and Chebyshev-theta statistics.
 
-A segmented, odd-only sieve produces immutable prime tables; on top of those
-sit theta(x), theta(x; q, a), the progression error E(x; q, a) and its
-running maximum E*(X, q).  All log-sums go through ``math.fsum`` so results
-are exactly rounded and independent of segmentation.  The small-integer
-arithmetic the other modules need (primality, factorisation, Euler phi)
-lives here too.
+A segmented, odd-only sieve produces immutable prime tables.  Each table is
+one int64 array, allocated once at a proven upper bound on the number of
+primes in its window (prime_count_bound) and trimmed in place; a bound over
+MAX_TABLE_BYTES is refused before any work.  One flag buffer serves every
+segment: it is filled from a wheel pattern for 3*5*7*11*13, then struck by
+the base primes above 13.  On top of the tables sit theta(x), theta(x; q, a),
+the progression error E(x; q, a) and its running maximum E*(X, q).  All
+log-sums go through ``math.fsum`` so results are exactly rounded and
+independent of segmentation.  The small-integer arithmetic the other modules
+need (primality, factorisation, Euler phi) lives here too.
 """
 
 from __future__ import annotations
@@ -19,15 +23,29 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Segment length in sieve entries.  Each segment makes one Python pass over
-# the base primes below its length, so fewer segments cost less: on a 2-core
-# Xeon VM (2 MiB L2 per core), primes_upto(2e8) took 0.61-0.75 s in 96
-# segments of 2**20 (1 MiB of flags), 1.11-1.40 s in 381 segments of 2**18,
-# and 0.77-1.1 s with 2**21 or 2**22.
+# Segment length in sieve entries (odd numbers).  Each segment makes one
+# Python pass over the base primes below an eighth of its length, so fewer
+# segments cost less, while its flags should stay in cache: on a 2-core Xeon
+# VM (2 MiB L2 per core), primes_upto(2.01e8) took 0.34-0.44 s in 96 segments
+# of 2**20 (1 MiB of flags), 0.47 s with 2**19, 0.44-0.46 s with 2**21 and
+# 0.54-0.62 s with 2**18 or 2**22.
 SEGMENT_SIZE = 1 << 20
 
-# Practical ceiling: a full table above this would not fit desk-scale memory.
+# Ceiling on hi.  It keeps the base primes at or below 2**20 and every
+# product the sieve forms (p*p, m*p) far inside int64; memory is bounded by
+# MAX_TABLE_BYTES, not by this.
 MAX_SIEVE_HI = 1 << 40
+
+# Ceiling on the bytes of one prime table, 8 * prime_count_bound(lo, hi).
+# primes_upto(10**9) needs about 485 MB and sieve_range(10**9 + 1, 2 * 10**9)
+# about 772 MB; primes_upto(10**12) would need 363 GB.
+MAX_TABLE_BYTES = 1 << 30
+
+# The wheel: flags of odd numbers prime to 3*5*7*11*13 repeat every 15015
+# odd numbers, so a segment is filled from one pattern instead of struck by
+# these five primes.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13
 
 # factorize trial-divides by the sieved primes up to sqrt(n); this bound
 # keeps that table at 78498 primes.
@@ -61,58 +79,129 @@ class PrimeTable:
         return i < self.primes.size and int(self.primes[i]) == n
 
 
+def prime_count_bound(lo: int, hi: int) -> int:
+    """An upper bound on the number of primes in [lo, hi], for 0 <= lo <= hi.
+
+    The least of three proven bounds: the odd numbers in [lo, hi] plus one
+    (for 2); pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld,
+    1962); and, for lo >= 2, pi(x + y) - pi(x) < 2y / log y for x > 0, y > 1
+    (Montgomery and Vaughan, 1973), with x = lo - 1 and y = hi - lo + 1.
+    int(b) + 1 exceeds each real bound b, rounding included.
+    """
+    if hi < 2:
+        return 0
+    odd = (hi + 1) // 2 - lo // 2
+    bound = 1.25506 * hi / math.log(hi)
+    y = hi - lo + 1
+    if lo >= 2 and y > 1:
+        bound = min(bound, 2 * y / math.log(y))
+    return min(odd + 1, int(bound) + 1)
+
+
 def sieve_range(lo: int, hi: int) -> PrimeTable:
-    """Exact primes in [lo, hi] via a segmented odd-only sieve."""
+    """Exact primes in [lo, hi] via a segmented odd-only sieve.
+
+    The table is one int64 array of prime_count_bound(lo, hi) entries, written
+    once per prime and trimmed in place; a window whose bound exceeds
+    MAX_TABLE_BYTES raises CapacityError before anything is allocated.
+    """
     if lo < 0:
         raise DomainError(f"lo must be non-negative, got {lo}")
     if hi < lo:
         raise DomainError(f"empty range: hi={hi} < lo={lo}")
     if hi > MAX_SIEVE_HI:
         raise CapacityError(f"hi={hi} exceeds supported ceiling {MAX_SIEVE_HI}")
+    size = prime_count_bound(lo, hi)
+    if 8 * size > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"[{lo}, {hi}] may hold {size} primes, {8 * size} bytes over guard {MAX_TABLE_BYTES}"
+        )
     if hi < 2:
         return PrimeTable(lo, hi, np.empty(0, dtype=np.int64))
 
     # The base primes come from this sieve; isqrt(hi) < hi, so the recursion
     # ends at the hi < 2 case above.
     base = sieve_range(0, math.isqrt(hi)).primes
-    chunks = []
+    out = np.empty(size, dtype=np.int64)
+    n = 0
     if lo <= 2 <= hi:
-        chunks.append(np.array([2], dtype=np.int64))
+        out[0] = 2
+        n = 1
+    start = max(lo, 3) | 1
+    if start <= hi:
+        n = _sieve_odd(out, n, start, hi, base[base > _WHEEL_PRIMES[-1]])
+    # No view of out outlives _sieve_odd, so out can shrink in place.
+    out.resize(n, refcheck=False)
+    return PrimeTable(lo, hi, out)
 
-    # Odd-only segments: entry i of a segment starting at odd `start`
-    # represents start + 2*i.
-    start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
-    odd_base = base[base > 2]
-    while start <= hi:
-        count = min(SEGMENT_SIZE, (hi - start) // 2 + 1)
-        flags = np.ones(count, dtype=bool)
-        end = start + 2 * (count - 1)
-        split = int(np.searchsorted(odd_base, count))
-        for p in odd_base[:split].tolist():
-            if p * p > end:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first % 2 == 0:
-                first += p
-            if first > end:
-                continue
-            flags[(first - start) // 2 :: p] = False
-        # Odd multiples of p lie 2p apart and the segment spans 2*(count-1),
-        # so each p >= count strikes at most one entry: all in one step.
-        big = odd_base[split:]
-        big = big[big * big <= end]
-        first = np.maximum(big * big, (start + big - 1) // big * big)
-        first += np.where(first % 2 == 0, big, 0)
-        flags[(first[first <= end] - start) // 2] = False
-        if start == 1:
-            flags[0] = False
-        chunks.append(start + 2 * np.flatnonzero(flags).astype(np.int64))
-        start = end + 2
 
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return PrimeTable(lo, hi, primes)
+def _sieve_odd(out: np.ndarray, n: int, start: int, hi: int, odd_base: np.ndarray) -> int:
+    """Write the primes of the odd numbers start, start + 2, ..., <= hi into
+    out[n:], ascending, and return the new fill.
+
+    Entry i of a segment starting at odd s represents s + 2i.  One flag
+    buffer serves every segment; it is filled from one period of the wheel,
+    then each base prime p > 13 strikes its odd multiples from max(p^2, s) on.
+    """
+    total = (hi - start) // 2 + 1
+    seg = min(SEGMENT_SIZE, total)
+    # wheel[i] flags the odd number start + 2i: False where a wheel prime
+    # divides it, i.e. where (start - 1)/2 + i = (p - 1)/2 (mod p).
+    wheel = np.ones(min(total, _WHEEL_PERIOD), dtype=bool)
+    for p in _WHEEL_PRIMES:
+        wheel[((p - 1) // 2 - (start - 1) // 2) % p :: p] = False
+    # One slot past the segment takes the strikes that fall beyond it.
+    flags = np.empty(seg + 1, dtype=bool)
+    squares = odd_base * odd_base
+    done = 0
+    while done < total:
+        count = min(seg, total - done)
+        s = start + 2 * done
+        end = s + 2 * (count - 1)
+        # Entry i is wheel[(done + i) % _WHEEL_PERIOD]: the wheel's tail from
+        # done's phase, then one whole period, doubled by copying the whole
+        # periods already in place.
+        r = done % _WHEEL_PERIOD
+        head = min(count, _WHEEL_PERIOD - r)
+        flags[:head] = wheel[r : r + head]
+        filled = min(_WHEEL_PERIOD, count - head)
+        flags[head : head + filled] = wheel[:filled]
+        while head + filled < count:
+            k = min(filled, count - head - filled)
+            flags[head + filled : head + filled + k] = flags[head : head + k]
+            filled += k
+        ps = odd_base[: int(squares.searchsorted(end, side="right"))]
+        if ps.size:
+            # First odd multiple m*p >= max(p^2, s), as an entry offset.
+            m = np.maximum(ps, (s + ps - 1) // ps | 1)
+            off = (m * ps - s) >> 1
+            # Odd multiples of p lie 2p apart, so p strikes ceil((count - off)/p)
+            # entries: at most 8 once p >= ceil(count/8) (not floor: 17 strikes
+            # 9 of [345, 629]'s 143 entries), at most 1 once p >= count.
+            few = int(ps.searchsorted(-(-count // 8)))
+            one = int(ps.searchsorted(count))
+            for p, o in zip(ps[:few].tolist(), off[:few].tolist()):
+                flags[o:count:p] = False
+            if one > few:
+                hits = off[few:one, None] + ps[few:one, None] * np.arange(8)
+                flags[np.minimum(hits, count).ravel()] = False
+            if one < ps.size:
+                flags[np.minimum(off[one:], count)] = False
+        if s <= _WHEEL_PRIMES[-1]:
+            # The wheel struck its own primes, and 1 is not prime.
+            for p in _WHEEL_PRIMES:
+                if s <= p <= end:
+                    flags[(p - s) // 2] = True
+            if s == 1:
+                flags[0] = False
+        idx = flags[:count].nonzero()[0]
+        dst = out[n : n + idx.size]  # never short: size is a proven bound
+        np.multiply(idx, 2, out=dst)
+        dst += s
+        n += idx.size
+        done += count
+        del idx  # before the next segment's indices are allocated
+    return n
 
 
 def primes_upto(x: int) -> PrimeTable:

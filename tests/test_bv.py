@@ -37,13 +37,24 @@ def test_config_validation():
         bv.BVConfig(N=bv.MAX_N * 10, Q=1)
 
 
-def test_class_table_guard_at_its_limit(monkeypatch):
-    # M*Q(Q+1)/2 = 6 * 5 * 6 / 2 = 90 class-table entries; no sum is run.
-    monkeypatch.setattr(bv, "MAX_BV_TABLE_ENTRIES", 90)
+def test_work_guard_at_its_limit(monkeypatch):
+    # N = 1000 bounds 182 primes <= N and 290 in (N, 2N]; Q = 5, M = 6 gives
+    # Q*P + M*Q(Q+1)/2 = 5 * 290 + 90 = 1540 entries of work.  No sum is run.
+    monkeypatch.setattr(bv, "MAX_BV_WORK", 1540)
     bv.BVConfig(N=1000, Q=5, M=6)
-    monkeypatch.setattr(bv, "MAX_BV_TABLE_ENTRIES", 89)
+    monkeypatch.setattr(bv, "MAX_BV_WORK", 1539)
     with pytest.raises(CapacityError):
         bv.BVConfig(N=1000, Q=5, M=6)
+
+
+def test_work_guard_admits_benchmark_sizes_and_refuses_large_q():
+    # perfbench's largest sums (3.8e8) and N = 1e5, Q = 2e4 (5.5e8) pass;
+    # N = 1e8, Q = 2e4 (2.2e11) ran past 45 s before the guard.
+    bv.BVConfig(N=10_099_999, Q=300)
+    bv.BVConfig(N=10_099_999, Q=300, M=6)
+    bv.BVConfig(N=10**5, Q=2 * 10**4)
+    with pytest.raises(CapacityError):
+        bv.BVConfig(N=10**8, Q=2 * 10**4)
 
 
 def test_bv_sum_matches_brute_force():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -192,15 +193,21 @@ def test_detector_rejects_zero_span(capsys):
 
 
 def test_capacity_error_exit_code(capsys):
-    # Each guard fires before the allocation it bounds, so no call does work.
+    # Each guard fires before the allocation it bounds, so no call does work;
+    # unguarded, each of the last three runs past 45 s.
     for argv in (
         ["singular", "quasidensity", "--shifts", "0,2", "--z", "200"],
         ["oracle", "wscan", "--tmax", "1000", "--step", "1e-9"],
         ["oracle", "jprod", "--t", "1.0", "--x", str(oracle.MAX_J_X + 1)],
         ["combi", "divisor-mean", "--x", str(combinat.MAX_DIVISOR_MEAN_X + 1), "--m", "2"],
         ["bv", "classic", "--n", "1e9", "--qmax", "1e8"],
+        ["bv", "classic", "--n", "1e8", "--qmax", "2e4"],
+        ["singular", "value", "--shifts", "0,2", "--cutoff", "1e12"],
+        ["primes", "--hi", "1e12"],
     ):
+        start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv
+        assert time.perf_counter() - start < 1.0, argv
 
 
 def test_stable_output_is_deterministic(capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpylab import primes
@@ -28,10 +28,13 @@ def test_sieve_range_matches_sympy_on_windows():
     windows += [(lo, hi) for lo in range(4) for hi in range(lo, 11)]
     hi_near_squares = (24, 25, 26, 48, 49, 50, 120, 121, 122, 168, 169, 170)
     windows += [(lo, hi) for lo in range(4) for hi in hi_near_squares]
+    # Every lo in 0..20 starts at 0, 1, 2, an even number or inside the wheel
+    # primes 3..13, which the wheel strikes and the sieve restores.
+    windows += [(lo, hi) for lo in range(21) for hi in [*range(lo, 61), lo + 1000, lo + 30031]]
     for lo, hi in windows:
         got = primes.sieve_range(lo, hi).primes.tolist()
         want = list(sympy.primerange(max(lo, 2), hi + 1))
-        assert got == want
+        assert got == want, (lo, hi)
 
 
 def _twin_prime_above(n):
@@ -65,6 +68,99 @@ def test_sieve_range_random_windows(lo, width):
     hi = lo + width
     got = primes.sieve_range(lo, hi).primes.tolist()
     assert got == list(sympy.primerange(max(lo, 2), hi + 1))
+
+
+def test_sieve_range_slice_loop_takes_primes_below_ceil_count_over_8():
+    # [345, 629] has 143 odd entries.  17 strikes odd multiples 34 entries
+    # apart from 357 on: 9 strikes, the ninth at 629 = 17 * 37.  ceil(143/8)
+    # = 18 keeps 17 in the slice loop; a cut at floor(143/8) = 17 would send
+    # it to the 8-strike broadcast and report 629 as prime.
+    assert primes.sieve_range(345, 629).primes.tolist() == list(sympy.primerange(345, 630))
+    for lo in range(300, 400):
+        for hi in range(lo + 120, lo + 300, 7):
+            got = primes.sieve_range(lo, hi).primes.tolist()
+            assert got == list(sympy.primerange(lo, hi + 1)), (lo, hi)
+
+
+@pytest.mark.parametrize("segment", [1000, 15015, 40000])
+def test_sieve_range_wheel_phases_across_segments(monkeypatch, segment):
+    # The wheel repeats every 15015 odd numbers.  Each window starts at a
+    # different phase of it and spans 2.5 segments, so its segments start at
+    # phases that are neither 0 nor the window's own.
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
+    for phase in (0, 1, 7, 7507, 15014):
+        lo = 2 * (15015 * 80 + phase) + 1  # odd number 2k + 1 with k = phase mod 15015
+        hi = lo + 5 * segment
+        got = primes.sieve_range(lo, hi).primes.tolist()
+        assert got == list(sympy.primerange(lo, hi + 1)), (segment, phase)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(0, 10**6), width=st.integers(0, 3000))
+@example(lo=0, width=0)
+@example(lo=0, width=3)
+@example(lo=2, width=0)
+@example(lo=3, width=0)
+@example(lo=2, width=1)
+@example(lo=13, width=0)
+def test_prime_count_bound_holds(lo, width):
+    hi = lo + width
+    got = primes.sieve_range(lo, hi).primes
+    assert got.size == sympy.primepi(hi) - sympy.primepi(lo - 1)
+    assert got.size <= primes.prime_count_bound(lo, hi)
+
+
+def test_prime_count_bound_by_hand():
+    assert primes.prime_count_bound(0, 1) == 0
+    assert primes.prime_count_bound(3, 3) == 2  # one odd entry, plus one for 2
+    assert primes.prime_count_bound(0, 1000) == 182  # 1.25506 * 1000 / log 1000 = 181.7
+    assert primes.prime_count_bound(1001, 2000) == 290  # 2 * 1000 / log 1000 = 289.5
+
+
+def test_sieve_range_table_is_read_only_and_trimmed():
+    # The table is trimmed in place: it owns its data or views no larger
+    # buffer, so no capacity beyond its primes stays allocated.
+    for lo, hi in ((0, 0), (0, 2), (3, 3), (0, 100), (10**6, 10**6 + 1000), (0, 3 * 10**6)):
+        p = primes.sieve_range(lo, hi).primes
+        assert not p.flags.writeable
+        assert p.base is None or p.base.nbytes <= p.nbytes
+
+
+def test_primes_upto_peak_memory_is_about_one_table():
+    # The table is allocated once, at the bound (1.17x the primes here), and
+    # a segment adds about 2 MiB of flags and indices.  Concatenating
+    # per-segment chunks held every prime twice: a peak of 2.06x.
+    tracemalloc.start()
+    try:
+        table = primes.primes_upto(2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * table.primes.nbytes + 2 * 2**20
+
+
+def test_table_guard_at_its_limit(monkeypatch):
+    # prime_count_bound(0, 1000) = 182 entries of 8 bytes.
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1456)
+    assert len(primes.primes_upto(1000)) == 168
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1455)
+    with pytest.raises(CapacityError):
+        primes.primes_upto(1000)
+
+
+def test_table_guard_refuses_before_allocating():
+    # The largest legal tables fit (about 485 and 772 MB; computed, not run).
+    assert 8 * primes.prime_count_bound(0, 10**9) <= primes.MAX_TABLE_BYTES
+    assert 8 * primes.prime_count_bound(10**9 + 1, 2 * 10**9) <= primes.MAX_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        for lo, hi in ((0, 3 * 10**9), (0, 10**12), (2**39, 2**40)):
+            with pytest.raises(CapacityError):
+                primes.sieve_range(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _sympy_window(lo, hi):
