@@ -71,6 +71,14 @@ class BVConfig:
                 f"Q*P + M*Q(Q+1)/2 = {work} entries of work (P = {primes} primes) "
                 f"exceed guard {MAX_BV_WORK}"
             )
+        # The largest class table: a modulus above FOLD_BASE is its own base,
+        # so M*Q gets a bincount of M*Q float64 entries (every table of the
+        # endpoint-only aggregate is one too); the tables below fit in FOLD_BASE.
+        if 8 * self.M * Q > prime_engine.MAX_TABLE_BYTES:
+            raise CapacityError(
+                f"class table mod M*Q = {self.M * Q} needs {8 * self.M * Q} bytes, "
+                f"over guard {prime_engine.MAX_TABLE_BYTES}"
+            )
 
 
 def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:

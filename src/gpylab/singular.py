@@ -5,9 +5,12 @@ arithmetic correction factor attached to a K-element shift set.  The product
 converges slowly, so values are returned as certified intervals: an exact
 truncated product over p <= cutoff plus a rigorous enclosure of the tail.
 
-Also here: brute-force subset averages B_A(k) and S*(k), the z-quasi-prime
-density R(H) in exact rationals, and a quasi-monotonicity report for the
-S*(k) sequence.
+Also here: the subset averages B_A(k) and S*(k), the z-quasi-prime density
+R(H) in exact rationals, and a quasi-monotonicity report for the S*(k)
+sequence.  Since S(H + t) = S(H), the average over an interval A sums one
+row per shape {0 < d_1 < ... < d_{k-1} <= h - 1}, weighted by its number of
+translates inside A; any other A sums every k-subset.  Both give the
+correctly rounded sum over all k-subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from . import primes as prime_engine
 from . import tuples as tc
 from .errors import CapacityError, DomainError
 
-# Ordered-subset enumeration guard for average_B.
+# Guard for average_B, in ordered subsets C(h, k) k! whatever rows it sums.
 MAX_ORDERED_SUBSETS = 10**8
 
 # quasiprime_density needs the full prime list below z only; keep z modest.
@@ -140,34 +143,108 @@ def singular_series_extended(H: tc.TupleH, h0: int, cutoff: int | None = None) -
     return singular_series(H0, cutoff)
 
 
-def _subset_products(A: tc.TupleH, k: int, cutoff: int) -> tuple[np.ndarray, float]:
-    """Per-unordered-subset S(H) values (float) and a relative tail bound.
+def _index_rows(n: int, k: int, first: int = 0) -> np.ndarray:
+    """The k-subsets of range(first, n) as a (k, C(n - first, k)) array of
+    indices, one column per subset in lexicographic order.
 
-    The product over primes up to the largest pairwise difference is taken
-    subset by subset (vectorized per prime); above that every subset is
-    generic, contributing one shared constant.
+    Built from the last position back: the (j + 1)-subsets with smallest
+    index f are f above each j-subset of range(f + 1, n), a suffix of the
+    j-subsets built before.  So each step writes its output once.
     """
-    M = math.comb(A.size, k)
-    S = np.fromiter(chain.from_iterable(combinations(A.shifts, k)), np.int64, M * k)
-    S = S.reshape(M, k)
+    dtype = np.min_scalar_type(n)
+    rows = np.arange(first + k - 1, n, dtype=dtype)[None, :]
+    for j in range(1, k):
+        s = first + k - 1 - j
+        out = np.empty((j + 1, math.comb(n - s, j + 1)), dtype=dtype)
+        pos = 0
+        for f in range(s, n - j):
+            tail = rows[:, rows.shape[1] - math.comb(n - f - 1, j) :]
+            out[0, pos : pos + tail.shape[1]] = f
+            out[1:, pos : pos + tail.shape[1]] = tail
+            pos += tail.shape[1]
+        rows = out
+    return rows
 
+
+def _weighted_rows(A: tc.TupleH, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows of k indices into A's shifts (a (k, rows) array) whose weighted
+    sum over any translation-invariant f equals the sum of f over all
+    k-subsets of A, and the weight of each row (None: every weight is 1).
+
+    S(H + t) = S(H).  So if A is an interval [a, a + h - 1], each shape
+    {0 < d_1 < ... < d_{k-1} <= h - 1} stands for its h - d_{k-1}
+    translates inside A: C(h - 1, k - 1) rows in place of C(h, k).  Any
+    other A gets its C(h, k) subsets, each of weight 1.
+    """
+    h = A.size
+    if A.shifts[-1] - A.shifts[0] != h - 1:
+        return _index_rows(h, k), None
+    tails = _index_rows(h, k - 1, first=1)
+    shapes = np.vstack([np.zeros((1, tails.shape[1]), dtype=tails.dtype), tails])
+    return shapes, h - shapes[-1].astype(np.float64)
+
+
+def _two_product(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product of integer weights w < 2**26 and floats v:
+    hi = fl(w * v) and hi + lo == w * v exactly.
+
+    Veltkamp's split cuts v into two halves of at most 26 bits; w needs no
+    split, so each partial product below is exact.
+    """
+    hi = w * v
+    c = 134217729.0 * v  # 2**27 + 1
+    v1 = c - (c - v)
+    lo = (w * v1 - hi) + w * (v - v1)
+    return hi, lo
+
+
+def _subset_sum(A: tc.TupleH, k: int, cutoff: int) -> tuple[float, float]:
+    """Sum of the float S(H) over the k-subsets H of A, correctly rounded,
+    and a relative tail bound.
+
+    Each row of _weighted_rows gets its product over the primes up to the
+    largest pairwise difference, one prime at a time in increasing p.  The
+    residues of A mod p are taken once and gathered by row; nu_p counts the
+    entries whose residue no earlier entry of the row has, and the row is
+    multiplied by the factor of that nu_p.  So each row's float is the
+    product every one of its translates would get.  Above the largest
+    difference every subset is generic, contributing one shared constant.
+    fsum of the exact weight * value pairs rounds the sum over every
+    subset once, whatever the rows.
+    """
+    idx, weight = _weighted_rows(A, k)
+    shifts = np.array(A.shifts, dtype=np.int64)
     pmax = max(A.shifts[-1] - A.shifts[0], k, 2)
-    prod = np.ones(M, dtype=np.float64)
+    prod = np.ones(idx.shape[1], dtype=np.float64)
     for p in prime_engine.primes_upto(pmax):
-        r = S % p
-        r.sort(axis=1)
-        nu = 1 + (r[:, 1:] != r[:, :-1]).sum(axis=1)
-        prod *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-k)
+        res = (shifts % p).astype(np.min_scalar_type(p))
+        r = [res[i] for i in idx]
+        nu = np.ones(prod.size, dtype=np.uint8)
+        for j in range(1, k):
+            unseen = r[j] != r[0]
+            for i in range(1, j):
+                unseen &= r[j] != r[i]
+            nu += unseen
+        fac = np.array([(1.0 - v / p) * (1.0 - 1.0 / p) ** (-k) for v in range(k + 1)])
+        prod *= fac[nu]
 
     # Shared generic factor over pmax < p <= cutoff.
     table = prime_engine.primes_upto(cutoff)
     prod *= math.exp(_generic_log(k, table.primes[table.primes > pmax].astype(np.float64)))
     tail_rel = math.exp(_tail_log_bound(k, cutoff)) - 1.0
-    return prod, tail_rel
+    if weight is None:
+        return math.fsum(prod), tail_rel
+    hi, lo = _two_product(weight, prod)
+    return math.fsum(chain(hi, lo)), tail_rel
 
 
 def average_B(A: tc.TupleH, k: int, cutoff: int = 10**5) -> tuple[float, float]:
-    """B_A(k): sum of S(H) over ordered k-subsets of A, with certified radius."""
+    """B_A(k): sum of S(H) over ordered k-subsets of A, with certified radius.
+
+    k! times the correctly rounded sum over the unordered k-subsets, taken
+    over one weighted row per shape when A is an interval (_weighted_rows).
+    MAX_ORDERED_SUBSETS bounds C(h, k) k! either way.
+    """
     if not 1 <= k <= A.size:
         raise DomainError(f"k={k} outside [1, {A.size}]")
     ordered = math.comb(A.size, k) * math.factorial(k)
@@ -177,8 +254,8 @@ def average_B(A: tc.TupleH, k: int, cutoff: int = 10**5) -> tuple[float, float]:
         )
     if k == 1:
         return float(A.size), 0.0
-    prod, tail_rel = _subset_products(A, k, cutoff)
-    B = math.factorial(k) * math.fsum(prod)
+    total, tail_rel = _subset_sum(A, k, cutoff)
+    B = math.factorial(k) * total
     rad = abs(B) * (tail_rel + 1e-9)
     return B, rad
 
@@ -283,9 +360,10 @@ def check_monotone(
 ) -> dict:
     """S*(1..k_max) and the minimum consecutive ratio S*(k+1)/S*(k).
 
-    Exact subset enumeration where the budget allows, otherwise the
-    quasi-prime histogram estimate; the report records which method
-    produced each value.  The histogram treats every prime above
+    Exact values from average_B (one weighted row per shape on an
+    interval, every subset otherwise) where C(h, k) k! is within
+    MAX_ORDERED_SUBSETS, otherwise the quasi-prime histogram estimate; the
+    report records which method produced each value.  The histogram treats every prime above
     HISTOGRAM_Z = 23 as generic, so it is exact only while no difference
     in A has a larger prime factor: for A = [1, h] up to h = 58, and low
     from [1, 59] on (1.42% low at S*(5) on [1, 100]).

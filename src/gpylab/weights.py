@@ -66,6 +66,13 @@ class WeightParams:
             raise DomainError("V must be >= 2")
         if self.N < 1:
             raise DomainError("N must be >= 1")
+        # The window's largest arrays (detector_sum's float64 weights and
+        # the candidates' int64 offsets) hold 8 bytes per n in (N, 2N].
+        if 8 * self.N > prime_engine.MAX_TABLE_BYTES:
+            raise CapacityError(
+                f"window N={self.N} needs {8 * self.N}-byte arrays, "
+                f"over guard {prime_engine.MAX_TABLE_BYTES}"
+            )
 
 
 def polynomial_value(n: int, H: tc.TupleH) -> int:

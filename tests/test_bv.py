@@ -57,6 +57,23 @@ def test_work_guard_admits_benchmark_sizes_and_refuses_large_q():
         bv.BVConfig(N=10**8, Q=2 * 10**4)
 
 
+def test_class_table_guard_at_its_limit(monkeypatch):
+    # The largest class table has M*Q = 30 * 5 = 150 float64 entries: 1200
+    # bytes.  No table is built.
+    monkeypatch.setattr(prime_engine, "MAX_TABLE_BYTES", 1200)
+    bv.BVConfig(N=1000, Q=5, M=30)
+    monkeypatch.setattr(prime_engine, "MAX_TABLE_BYTES", 1199)
+    with pytest.raises(CapacityError, match="class table"):
+        bv.BVConfig(N=1000, Q=5, M=30)
+
+
+def test_class_table_guard_refuses_a_primorial_base_past_the_fold():
+    # M = 23# = 223092870 passes the work guard at N = 3e8, Q = 1, but its one
+    # table would take 1.8 GB.
+    with pytest.raises(CapacityError, match="class table"):
+        bv.BVConfig(N=3 * 10**8, Q=1, M=223092870)
+
+
 def test_bv_sum_matches_brute_force():
     N, Q = 2000, 8
     got = bv.bv_sum(bv.BVConfig(N=N, Q=Q))

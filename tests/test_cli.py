@@ -200,6 +200,9 @@ def test_capacity_error_exit_code(capsys):
         ["oracle", "wscan", "--tmax", "1000", "--step", "1e-9"],
         ["oracle", "jprod", "--t", "1.0", "--x", str(oracle.MAX_J_X + 1)],
         ["combi", "divisor-mean", "--x", str(combinat.MAX_DIVISOR_MEAN_X + 1), "--m", "2"],
+        # Unguarded, these two exit 1 with a MemoryError.
+        ["bv", "restricted", "--n", "3e8", "--qmax", "1", "--v", "23"],
+        ["gpy", "moment1", "--h1", "0,2", "--h2", "0,6", "--n", "1e12"],
         ["bv", "classic", "--n", "1e9", "--qmax", "1e8"],
         ["bv", "classic", "--n", "1e8", "--qmax", "2e4"],
         ["singular", "value", "--shifts", "0,2", "--cutoff", "1e12"],

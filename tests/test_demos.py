@@ -1,7 +1,4 @@
-"""The demo scripts run to completion against the library as it stands.
-
-02 is left out: its s_star calls on [1, 100] for k <= 4 take about 17 s.
-"""
+"""The demo scripts run to completion against the library as it stands."""
 
 import os
 import subprocess
@@ -13,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
     "01_sieve_weights.py",
+    "02_singular_series.py",
     "03_main_terms.py",
     "04_exact_kernels.py",
     "05_analytic_scans.py",

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,18 +139,88 @@ def test_histogram_at_z23_is_pinned_and_allocates_no_table_mod_Z():
     assert peak < tc.primorial(singular.HISTOGRAM_Z) // 4
 
 
-def test_subset_matrix_is_built_in_one_allocation():
-    # C(60, 4) = 487635 subsets make a 15.6 MB int64 matrix; a list of index
-    # tuples and a gathered copy on top of it, or a sorted copy of S % p
-    # beside S % p, would peak above 60 MiB.
-    A = tc.TupleH(tuple(range(1, 61)))
+def _traced_peak(A, k):
     tracemalloc.start()
     try:
-        singular.s_star(A, 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        singular.s_star(A, k)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20
+
+
+def test_subset_matrix_is_built_in_one_allocation():
+    # [1, 61] without 30 is no interval, so each of its C(60, 4) = 487635
+    # subsets is a row: 1.9 MB of uint8 indices.  An int64 subset matrix
+    # alone would take 15.6 MB, a list of index tuples far more.
+    A = tc.TupleH(tuple(x for x in range(1, 62) if x != 30))
+    assert _traced_peak(A, 4) < 16 * 2**20
+
+
+def test_interval_rows_are_shapes():
+    # [1, 100] has C(99, 3) = 156849 shapes for k = 4; its C(100, 4) = 3921225
+    # subsets would take 15.7 MB as uint8 indices alone.
+    assert _traced_peak(tc.TupleH(tuple(range(1, 101))), 4) < 16 * 2**20
+
+
+def _primes_upto(n):
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if flags[p]]
+
+
+PRIMES = _primes_upto(10**5)
+
+
+def sum_over_all_subsets(A, k):
+    """B_A(k) at cutoff 10^5 in pure Python: for every k-subset H of A,
+    translates included, nu_p(H) from a set and the factors multiplied in
+    increasing p up to the largest difference, then the library's generic
+    factor of the primes above it (the one constant both routes share);
+    k! times the fsum over all subsets."""
+    pmax = max(A.shifts[-1] - A.shifts[0], k, 2)
+    small = [p for p in PRIMES if p <= pmax]
+    generic = math.exp(singular._generic_log(k, np.array([p for p in PRIMES if p > pmax], dtype=float)))
+    values = []
+    for H in itertools.combinations(A.shifts, k):
+        v = 1.0
+        for p in small:
+            v *= (1.0 - len({h % p for h in H}) / p) * (1.0 - 1.0 / p) ** (-k)
+        values.append(v * generic)
+    return math.factorial(k) * math.fsum(values)
+
+
+SETS = {
+    "interval": tuple(range(1, 31)),
+    "shifted-interval": tuple(range(1001, 1031)),
+    "general-12": (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42),
+    "interval-minus-17": tuple(x for x in range(1, 31) if x != 17),
+}
+CASES = [pytest.param(s, k, id=f"{name}-k{k}") for name, s in SETS.items() for k in (2, 3, 4)]
+# On these intervals fsum of the rounded weight * value products is 1 ulp off.
+CASES += [pytest.param(tuple(range(1, h + 1)), k, id=f"1-{h}-k{k}") for h, k in [(8, 2), (13, 3), (13, 4), (24, 2)]]
+
+
+@pytest.mark.parametrize("shifts, k", CASES)
+def test_average_B_equals_the_sum_over_all_subsets(shifts, k):
+    A = tc.TupleH(shifts)
+    assert singular.average_B(A, k)[0] == sum_over_all_subsets(A, k)
+
+
+def test_only_an_interval_takes_shape_rows():
+    interval = tc.TupleH(tuple(range(1, 31)))
+    idx, weight = singular._weighted_rows(interval, 4)
+    assert idx.shape == (4, math.comb(29, 3)) and weight.sum() == math.comb(30, 4)
+    gapped = tc.TupleH(tuple(x for x in range(1, 31) if x != 17))
+    idx, weight = singular._weighted_rows(gapped, 4)
+    assert idx.shape == (4, math.comb(29, 4)) and weight is None
+    assert [tuple(r) for r in idx.T.tolist()] == list(itertools.combinations(range(29), 4))
+
+
+def test_s_star_4_on_1_100_is_pinned():
+    assert singular.s_star(tc.TupleH(tuple(range(1, 101))), 4) == 0.6822639515020243
 
 
 def test_histogram_estimate_tracks_exact_values():

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gpylab import primes as prime_engine
 from gpylab import tuples as tc
 from gpylab import weights
 from gpylab.errors import CapacityError, DomainError
@@ -322,6 +323,14 @@ def test_weight_params_validation():
         weights.WeightParams(K=2, ell=-1, R=10.0, V=3, N=100)
     with pytest.raises(DomainError):
         weights.WeightParams(K=2, ell=0, R=0.5, V=3, N=100)
+
+
+def test_weight_params_window_guard_at_its_limit():
+    # The window's largest arrays take 8N bytes; nothing is allocated here.
+    limit = prime_engine.MAX_TABLE_BYTES // 8
+    weights.WeightParams(K=2, ell=1, R=10.0, V=3, N=limit)
+    with pytest.raises(CapacityError, match="window"):
+        weights.WeightParams(K=2, ell=1, R=10.0, V=3, N=limit + 1)
 
 
 def test_detector_sum_reports_negative_at_desk_scale():

@@ -13,7 +13,9 @@ With --against DIR, each call also runs against DIR/src (another checkout
 of this repository).  For each call whose output differs, an indented line
 follows with the other checkout's digest, the largest relative difference
 over the numeric leaves of the two JSON payloads, and the leaves found in
-only one of them.
+only one of them.  The last line gives the number of calls whose output or
+exit code differs, and the exit code is 1 if there is any, so the
+comparison can serve as a gate.
 """
 
 from __future__ import annotations
@@ -100,10 +102,12 @@ def compare(ours: bytes, theirs: bytes) -> str:
     return "; ".join(parts)
 
 
-def main(seeds: list, against: Path | None) -> None:
+def main(seeds: list, against: Path | None) -> int:
+    """Print the listing; return the number of calls that differ from `against`."""
     argvs = list(test_cli.INVOCATIONS.values())
     for seed in seeds:
         argvs += workload_argvs(seed)
+    differ = 0
     for argv in argvs:
         proc = run_call(SRC, argv)
         print(f"{digest(proc)}  {' '.join(argv)}", flush=True)
@@ -111,7 +115,11 @@ def main(seeds: list, against: Path | None) -> None:
             continue
         other = run_call(against / "src", argv)
         if other.stdout != proc.stdout or other.returncode != proc.returncode:
+            differ += 1
             print(f"    against {digest(other)}: {compare(proc.stdout, other.stdout)}", flush=True)
+    if against is not None:
+        print(f"{differ} of {len(argvs)} calls differ from {against}")
+    return differ
 
 
 if __name__ == "__main__":
@@ -120,4 +128,4 @@ if __name__ == "__main__":
                         help="another checkout whose outputs to compare with")
     parser.add_argument("seeds", nargs="*", type=int, default=[7, 1001])
     args = parser.parse_args()
-    main(args.seeds, args.against)
+    sys.exit(1 if main(args.seeds, args.against) else 0)
