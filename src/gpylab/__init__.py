@@ -8,7 +8,7 @@ primes in arithmetic progressions.
 from .errors import CapacityError, DomainError, GpyError
 from .primes import PrimeTable, ap_error, ap_error_star, primes_upto, sieve_range, theta_progression, theta_sum
 from .singular import SingularValue, average_B, check_monotone, quasiprime_density, s_star, singular_series, singular_series_extended
-from .tuples import TupleH, discriminant, is_admissible, nu_bar_p, nu_d, nu_p, nu_star_p, regular_class_count, regular_classes
+from .tuples import TupleH, discriminant, is_admissible, nu_bar_p, nu_p, nu_star_p, regular_class_count, regular_classes
 from .weights import WeightParams, detector_sum, lambda_R, pair_sum_direct, pair_sum_divisor, pair_sum_theta, polynomial_value
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "is_admissible",
     "lambda_R",
     "nu_bar_p",
-    "nu_d",
     "nu_p",
     "nu_star_p",
     "pair_sum_direct",

@@ -91,7 +91,7 @@ def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:
     for theta_by_a in tables:
         mod = theta_by_a.size
         coprime = np.ones(mod, dtype=bool)
-        for p in prime_engine._prime_divisors(mod):
+        for p in prime_engine.factorize(mod):
             coprime[::p] = False
         target = N / np.count_nonzero(coprime)  # phi(mod) residues are coprime
         terms.append(float(np.abs(theta_by_a[coprime] - target).max()))
@@ -106,12 +106,8 @@ def _moduli(M: int, Q: int) -> list[int]:
 def _divisors(n: int) -> list[int]:
     """All divisors of n."""
     divs = [1]
-    for p in prime_engine._prime_divisors(n):
-        more, pk = [], p
-        while n % pk == 0:
-            more += [d * pk for d in divs]
-            pk *= p
-        divs += more
+    for p, e in prime_engine.factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
     return divs
 
 

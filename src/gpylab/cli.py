@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import random
 import sys
 import time
@@ -80,15 +81,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _real(text: str) -> float:
+    """Float flag; inf and nan are usage errors."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return v
+
+
 def _num(text: str) -> int:
     """Integer flag accepting scientific notation (1e7 -> 10000000)."""
     try:
         return int(text)
     except ValueError:
-        v = float(text)
+        v = _real(text)
         if v != int(v):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return int(v)
+
+
+def _nums(text: str) -> list[int]:
+    """Comma-separated integer flag."""
+    return [_num(x) for x in text.split(",")]
 
 
 def _shifts(text: str) -> tc.TupleH:
@@ -107,7 +121,7 @@ def _add_pair(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=_num, default=1, help="shared ell")
     p.add_argument("--ell2", type=_num, default=None)
     p.add_argument("--n", type=_num, required=True)
-    p.add_argument("--theta", type=float, default=0.20, help="R = (3N)^theta")
+    p.add_argument("--theta", type=_real, default=0.20, help="R = (3N)^theta")
     p.add_argument("--v", type=_num, default=5)
 
 
@@ -157,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--shifts", type=_shifts, required=True)
     t.add_argument("--kmax", type=_num, required=True)
     t.add_argument("--cutoff", type=_num, default=10**5)
-    t.add_argument("--floor", type=float, default=0.95)
+    t.add_argument("--floor", type=_real, default=0.95)
     _add_common(t)
     t = ss.add_parser("quasidensity")
     t.add_argument("--shifts", type=_shifts, required=True)
@@ -170,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--shifts", type=_shifts, required=True)
     t.add_argument("--n", type=_num, required=True)
     t.add_argument("--ell", type=_num, default=0)
-    t.add_argument("--r", type=float, required=True, help="sieve level R")
+    t.add_argument("--r", type=_real, required=True, help="sieve level R")
     _add_common(t)
     for name in ("moment1", "moment2"):
         t = gs.add_parser(name)
@@ -188,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", type=_num, required=True)
     t.add_argument("--ell", type=_num, default=0)
     t.add_argument("--n", type=_num, required=True)
-    t.add_argument("--theta", type=float, default=0.20)
+    t.add_argument("--theta", type=_real, default=0.20)
     t.add_argument("--v", type=_num, default=3)
     _add_common(t)
 
@@ -215,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_pair(t)
         if name == "t4":
             t.add_argument("--scope", choices=("aggregate", "per_class"), default="aggregate")
-            t.add_argument("--empirical", type=float, default=None)
+            t.add_argument("--empirical", type=_real, default=None)
         else:
             t.add_argument("--h0", type=_num, required=True)
         _add_common(t)
@@ -225,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cutoff", type=_num, default=None)
     _add_common(t)
     t = os_.add_parser("wscan")
-    t.add_argument("--tmax", type=float, default=100.0)
-    t.add_argument("--step", type=float, default=0.01)
-    t.add_argument("--t", type=float, default=None, help="also report W(it)")
+    t.add_argument("--tmax", type=_real, default=100.0)
+    t.add_argument("--step", type=_real, default=0.01)
+    t.add_argument("--t", type=_real, default=None, help="also report W(it)")
     _add_common(t)
     t = os_.add_parser("jprod")
-    t.add_argument("--t", type=float, required=True)
+    t.add_argument("--t", type=_real, required=True)
     t.add_argument("--x", type=_num, required=True)
     _add_common(t)
 
@@ -259,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=_num, required=True)
     t.add_argument("--k", type=_num, default=2)
     t.add_argument("--h", type=_num, default=10)
-    t.add_argument("--exponents", help="comma-separated exponent list")
+    t.add_argument("--exponents", type=_nums, help="comma-separated exponent list")
     _add_common(t)
 
     p = sub.add_parser("verify", help="verification batteries")
@@ -273,8 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _level(args) -> float:
-    """The sieve level R = (3N)^theta of the gpy and oracle subcommands."""
-    return (3.0 * args.n) ** args.theta
+    """The sieve level R = (3N)^theta of the gpy and oracle subcommands; inf
+    past the float range, which the parameter checks refuse."""
+    try:
+        return (3.0 * args.n) ** args.theta
+    except OverflowError:
+        return math.inf
 
 
 def _pair_params(args) -> oracle.MainTermParams:
@@ -485,10 +503,7 @@ def _cmd_bv(args) -> dict:
 
 
 def _cmd_seq(args) -> dict:
-    exps = None
-    if args.exponents:
-        exps = [int(x) for x in args.exponents.split(",")]
-    values = sequences.generate_sequence(args.kind, args.n, args.k, args.h, exps)
+    values = sequences.generate_sequence(args.kind, args.n, args.k, args.h, args.exponents)
     out = {
         "kind": args.kind,
         "N": args.n,

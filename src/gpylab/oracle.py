@@ -61,8 +61,8 @@ class MainTermParams:
     def __post_init__(self):
         if self.ell1 < 0 or self.ell2 < 0:
             raise DomainError("ell1, ell2 must be >= 0")
-        if not self.R > 1:
-            raise DomainError("R must exceed 1")
+        if not 1 < self.R < math.inf:
+            raise DomainError("R must be finite and exceed 1")
         if self.N < 1:
             raise DomainError("N must be >= 1")
         if self.V < 2:
@@ -310,8 +310,8 @@ def verify_w_bounds(t_grid_max: float = 100.0, step: float = 0.01) -> dict:
 
 def j_product(t: float, X: int) -> float:
     """J(t, X) = prod_{p <= X} |1 - p^{-1-it}| / (1 - 1/p), in log space."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be finite and positive")
     if X > MAX_J_X:
         raise CapacityError(f"X={X} exceeds guard {MAX_J_X}")
     if X < 2:

@@ -238,6 +238,12 @@ def _subset_sum(A: tc.TupleH, k: int, cutoff: int) -> tuple[float, float]:
     return math.fsum(chain(hi, lo)), tail_rel
 
 
+def _within_budget(h: int, k: int) -> bool:
+    """Whether average_B takes the k-subsets of an h-set: at most
+    MAX_ORDERED_SUBSETS ordered ones, C(h, k) k! = perm(h, k)."""
+    return math.perm(h, k) <= MAX_ORDERED_SUBSETS
+
+
 def average_B(A: tc.TupleH, k: int, cutoff: int = 10**5) -> tuple[float, float]:
     """B_A(k): sum of S(H) over ordered k-subsets of A, with certified radius.
 
@@ -247,10 +253,9 @@ def average_B(A: tc.TupleH, k: int, cutoff: int = 10**5) -> tuple[float, float]:
     """
     if not 1 <= k <= A.size:
         raise DomainError(f"k={k} outside [1, {A.size}]")
-    ordered = math.comb(A.size, k) * math.factorial(k)
-    if ordered > MAX_ORDERED_SUBSETS:
+    if not _within_budget(A.size, k):
         raise CapacityError(
-            f"enumeration needs {ordered} ordered subsets (budget {MAX_ORDERED_SUBSETS})"
+            f"enumeration needs {math.perm(A.size, k)} ordered subsets (budget {MAX_ORDERED_SUBSETS})"
         )
     if k == 1:
         return float(A.size), 0.0
@@ -361,24 +366,26 @@ def check_monotone(
     """S*(1..k_max) and the minimum consecutive ratio S*(k+1)/S*(k).
 
     Exact values from average_B (one weighted row per shape on an
-    interval, every subset otherwise) where C(h, k) k! is within
-    MAX_ORDERED_SUBSETS, otherwise the quasi-prime histogram estimate; the
-    report records which method produced each value.  The histogram treats every prime above
-    HISTOGRAM_Z = 23 as generic, so it is exact only while no difference
-    in A has a larger prime factor: for A = [1, h] up to h = 58, and low
-    from [1, 59] on (1.42% low at S*(5) on [1, 100]).
+    interval, every subset otherwise) wherever it takes k, and the
+    quasi-prime histogram estimate where its MAX_ORDERED_SUBSETS budget
+    refuses k; the report records which method produced each value.  The
+    histogram treats every prime above HISTOGRAM_Z = 23 as generic, so it
+    is exact only while no difference in A has a larger prime factor: for
+    A = [1, h] up to h = 58, and low from [1, 59] on (1.42% low at S*(5)
+    on [1, 100]).
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if k_max > 8:
         raise DomainError("k_max must be <= 8")
+    if not math.isfinite(floor):
+        raise DomainError(f"floor must be finite, got {floor}")
 
     values: dict[int, float] = {}
     methods: dict[int, str] = {}
     need_histogram = []
     for k in range(1, k_max + 1):
-        ordered = math.comb(A.size, k) * math.factorial(k)
-        if ordered <= MAX_ORDERED_SUBSETS:
+        if _within_budget(A.size, k):
             values[k] = s_star(A, k, cutoff)
             methods[k] = "exact"
         else:

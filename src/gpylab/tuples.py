@@ -71,21 +71,6 @@ def nu_p(H: TupleH, p: int) -> int:
     return len({h % p for h in H.shifts})
 
 
-def nu_d(H: TupleH, d: int) -> int:
-    """nu extended multiplicatively to squarefree d (roots of P_H mod d)."""
-    if d < 1:
-        raise DomainError("d must be positive")
-    if d == 1:
-        return 1
-    fac = prime_engine.factorize(d)
-    if any(e > 1 for e in fac.values()):
-        raise DomainError(f"{d} is not squarefree")
-    result = 1
-    for p in fac:
-        result *= nu_p(H, p)
-    return result
-
-
 def is_admissible(H: TupleH) -> bool:
     """True iff nu_p(H) < p for every prime; only p <= |H| can fail."""
     return all(nu_p(H, p) < p for p in prime_engine.primes_upto(H.size))

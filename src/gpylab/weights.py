@@ -60,8 +60,8 @@ class WeightParams:
             raise DomainError("K must be >= 1")
         if self.ell < 0:
             raise DomainError("ell must be >= 0")
-        if not self.R > 1:
-            raise DomainError("R must exceed 1")
+        if not 1 < self.R < math.inf:
+            raise DomainError("R must be finite and exceed 1")
         if self.V < 2:
             raise DomainError("V must be >= 2")
         if self.N < 1:
@@ -124,8 +124,8 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
     the primes p <= R dividing P_H(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not R > 1:
-        raise DomainError("R must exceed 1")
+    if not 1 < R < math.inf:
+        raise DomainError("R must be finite and exceed 1")
     # Other primes open no branch; walking them costs numpy calls per prime.
     primes = [
         p for p in prime_engine.primes_upto(int(R)).primes.tolist()

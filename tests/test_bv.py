@@ -139,6 +139,11 @@ def test_fold_cover_covers_each_modulus_once(monkeypatch):
             assert any(fold_base < 2 * base <= 2 * fold_base for base, _ in cover)
 
 
+def test_divisors_match_sympy():
+    for n in [*range(1, 3001), *(2**32 + d for d in range(-5, 6))]:
+        assert sorted(bv._divisors(n)) == sympy.divisors(n), n
+
+
 def test_bv_sum_requires_classical_base():
     with pytest.raises(DomainError):
         bv.bv_sum(bv.BVConfig(N=1000, Q=5, M=6))

@@ -155,11 +155,15 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_wscan_rejects_grid_before_scanning(capsys):
-    # An empty grid, a non-finite end and an end past |t| = 1000 are refused
-    # up front, as domain errors rather than tracebacks.
-    for tmax in ("0", "nan", "inf", "1000.01"):
+    # An empty grid and an end past |t| = 1000 are refused up front, as
+    # domain errors rather than tracebacks; a non-finite end is refused by
+    # the flag's type (test_oracle checks that the library refuses it too).
+    for tmax in ("0", "1000.01"):
         code = cli.main(["oracle", "wscan", "--tmax", tmax, "--step", "0.01"])
         assert code == cli.EXIT_DOMAIN
+    for tmax in ("nan", "inf"):
+        code = cli.main(["oracle", "wscan", "--tmax", tmax, "--step", "0.01"])
+        assert code == cli.EXIT_USAGE
 
 
 def test_per_class_needs_the_direct_strategy(capsys):
@@ -207,10 +211,48 @@ def test_capacity_error_exit_code(capsys):
         ["bv", "classic", "--n", "1e8", "--qmax", "2e4"],
         ["singular", "value", "--shifts", "0,2", "--cutoff", "1e12"],
         ["primes", "--hi", "1e12"],
+        # phi(q) of a modulus past factorize's bound; unguarded, these ran
+        # past 20 s.
+        ["primes", "--hi", "100", "--q", "1000000000000000003", "--a", "1", "--error"],
+        ["primes", "--hi", "100", "--q", "1000000000000000003", "--estar"],
     ):
         start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv
         assert time.perf_counter() - start < 1.0, argv
+
+
+def test_non_finite_numbers_are_refused(capsys):
+    # Each ends in a usage or domain error before any work, where it once
+    # exited 1 with a traceback or reported a NaN or an infinity.
+    pair = ["--h1", "0,2", "--h2", "0,6", "--n", "1000"]
+    for argv, want in (
+        (["primes", "--hi", "1e400"], cli.EXIT_USAGE),
+        (["combi", "lemma2", "--max", "1e400"], cli.EXIT_USAGE),
+        (["gpy", "lambda", "--shifts", "0,2", "--n", "1e400", "--r", "30"], cli.EXIT_USAGE),
+        (["seq", "generate", "--kind", "custom_exponents", "--n", "100", "--exponents", "1,x"],
+         cli.EXIT_USAGE),
+        (["gpy", "lambda", "--shifts", "0,2", "--n", "101", "--r", "inf"], cli.EXIT_USAGE),
+        (["gpy", "moment1", *pair, "--theta", "inf"], cli.EXIT_USAGE),
+        (["gpy", "detector", "--shifts", "1,2,3,4", "--k", "2", "--n", "500", "--theta", "inf"],
+         cli.EXIT_USAGE),
+        (["oracle", "t4", *pair, "--theta", "inf"], cli.EXIT_USAGE),
+        (["oracle", "t4", *pair, "--empirical", "nan"], cli.EXIT_USAGE),
+        (["oracle", "jprod", "--t", "nan", "--x", "100"], cli.EXIT_USAGE),
+        (["oracle", "jprod", "--t", "inf", "--x", "100"], cli.EXIT_USAGE),
+        (["oracle", "wscan", "--t", "inf"], cli.EXIT_USAGE),
+        (["singular", "monotone", "--shifts", "1,2,3,4", "--kmax", "2", "--floor", "nan"],
+         cli.EXIT_USAGE),
+        # A finite theta whose level R = (3N)^theta overflows a float.
+        (["gpy", "moment1", *pair, "--theta", "1000"], cli.EXIT_DOMAIN),
+        (["gpy", "detector", "--shifts", "1,2,3,4", "--k", "2", "--n", "500", "--theta", "1000"],
+         cli.EXIT_DOMAIN),
+        (["oracle", "t4", *pair, "--theta", "1000"], cli.EXIT_DOMAIN),
+    ):
+        start = time.perf_counter()
+        code, out = run(argv, capsys)
+        assert code == want, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert "NaN" not in out and "Infinity" not in out, argv
 
 
 def test_stable_output_is_deterministic(capsys):

@@ -36,6 +36,15 @@ def test_g00_boundary_small_V():
     assert val.mid == pytest.approx(2.0 * S.mid, rel=1e-9)
 
 
+def test_level_and_t_must_be_finite():
+    for R in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            oracle.MainTermParams(H1, H2, 1, 1, R, 10**5, 5)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            oracle.j_product(t, 100)
+
+
 def test_g00_rejects_inadmissible():
     with pytest.raises(DomainError):
         oracle.g00(tc.TupleH((0, 2, 4)), 5)

@@ -317,6 +317,21 @@ def test_factorize_matches_sympy(n):
     assert primes.factorize(n) == sympy.factorint(n)
 
 
+def test_factorize_makes_no_sieve_call(monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError("factorize sieved")
+
+    monkeypatch.setattr(primes, "sieve_range", refuse)
+    near_2_32 = [2**32 + d for d in range(-5, 6)]
+    for n in [*range(1, 3001), *near_2_32, 999983 * 999979, sympy.prevprime(10**12)]:
+        assert primes.factorize(n) == sympy.factorint(n)
+
+
+def test_phi_matches_sympy_totient():
+    for n in [*range(1, 3001), *(2**32 + d for d in range(-5, 6))]:
+        assert primes._phi(n) == sympy.totient(n), n
+
+
 def test_factorize_at_its_bound():
     bound = primes.MAX_FACTOR_N
     largest_prime = sympy.prevprime(bound)

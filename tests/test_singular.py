@@ -245,3 +245,5 @@ def test_check_monotone_domain_errors():
         singular.check_monotone(A, 0)
     with pytest.raises(DomainError):
         singular.check_monotone(A, 9)
+    with pytest.raises(DomainError):
+        singular.check_monotone(A, 2, floor=math.nan)

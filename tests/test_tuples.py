@@ -12,34 +12,11 @@ from gpylab import tuples as tc
 from gpylab.errors import CapacityError, DomainError
 
 
-def brute_nu(H, d):
-    # Number of residues n mod d with d dividing prod(n + h).
-    return sum(1 for n in range(d) if math.prod(n + h for h in H.shifts) % d == 0)
-
-
 def test_nu_p_counts_distinct_residues():
     H = tc.TupleH((0, 2))
     assert tc.nu_p(H, 2) == 1
     assert tc.nu_p(H, 3) == 2
     assert tc.nu_p(tc.TupleH((0, 2, 4)), 3) == 3
-
-
-def test_nu_d_multiplicative_and_squarefree_only():
-    H = tc.TupleH((0, 2, 6))
-    assert tc.nu_d(H, 15) == tc.nu_p(H, 3) * tc.nu_p(H, 5)
-    assert tc.nu_d(H, 1) == 1
-    with pytest.raises(DomainError):
-        tc.nu_d(H, 12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    shifts=st.sets(st.integers(0, 60), min_size=1, max_size=5),
-    d=st.sampled_from([2, 3, 5, 6, 7, 10, 15, 21, 30, 35]),
-)
-def test_nu_d_equals_distinct_residue_count(shifts, d):
-    H = tc.TupleH(tuple(shifts))
-    assert tc.nu_d(H, d) == brute_nu(H, d)
 
 
 def test_admissibility_examples():

@@ -323,6 +323,15 @@ def test_weight_params_validation():
         weights.WeightParams(K=2, ell=-1, R=10.0, V=3, N=100)
     with pytest.raises(DomainError):
         weights.WeightParams(K=2, ell=0, R=0.5, V=3, N=100)
+    for R in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            weights.WeightParams(K=2, ell=0, R=R, V=3, N=100)
+
+
+def test_lambda_R_refuses_a_non_finite_level():
+    for R in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            weights.lambda_R(101, H1, 0, R)
 
 
 def test_weight_params_window_guard_at_its_limit():
