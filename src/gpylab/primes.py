@@ -224,7 +224,8 @@ def theta_progression(x: int, q: int, a: int, table: PrimeTable | None = None) -
         raise DomainError("x must be non-negative")
     table = _table_for(x, table)
     p = _primes_le(table, x)
-    p = p[p % q == a]
+    # Where q > x, p % q = p, and q may not fit in int64.
+    p = p[p % q == a] if q <= x else p[p == a]
     return math.fsum(np.log(p)) if p.size else 0.0
 
 

@@ -7,11 +7,17 @@ theta-weighted pair sum (each weight pair multiplied by log(n + h0) when
 n + h0 is prime), and the prime-pair detector.
 
 The pair sum has two independent evaluation routes that must agree.  The
-direct route sieves the window (N, 2N] by the primes p <= V to find the
-regular n, then evaluates every weight of the window in one depth-first
-walk over the squarefree d <= R built from the primes in (V, R], carrying at
-each d the window entries n with d | P_H(n).  lambda_R runs the same walk
-on a single n over the primes p <= R that divide P_H(n).  The direct route
+direct route finds the regular n of the window (N, 2N] from one sieved
+period: regularity depends on n mod P, P = primorial(V), so the first
+min(P, N) offsets are sieved by the primes p <= V and their regular offsets
+tiled by P.  It then evaluates every weight of the window in one
+depth-first walk over the squarefree d <= R built from the primes in
+(V, R], carrying at each d the window entries n with d | P_H(n).  With m
+candidates per period, entry j + q m is entry j plus q P, so the top
+level flags the entries divisible by each prime q on the first q m
+candidates and tiles the flags every q periods; deeper levels reduce
+their own entries.  lambda_R runs the same walk on a single n over the
+primes p <= R that divide P_H(n).  The direct route
 shares no class code with the divisor route, which lists those squarefree
 d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
@@ -66,8 +72,8 @@ class WeightParams:
             raise DomainError("V must be >= 2")
         if self.N < 1:
             raise DomainError("N must be >= 1")
-        # The window's largest arrays (detector_sum's float64 weights and
-        # the candidates' int64 offsets) hold 8 bytes per n in (N, 2N].
+        # The window's largest arrays, detector_sum's float64 psi and inner,
+        # hold 8 bytes per n in (N, 2N]; the candidates are a fraction of that.
         if 8 * self.N > prime_engine.MAX_TABLE_BYTES:
             raise CapacityError(
                 f"window N={self.N} needs {8 * self.N}-byte arrays, "
@@ -85,22 +91,29 @@ def polynomial_value(n: int, H: tc.TupleH) -> int:
     return out
 
 
-def _lambda_walk(n: np.ndarray, H: tc.TupleH, primes: list, a: int, log_R: float) -> np.ndarray:
+def _lambda_walk(
+    n: np.ndarray, m: int, H: tc.TupleH, primes: list, a: int, log_R: float
+) -> np.ndarray:
     """Sum of mu(d) (log R/d)^a / a! over squarefree d <= R with d | P_H(n),
     for every entry of n, where d runs over products of the ascending `primes`.
 
     Depth-first over d, pruning once the product exceeds R.  Each stack entry
     is (indices, next prime, log d, mu(d)): the indices are the entries of n
     with d | P_H(n), and a child d*q keeps those whose n mod q is a root -h of
-    P_H mod q.  Each term is added on its own entries only.
+    P_H mod q.  Each term is added on its own entries only.  n must advance
+    by one fixed period P every m entries (m >= n.size claims none): the
+    root's flags for q are then computed on n[:q m] and tiled, while deeper
+    entries reduce their own subsets.
     """
     logs = [math.log(q) for q in primes]
     roots = [sorted({(-h) % q for h in H.shifts}) for q in primes]
     out = np.zeros(n.size, dtype=np.float64)
-    stack = [(np.arange(n.size), 0, 0.0, 1)]
+    # The root d = 1 holds every entry, as a slice: nothing is gathered.
+    stack = [(slice(None), 0, 0.0, 1)]
     while stack:
         idx, start, log_d, mu = stack.pop()
         out[idx] += mu * (log_R - log_d) ** a
+        top = start == 0
         vals = n[idx]
         children = []
         for i in range(start, len(primes)):
@@ -108,12 +121,16 @@ def _lambda_walk(n: np.ndarray, H: tc.TupleH, primes: list, a: int, log_R: float
             # Tolerate rounding at the d = R boundary.
             if log_dq > log_R + 1e-12:
                 break
-            r = vals % primes[i]
+            q = primes[i]
+            # At the top, n[j + q m] = n[j] + q P: the flags repeat every q periods.
+            r = vals[: q * m] % q if top else vals % q
             hit = r == roots[i][0]
             for root in roots[i][1:]:
                 hit |= r == root
+            if top and hit.size < n.size:
+                hit = np.tile(hit, -(-n.size // hit.size))[: n.size]
             if hit.any():
-                children.append((idx[hit], i + 1, log_dq, -mu))
+                children.append((np.flatnonzero(hit) if top else idx[hit], i + 1, log_dq, -mu))
         # Reversed, so the smallest prime is visited first.
         stack.extend(reversed(children))
     return out / math.factorial(a)
@@ -132,33 +149,35 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
         if any((n + h) % p == 0 for h in H.shifts)
     ]
     # Beyond int64, np.array holds n as uint64 or as a Python int object.
-    return float(_lambda_walk(np.array([n]), H, primes, H.size + ell, math.log(R))[0])
-
-
-def _divides(H: tc.TupleH, q: int, N: int) -> np.ndarray:
-    """Flags over the window (N, 2N]: offset i is set iff q divides P_H(N + 1 + i)."""
-    hit = np.zeros(N, dtype=bool)
-    for h in H.shifts:
-        hit[(-(N + 1 + h)) % q :: q] = True
-    return hit
+    return float(_lambda_walk(np.array([n]), 1, H, primes, H.size + ell, math.log(R))[0])
 
 
 def _window_candidates(
     Hu: tc.TupleH, params: WeightParams, per_class: int | None
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """The n in (N, 2N] with gcd(P_Hu(n), P) = 1 (or in one given regular
-    class mod P), found by sieving the window with the primes p <= V."""
+    class mod P), ascending, and m, their number per period P.
+
+    Regularity depends on n mod P only: one strided write per (p <= V, h)
+    sieves the first min(P, N) offsets, and their regular offsets are tiled
+    by P and cut at 2N.  Where P >= N that is the whole window, and m is
+    its size.
+    """
     P = tc.primorial(params.V)
     N = params.N
     if per_class is not None:
         a = per_class % P
         if any(math.gcd(a + h, P) != 1 for h in Hu.shifts):
             raise DomainError(f"{per_class} is not a regular class mod {P}")
-        return np.arange((a - (N + 1)) % P, N, P) + (N + 1)
-    ok = np.ones(N, dtype=bool)
+        return np.arange((a - (N + 1)) % P, N, P) + (N + 1), 1
+    M = min(P, N)
+    ok = np.ones(M, dtype=bool)
     for p in prime_engine.primes_upto(params.V).primes.tolist():
-        ok &= ~_divides(Hu, p, N)
-    return np.flatnonzero(ok) + (N + 1)
+        for h in Hu.shifts:
+            ok[(-(N + 1 + h)) % p :: p] = False
+    base = np.flatnonzero(ok)
+    cands = (np.arange(N + 1, 2 * N + 1, M)[:, None] + base).ravel()
+    return cands[: np.searchsorted(cands, 2 * N, side="right")], base.size
 
 
 def _mask_primes(params: WeightParams) -> list:
@@ -169,15 +188,18 @@ def _mask_primes(params: WeightParams) -> list:
 
 
 def lambda_window(
-    cands: np.ndarray, H: tc.TupleH, ell: int, params: WeightParams
+    cands: np.ndarray, m: int, H: tc.TupleH, ell: int, params: WeightParams
 ) -> np.ndarray:
     """Lambda_R(n; H, ell) for every candidate n, vectorized.
 
     The candidates are regular n in the window (N, 2N] of `params`, so only
     the primes in (V, R] can divide P_H(n); one divisor walk over them
-    evaluates the whole array.
+    evaluates the whole array.  Every m entries they advance by P =
+    primorial(V), as `_window_candidates` returns them; m = cands.size
+    claims no period.
     """
-    return _lambda_walk(cands, H, _mask_primes(params), H.size + ell, math.log(params.R))
+    assert (cands[m:] - cands[: cands.size - m] == tc.primorial(params.V)).all()
+    return _lambda_walk(cands, m, H, _mask_primes(params), H.size + ell, math.log(params.R))
 
 
 def _check_pair_inputs(H1: tc.TupleH, H2: tc.TupleH) -> tc.TupleH:
@@ -201,15 +223,18 @@ def _pair_sum(
     with h0 given, only over n with n + h0 prime, each product times log(n + h0)."""
     Hu = _check_pair_inputs(H1, H2)
     N = params.N
-    cands = _window_candidates(Hu, params, per_class)
+    cands, m = _window_candidates(Hu, params, per_class)
     if h0 is not None:
         # Flag, at each window offset, whether n + h0 is prime.
         prime = np.zeros(N, dtype=bool)
         prime[prime_engine.sieve_range(N + 1 + h0, 2 * N + h0).primes - (N + 1 + h0)] = True
+        # The n kept follow no period, but walking them alone costs less than
+        # a tiled walk over every candidate.
         cands = cands[prime[cands - (N + 1)]]
+        m = cands.size
     if cands.size == 0:
         return 0.0
-    terms = lambda_window(cands, H1, ell1, params) * lambda_window(cands, H2, ell2, params)
+    terms = lambda_window(cands, m, H1, ell1, params) * lambda_window(cands, m, H2, ell2, params)
     if h0 is not None:
         terms = terms * np.log((cands + h0).astype(np.float64))
     return math.fsum(terms)
@@ -367,8 +392,8 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
         H = tc.TupleH(combo)
         if not tc.is_admissible(H):
             continue
-        cands = _window_candidates(H, params, None)
-        psi[cands - (N + 1)] += lambda_window(cands, H, ell, params)
+        cands, m = _window_candidates(H, params, None)
+        psi[cands - (N + 1)] += lambda_window(cands, m, H, ell, params)
 
     # n + a runs from N + 1 + min(A): a shift 0 reaches n = N + 1 itself.
     primes = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N).primes

@@ -3,6 +3,7 @@ the JSON report's envelope, and deterministic --stable output."""
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,10 +216,25 @@ def test_capacity_error_exit_code(capsys):
         # past 20 s.
         ["primes", "--hi", "100", "--q", "1000000000000000003", "--a", "1", "--error"],
         ["primes", "--hi", "100", "--q", "1000000000000000003", "--estar"],
+        # Unguarded, lemma2 ran past 15 s.
+        ["combi", "lemma2", "--max", "1000"],
+        ["combi", "coeffs", "--max", "1000"],
     ):
         start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv
         assert time.perf_counter() - start < 1.0, argv
+
+
+def test_theta_progression_past_int64_moduli(capsys):
+    # p % q = p for every p <= hi < q: theta(100; 10^20, a) is log a at a
+    # prime a <= 100, else 0.  These once exited 1 with an OverflowError.
+    for a, want in (("1", 0.0), ("2", math.log(2)), ("99999999999999999999", 0.0)):
+        argv = ["primes", "--hi", "100", "--q", "100000000000000000000", "--a", a]
+        start = time.perf_counter()
+        code, out = run(argv, capsys)
+        assert code == cli.EXIT_OK, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert json.loads(out)["theta_progression"] == want
 
 
 def test_non_finite_numbers_are_refused(capsys):

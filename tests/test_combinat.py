@@ -116,9 +116,12 @@ def test_coeff_A_sum_equals_reference(point):
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(0, 12), u=st.integers(1, 12), y=st.integers(-12, 12))
 def test_Z_recursion_step(d, u, y):
+    # Z(d, u, y) = ((y + 1 - d)/u) Z(d, u-1, y+1) for u >= 1, exactly.
     if y + u < 0:
         y = -u
-    assert combinat.Z_induction_check(combinat.SuitableTriplet(d, u, y))
+    lhs = combinat.Z_sum(combinat.SuitableTriplet(d, u, y))
+    rhs = Fraction(y + 1 - d, u) * combinat.Z_sum(combinat.SuitableTriplet(d, u - 1, y + 1))
+    assert lhs == rhs
 
 
 def test_coeff_A_routes_agree_small_grid():
@@ -144,8 +147,34 @@ def test_double_prime_small_nu_is_at_most_one():
     for v in range(2, 8):
         for u in range(v + 1):
             for nu in range(0, 2 * (v + 1) + 1):
-                val = combinat.coeff_A_double_prime(0, nu, u, v)
+                val = Fraction(*combinat._double_prime_terms(0, nu, u, v))
                 assert val <= 1
+
+
+def grid_points(scan, bound):
+    """The points an identity scan visits, counted by its own loops."""
+    if scan is combinat.Z_identity_scan:
+        return sum(bound + 1 + u for _ in range(bound + 1) for u in range(bound + 1))
+    return sum(
+        v + d + u - j + 1
+        for d in range(bound + 1) for u in range(bound + 1) for v in range(bound + 1)
+        for j in range(u + 1)
+    )
+
+
+@pytest.mark.parametrize("scan", [combinat.Z_identity_scan, combinat.coeff_identity_scan])
+def test_identity_scans_are_refused_past_their_points_guard(monkeypatch, scan):
+    # The guard's count is the loops' count, so the scan runs at the limit
+    # and is refused one point below it, at bound 3 and at bound 5.
+    assert grid_points(combinat.Z_identity_scan, 25) <= combinat.MAX_SCAN_POINTS
+    assert grid_points(combinat.coeff_identity_scan, 12) <= combinat.MAX_SCAN_POINTS
+    for bound in (3, 5):
+        limit = grid_points(scan, bound)
+        monkeypatch.setattr(combinat, "MAX_SCAN_POINTS", limit)
+        scan(bound)
+        monkeypatch.setattr(combinat, "MAX_SCAN_POINTS", limit - 1)
+        with pytest.raises(CapacityError, match="grid points"):
+            scan(bound)
 
 
 def test_divisor_mean_bound_holds():

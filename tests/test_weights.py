@@ -81,8 +81,8 @@ def regular_candidates(H, params):
 
 
 def check_window_against_brute_force(H, ell, params):
-    cands = regular_candidates(H, params)
-    vals = weights.lambda_window(cands, H, ell, params).tolist()
+    cands, m = regular_candidates(H, params)
+    vals = weights.lambda_window(cands, m, H, ell, params).tolist()
     want = [brute_lambda(int(n), H, ell, params.R) for n in cands]
     assert vals == pytest.approx(want, rel=1e-12, abs=1e-9)
     # lambda_R runs the same walk, so it agrees exactly.
@@ -126,11 +126,11 @@ def test_lambda_walk_leaves_no_reference_cycle():
     # Index arrays held by a reference cycle outlive the call until the
     # cyclic collector runs.
     params = weights.WeightParams(K=2, ell=1, R=200.0, V=5, N=3000)
-    cands = regular_candidates(H1.union(H2), params)
+    cands, m = regular_candidates(H1.union(H2), params)
     gc.collect()
     gc.disable()
     try:
-        weights.lambda_window(cands, H1, 1, params)
+        weights.lambda_window(cands, m, H1, 1, params)
         weights.lambda_R(10**6 + 3, H1, 1, 200.0)
         weights.pair_sum_divisor(H1, H2, 1, 1, weights.WeightParams(K=2, ell=1, R=100.0, V=5, N=2000))
         assert gc.collect() == 0
@@ -147,7 +147,59 @@ def test_window_is_the_gcd_filter_at_v29():
     regular = np.ones(N, dtype=bool)
     for h in Hu.shifts:
         regular &= np.gcd(n + h, P) == 1
-    assert np.array_equal(weights._window_candidates(Hu, params, None), n[regular])
+    cands, m = weights._window_candidates(Hu, params, None)
+    assert np.array_equal(cands, n[regular])
+    assert m == cands.size
+
+
+@pytest.mark.parametrize("V, N", [(5, 7), (5, 1001), (5, 2023), (7, 100), (7, 1001), (7, 4999)])
+def test_window_is_the_gcd_filter_from_one_period(V, N):
+    # N < P sieves the window itself; otherwise one period is tiled and the
+    # last, partial one cut at 2N.
+    P = tc.primorial(V)
+    n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    for Hu in (H1.union(H2), tc.TupleH((0, 2, 6, 8)), tc.TupleH((1, 7, 13))):
+        regular = np.ones(N, dtype=bool)
+        for h in Hu.shifts:
+            regular &= np.gcd(n + h, P) == 1
+        params = weights.WeightParams(K=3, ell=0, R=60.0, V=V, N=N)
+        cands, m = weights._window_candidates(Hu, params, None)
+        assert np.array_equal(cands, n[regular])
+        assert m == (tc.regular_class_count(Hu, V) if N >= P else cands.size)
+        assert (cands[m:] - cands[:-m] == P).all()
+
+
+def lambda_R_of(cands, H, params):
+    return [weights.lambda_R(int(n), H, 1, params.R) for n in cands]
+
+
+def test_lambda_window_tiles_the_root_flags_every_q_periods():
+    # m = 3 and 4 regular classes mod 30, each window ending in a partial
+    # period; the top level tiles for q <= 67 (q m < size) and reduces every
+    # candidate for the primes in (67, 100].
+    params = weights.WeightParams(K=3, ell=1, R=100.0, V=5, N=2019)
+    for H, m_want, size in ((H1, 3, 203), (tc.TupleH((1, 7, 13)), 4, 270)):
+        cands, m = weights._window_candidates(H, params, None)
+        assert (m, cands.size) == (m_want, size)
+        tiled = weights.lambda_window(cands, m, H, 1, params).tolist()
+        assert tiled == weights.lambda_window(cands, cands.size, H, 1, params).tolist()
+        assert tiled == lambda_R_of(cands, H, params)
+
+
+def test_lambda_window_on_one_class_and_after_the_prime_filter():
+    params = weights.WeightParams(K=2, ell=1, R=100.0, V=5, N=3001)
+    cands, m = weights._window_candidates(H1, params, 11)
+    assert m == 1 and cands.size == 100
+    assert weights.lambda_window(cands, m, H1, 1, params).tolist() == lambda_R_of(cands, H1, params)
+    # The theta sum's n + 6 prime: no period, so m is the size.
+    cands, m = weights._window_candidates(H1, params, None)
+    cands = cands[[prime_engine.is_prime(int(n) + 6) for n in cands]]
+    assert cands.size == 86
+    with pytest.raises(AssertionError):
+        weights.lambda_window(cands, m, H1, 1, params)
+    assert weights.lambda_window(cands, cands.size, H1, 1, params).tolist() == lambda_R_of(
+        cands, H1, params
+    )
 
 
 def test_window_memory_at_v31_is_a_few_bytes_per_n():
@@ -157,7 +209,7 @@ def test_window_memory_at_v31_is_a_few_bytes_per_n():
     params = weights.WeightParams(K=14, ell=0, R=60.0, V=31, N=N)
     tracemalloc.start()
     try:
-        cands = weights._window_candidates(H14, params, None)
+        cands, _ = weights._window_candidates(H14, params, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,7 +334,7 @@ def test_divisor_route_uses_no_window_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("window code called")
 
-    for name in ("_lambda_walk", "lambda_window", "_window_candidates", "_divides"):
+    for name in ("_lambda_walk", "lambda_window", "_window_candidates"):
         monkeypatch.setattr(weights, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
