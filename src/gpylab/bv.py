@@ -15,7 +15,6 @@ increasing p, so that E* >= endpoint holds exactly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -85,7 +84,7 @@ def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:
     """Sum over class tables theta_by_a, one per modulus m = len(theta_by_a),
     of max over a coprime to m of |theta_by_a[a] - N/phi(m)|.
 
-    fsum rounds the exact sum, so the order of the tables does not matter.
+    exact_sum rounds the exact sum, so the order of the tables does not matter.
     """
     terms = []
     for theta_by_a in tables:
@@ -95,7 +94,7 @@ def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:
             coprime[::p] = False
         target = N / np.count_nonzero(coprime)  # phi(mod) residues are coprime
         terms.append(float(np.abs(theta_by_a[coprime] - target).max()))
-    return math.fsum(terms)
+    return prime_engine.exact_sum(terms)
 
 
 def _moduli(M: int, Q: int) -> list[int]:
@@ -202,4 +201,4 @@ def estar_aggregate(cfg: BVConfig) -> float:
         p = table.primes
         logs = np.log(p.astype(np.float64))
         return _deviation_sum((np.bincount(p % m, weights=logs, minlength=m) for m in moduli), X)
-    return math.fsum(prime_engine.ap_error_star(X, m, table) for m in moduli)
+    return prime_engine.exact_sum([prime_engine.ap_error_star(X, m, table) for m in moduli])

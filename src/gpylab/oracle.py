@@ -321,7 +321,7 @@ def j_product(t: float, X: int) -> float:
     re = 1.0 - np.cos(t * logp) / ps
     im = np.sin(t * logp) / ps
     log_terms = 0.5 * np.log(re * re + im * im) - np.log1p(-1.0 / ps)
-    return math.exp(math.fsum(log_terms))
+    return math.exp(prime_engine.exact_sum(log_terms))
 
 
 def compare(empirical: float, predicted_mid: float, predicted_rad: float = 0.0) -> dict:

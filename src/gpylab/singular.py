@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def _tail_log_bound(k: int, cutoff: int) -> float:
 def _generic_log(k: int, gp: np.ndarray) -> float:
     """sum over the primes gp of log[(1 - k/p)(1 - 1/p)^{-k}], the generic
     Euler factors (nu_p = k)."""
-    return math.fsum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp))
+    return prime_engine.exact_sum(np.log1p(-k / gp) - k * np.log1p(-1.0 / gp))
 
 
 def singular_series(H: tc.TupleH, cutoff: int | None = None) -> SingularValue:
@@ -209,8 +208,8 @@ def _subset_sum(A: tc.TupleH, k: int, cutoff: int) -> tuple[float, float]:
     multiplied by the factor of that nu_p.  So each row's float is the
     product every one of its translates would get.  Above the largest
     difference every subset is generic, contributing one shared constant.
-    fsum of the exact weight * value pairs rounds the sum over every
-    subset once, whatever the rows.
+    exact_sum of the exact weight * value pairs (hi, lo) rounds the sum over
+    every subset once, whatever the rows.
     """
     idx, weight = _weighted_rows(A, k)
     shifts = np.array(A.shifts, dtype=np.int64)
@@ -233,9 +232,9 @@ def _subset_sum(A: tc.TupleH, k: int, cutoff: int) -> tuple[float, float]:
     prod *= math.exp(_generic_log(k, table.primes[table.primes > pmax].astype(np.float64)))
     tail_rel = math.exp(_tail_log_bound(k, cutoff)) - 1.0
     if weight is None:
-        return math.fsum(prod), tail_rel
+        return prime_engine.exact_sum(prod), tail_rel
     hi, lo = _two_product(weight, prod)
-    return math.fsum(chain(hi, lo)), tail_rel
+    return prime_engine.exact_sum(hi, lo), tail_rel
 
 
 def _within_budget(h: int, k: int) -> bool:

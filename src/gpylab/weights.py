@@ -23,9 +23,9 @@ d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
 lifted once.  For each d, the roots of P_H1 mod d are lifted by the
 regular classes mod P once; for each g | d, the rows of that lift whose
-root is also a root of P_H2 mod g are crossed with the roots mod every e'
-coprime to d with g e' <= R, so e = g e', and the counts of each d are
-tallied in one vector over e.  The divisor route calls no window code.
+root is also a root of P_H2 mod g are counted as they are for e' = 1 and
+crossed with the roots mod every other e' coprime to d with g e' <= R, so
+e = g e', and the counts of each d are tallied in one vector over e.  The divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -237,7 +237,7 @@ def _pair_sum(
     terms = lambda_window(cands, m, H1, ell1, params) * lambda_window(cands, m, H2, ell2, params)
     if h0 is not None:
         terms = terms * np.log((cands + h0).astype(np.float64))
-    return math.fsum(terms)
+    return prime_engine.exact_sum(terms)
 
 
 def pair_sum_direct(
@@ -279,13 +279,14 @@ def pair_sum_divisor(
     regular classes mod P once per d, one row per root.  A pair is written
     e = g e' with g = gcd(d, e): for each squarefree g | d, the rows of the
     roots of d that are also roots of P_H2 mod g are crossed with the roots
-    of P_H2 mod every e' coprime to d with g e' <= R, a step of root rows
+    of P_H2 mod every e' > 1 coprime to d with g e' <= R, a step of root rows
     per crt_lift call, so that one call holds at most
-    max(_MAX_RUN_CLASSES, lifted classes) classes.  The
-    window is counted over the classes mod lcm(d, e) P = d e' P, and each
-    row's count is added into one count vector per d, indexed by e.  The
-    R^2 <= 10^7 guard also bounds the pairs: the d are distinct integers
-    in [1, R], so there are at most 3162 of them.
+    max(_MAX_RUN_CLASSES, lifted classes) classes; e' = 1 counts those rows
+    as they are.  The window is counted over the classes mod
+    lcm(d, e) P = d e' P, and each row's count is added into one count
+    vector per d, indexed by e.  The R^2 <= 10^7 guard also bounds the
+    pairs: the d are distinct integers in [1, R], so there are at most 3162
+    of them.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -339,18 +340,20 @@ def pair_sum_divisor(
                 continue
             # g = 1 keeps every row, and needs no copy.
             X = lifted.ravel() if keep.all() else lifted[keep].ravel()
+            # The window count (2N - c) // M - (N - c) // M of each class c,
+            # 0 <= c < M: (kN - c) // M is kN // M, less 1 where c > kN % M.
+            # One division per modulus, then one comparison per class.  The
+            # first e' is 1, whose classes are X itself, mod M = d P.
+            (k1, r1), (k2, r2) = divmod(N, d * P), divmod(2 * N, d * P)
+            count[i_g] += (k2 - k1) * X.size + np.count_nonzero(X > r1) - np.count_nonzero(X > r2)
             n_y = int(np.count_nonzero(g * qs <= params.R))
             step = max(1, _MAX_RUN_CLASSES // X.size)
-            for lo in range(0, n_y, step):
+            for lo in range(1, n_y, step):
                 hi = min(lo + step, n_y)
                 ye, qe = ys[lo:hi], qs[lo:hi]
                 lift = tc.crt_lift(X, d * P, ye, qe)
                 mods = d * P * qe
                 assert (mods == np.lcm(d, g * qe) * P).all()
-                # The window count (2N - c) // M - (N - c) // M of each
-                # class c, 0 <= c < M: (kN - c) // M is kN // M, less 1
-                # where c > kN % M.  One division per modulus, then one
-                # comparison per class.
                 (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
                 cnt = (
                     (k2 - k1) * X.size
@@ -360,7 +363,7 @@ def pair_sum_divisor(
                 np.add.at(count, np.searchsorted(vals, g * qe), cnt)
         nz = count != 0
         terms.append(w1[j] * w2[nz] * count[nz])
-    return math.fsum(np.concatenate(terms))
+    return prime_engine.exact_sum(np.concatenate(terms))
 
 
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
@@ -403,7 +406,7 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
         p = primes[(primes >= N + 1 + a) & (primes <= 2 * N + a)]
         inner[p - (N + 1 + a)] += np.log(p.astype(np.float64))
 
-    value = math.fsum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))
+    value = prime_engine.exact_sum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))
     return {
         "value": value,
         "K": K,

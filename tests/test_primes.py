@@ -1,7 +1,11 @@
-"""Prime sieve, theta statistics, and the primality and factorisation helpers."""
+"""Prime sieve, theta statistics, the exact float sum, and the primality and
+factorisation helpers."""
 
+import ast
 import math
 import tracemalloc
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,135 @@ def test_contains_uses_binary_search():
     assert 97 in t
     assert 91 not in t
     assert 1 not in t
+
+
+def _assert_as_fsum(*arrays):
+    """exact_sum(*arrays) gives what math.fsum over all their entries gives:
+    the same float with the same sign, nan for nan, or the same exception."""
+    try:
+        want = math.fsum(chain(*arrays))
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            primes.exact_sum(*arrays)
+        return
+    got = primes.exact_sum(*arrays)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want, (got, want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@st.composite
+def _float_arrays(draw):
+    """Up to three blocks and one entry, binary exponents in [e0, e1] within
+    +-1000 (about 10^+-300), with or without subnormals and exact
+    cancellation pairs, and with or without a half-ulp tie in the total."""
+    block = primes.SUM_BLOCK
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 3 * block + 1)))
+    e0 = draw(st.integers(-1000, 1000))
+    e1 = draw(st.integers(e0, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(e0, e1 + 1, n))
+    if draw(st.booleans()):
+        tiny = rng.random(n) < 0.3
+        x[tiny] = np.ldexp(rng.integers(-(2**52), 2**52, tiny.sum()).astype(float), -1074)
+    if draw(st.booleans()):
+        half = x[: n // 2]
+        x = np.concatenate([half, -half, x[n // 2 :]])
+    if draw(st.booleans()):
+        # Every entry beside its negative, and a + u/4 + u/4 = a + u/2 with
+        # u the spacing at a: the total lies halfway between two floats.
+        a = math.ldexp(rng.uniform(-1.0, 1.0), int(rng.integers(max(e0, -900), max(e1, -900) + 1)))
+        u = math.ulp(a)
+        x = np.concatenate([x, -x, [a, u / 4, u / 4]])
+    rng.shuffle(x)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=st.lists(_float_arrays(), min_size=1, max_size=3))
+def test_exact_sum_is_fsum_on_wide_arrays(arrays):
+    _assert_as_fsum(*arrays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=st.lists(st.lists(st.floats(), max_size=30), max_size=4))
+def test_exact_sum_is_fsum_on_any_floats(lists):
+    _assert_as_fsum(*(np.array(x, dtype=np.float64) for x in lists))
+
+
+@pytest.mark.parametrize("n", [primes.SUM_BLOCK - 1, primes.SUM_BLOCK, primes.SUM_BLOCK + 1])
+def test_exact_sum_at_the_block_size(n):
+    rng = np.random.default_rng(n)
+    # Every entry just below 2**40: the level sums come near their bound.
+    top = np.ldexp(1.0 - rng.integers(1, 2**30, n) * 2.0**-53, 40)
+    mixed = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 60, n))
+    _assert_as_fsum(top)
+    _assert_as_fsum(mixed)
+    _assert_as_fsum(top, mixed)
+    _assert_as_fsum(-top, top[::-1], mixed[:1])
+
+
+def test_exact_sum_keeps_what_the_rounds_leave():
+    rng = np.random.default_rng(5)
+    # Exponents spread over 2000 binary orders: the round cap stops the block.
+    # With every entry beside its negative, the total is the 1.0 left below.
+    spread = np.ldexp(rng.uniform(-1.0, 1.0, 5000), rng.integers(-1000, 1000, 5000))
+    _assert_as_fsum(spread)
+    _assert_as_fsum(np.concatenate([spread, [1.0], -spread]))
+    # Subnormal remainders below a normal level: a subnormal sigma stops it.
+    tiny = np.ldexp(rng.integers(1, 2**40, 100).astype(float), -1074)
+    _assert_as_fsum(np.concatenate([[2.0**-980, -(2.0**-990)], tiny]))
+
+
+def test_exact_sum_special_cases():
+    _assert_as_fsum()
+    _assert_as_fsum(np.empty(0), [])
+    for zeros in ([-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0]):
+        _assert_as_fsum(np.array(zeros))
+    _assert_as_fsum([-0.0] * (primes.SUM_BLOCK + 1), [-0.0])
+    with pytest.raises(OverflowError):
+        primes.exact_sum(np.array([1e308, 1e308]))
+    with pytest.raises(ValueError):
+        primes.exact_sum(np.array([math.inf, -math.inf]))
+    assert math.isnan(primes.exact_sum(np.array([1.0, math.nan])))
+    assert primes.exact_sum(np.array([1.0]), np.array([math.inf])) == math.inf
+    for x in ([1e308, 1e308], [math.inf, -math.inf], [math.nan], [1.0, math.inf]):
+        _assert_as_fsum(np.array(x))
+
+
+def test_math_fsum_is_called_only_inside_exact_sum():
+    # One way to sum floats: every other reduction goes through exact_sum.
+    class Uses(ast.NodeVisitor):
+        def __init__(self):
+            self.scope, self.found = [], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Attribute(self, node):
+            if node.attr == "fsum":
+                self.found.append(tuple(self.scope))
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if node.id == "fsum":
+                self.found.append(tuple(self.scope))
+
+        def visit_alias(self, node):
+            if node.name == "fsum":
+                self.found.append(tuple(self.scope))
+
+    where = {}
+    for path in sorted(Path(primes.__file__).parent.glob("*.py")):
+        uses = Uses()
+        uses.visit(ast.parse(path.read_text()))
+        if uses.found:
+            where[path.name] = set(uses.found)
+    assert where == {"primes.py": {("exact_sum",)}}
 
 
 def test_theta_sum_against_direct_log_sum():
