@@ -307,14 +307,12 @@ def _pair_params(args) -> oracle.MainTermParams:
 def _cmd_primes(args) -> dict:
     table = prime_engine.sieve_range(args.lo, args.hi)
     out = {"lo": args.lo, "hi": args.hi, "count": len(table)}
+    t = table if args.lo == 0 else None  # a table from lo > 0 misses the small primes
     if args.theta:
-        out["theta"] = prime_engine.theta_sum(args.hi, table if args.lo == 0 else None)
+        out["theta"] = prime_engine.theta_sum(args.hi, t)
     if args.q is not None and args.estar:
-        out["estar"] = prime_engine.ap_error_star(
-            args.hi, args.q, table if args.lo == 0 else None
-        )
+        out["estar"] = prime_engine.ap_error_star(args.hi, args.q, t)
     elif args.q is not None and args.a is not None:
-        t = table if args.lo == 0 else None
         out["theta_progression"] = prime_engine.theta_progression(args.hi, args.q, args.a, t)
         if args.error:
             out["ap_error"] = prime_engine.ap_error(args.hi, args.q, args.a, t)
@@ -514,7 +512,7 @@ def _cmd_seq(args) -> dict:
     if not values:
         out["warning"] = "empty sequence for the given bounds"
     elif args.out:
-        tc.write_tuple_file(args.out, [sequences.as_tuple(values)],
+        tc.write_tuple_file(args.out, [tc.TupleH(tuple(values))],
                             header=f"{args.kind} N={args.n} k={args.k}")
         out["file"] = args.out
     return out

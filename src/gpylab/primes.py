@@ -10,8 +10,8 @@ the progression error E(x; q, a) and its running maximum E*(X, q).  Every
 float sum in the library goes through exact_sum, the correctly rounded sum
 (== math.fsum) in a few numpy passes per block, so results are exactly
 rounded and independent of segmentation and order.  The small-integer
-arithmetic the other modules need (primality, factorisation, Euler phi)
-lives here too.
+arithmetic the other modules need lives here too: factorisation, which also
+decides primality, and Euler phi.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ _WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13
 # below it on a 2-core Xeon VM.
 MAX_FACTOR_N = 10**12
 
-# Miller-Rabin with the first 13 prime bases is exact below this bound, the
-# smallest strong pseudoprime to all of them (Sorenson and Webster, 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MAX_IS_PRIME_N = 3317044064679887385961981
-
 # Entries per block of exact_sum, which holds two float64 buffers of one
 # block.  Over the 49 sums of a gpy-moments pass (2.3 M entries) on a 2-core
 # Xeon VM (2 MiB L2 per core), best of 15: 14.2 ms in blocks of 2**14,
@@ -85,10 +80,6 @@ class PrimeTable:
 
     def __iter__(self):
         return iter(self.primes.tolist())
-
-    def __contains__(self, n: int) -> bool:
-        i = int(np.searchsorted(self.primes, n))
-        return i < self.primes.size and int(self.primes[i]) == n
 
 
 def prime_count_bound(lo: int, hi: int) -> int:
@@ -375,34 +366,6 @@ def _table_for(x: int, table: PrimeTable | None) -> PrimeTable:
 
 def _primes_le(table: PrimeTable, x: int) -> np.ndarray:
     return table.primes[: int(np.searchsorted(table.primes, x, side="right"))]
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for n < MAX_IS_PRIME_N (Miller-Rabin)."""
-    if n >= MAX_IS_PRIME_N:
-        raise CapacityError(f"n={n} exceeds primality bound {MAX_IS_PRIME_N}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:  # a composite below 43^2 has a prime factor below 43
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .tuples import TupleH
 
 KINDS = ("interval", "powers_k", "powers_k_sum_two_squares", "custom_exponents")
 
@@ -69,8 +68,3 @@ def generate_sequence(kind: str, N: int, k: int = 2, h: int = 10, exponents=None
         values = _powers(k, N, sorted(set(int(e) for e in exponents)))
     return values
 
-
-def as_tuple(values) -> TupleH:
-    if not values:
-        raise DomainError("empty sequence cannot form a tuple")
-    return TupleH(tuple(values))

@@ -49,17 +49,6 @@ class SingularValue:
     rad: float
     cutoff: int
 
-    @property
-    def lo(self) -> float:
-        return self.mid - self.rad
-
-    @property
-    def hi(self) -> float:
-        return self.mid + self.rad
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _delta_prime_factors(H: tc.TupleH) -> set:
     """Primes dividing the discriminant, found from the pairwise differences."""
@@ -289,15 +278,11 @@ def quasiprime_count(H: tc.TupleH, z: int) -> int:
     """
     if z > 13:
         raise CapacityError("direct count limited to z <= 13")
-    Z = tc.primorial(z)
-    good = np.ones(Z, dtype=bool)  # index i-1 represents i
-    i = np.arange(1, Z + 1, dtype=np.int64)
-    for p in prime_engine.primes_upto(z):
-        hit = np.zeros(Z, dtype=bool)
+    good = np.ones(tc.primorial(z), dtype=bool)  # index i - 1 represents i
+    for p in prime_engine.primes_upto(z).primes.tolist():
         for h in H.shifts:
-            hit |= (i + h) % p == 0
-        good &= ~hit
-    return int(good.sum())
+            good[-(1 + h) % p :: p] = False  # the i with p | i + h
+    return int(np.count_nonzero(good))
 
 
 def _coprime_table(ps: list, shifts) -> np.ndarray:

@@ -46,12 +46,6 @@ class TupleH:
     def size(self) -> int:
         return len(self.shifts)
 
-    def __len__(self):
-        return len(self.shifts)
-
-    def __iter__(self):
-        return iter(self.shifts)
-
     def __contains__(self, h: int) -> bool:
         return h in self.shifts
 
@@ -61,7 +55,10 @@ class TupleH:
 
 
 def _require_prime(p: int) -> None:
-    if not prime_engine.is_prime(p):
+    """Refuse p unless it is prime.  factorize decides, so p above
+    MAX_FACTOR_N raises CapacityError; p < 2 is refused first, so that the
+    message names p rather than factorize's domain."""
+    if p < 2 or prime_engine.factorize(p) != {p: 1}:
         raise DomainError(f"{p} is not prime")
 
 
@@ -87,9 +84,9 @@ def discriminant(H: TupleH) -> int:
 
 
 def nu_bar_p(H1: TupleH, H2: TupleH, p: int) -> int:
-    """|H1(p) ∩ H2(p)| = nu_p(H1) + nu_p(H2) - nu_p(H1 ∪ H2)."""
+    """|H1(p) ∩ H2(p)|, the classes mod p that both H1 and H2 occupy."""
     _require_prime(p)
-    return nu_p(H1, p) + nu_p(H2, p) - nu_p(H1.union(H2), p)
+    return len({h % p for h in H1.shifts} & {h % p for h in H2.shifts})
 
 
 def nu_star_p(G: TupleH, h0: int, p: int) -> int:

@@ -150,9 +150,19 @@ def test_cli_import_leaves_sympy_out():
 
 
 def test_domain_error_exit_code(capsys):
-    # Union {0, 2, 4} occupies every residue mod 3.
-    code = cli.main(["gpy", "moment1", "--h1", "0,2", "--h2", "0,4", "--n", "1000"])
-    assert code == cli.EXIT_DOMAIN
+    for argv in (
+        # Union {0, 2, 4} occupies every residue mod 3.
+        ["gpy", "moment1", "--h1", "0,2", "--h2", "0,4", "--n", "1000"],
+        # 561 = 3 * 11 * 17, a Carmichael number.
+        ["tuple", "check", "--shifts", "0,2", "--p", "561"],
+    ):
+        assert cli.main(argv) == cli.EXIT_DOMAIN, argv
+
+
+def test_tuple_check_at_the_largest_prime_the_factoriser_decides(capsys):
+    code, out = run(["tuple", "check", "--shifts", "0,2", "--p", "999999999989"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["nu_p"] == {"999999999989": 2}
 
 
 def test_wscan_rejects_grid_before_scanning(capsys):
@@ -219,6 +229,8 @@ def test_capacity_error_exit_code(capsys):
         # Unguarded, lemma2 ran past 15 s.
         ["combi", "lemma2", "--max", "1000"],
         ["combi", "coeffs", "--max", "1000"],
+        # The next prime past factorize's bound, which decides primality.
+        ["tuple", "check", "--shifts", "0,2", "--p", "1000000000039"],
     ):
         start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv

@@ -1,5 +1,5 @@
-"""Prime sieve, theta statistics, the exact float sum, and the primality and
-factorisation helpers."""
+"""Prime sieve, theta statistics, the exact float sum, and the factoriser,
+which also decides primality."""
 
 import ast
 import math
@@ -199,13 +199,6 @@ def test_sieve_range_rejects_bad_bounds():
         primes.sieve_range(10, 5)
     with pytest.raises(CapacityError):
         primes.sieve_range(0, primes.MAX_SIEVE_HI + 1)
-
-
-def test_contains_uses_binary_search():
-    t = primes.primes_upto(100)
-    assert 97 in t
-    assert 91 not in t
-    assert 1 not in t
 
 
 def _assert_as_fsum(*arrays):
@@ -424,26 +417,6 @@ def test_ap_error_star_memory_does_not_grow_with_the_modulus():
     assert peak < 8 * 2**20
 
 
-def test_is_prime_matches_sympy_on_a_dense_range():
-    got = [n for n in range(2 * 10**5 + 1) if primes.is_prime(n)]
-    assert got == list(sympy.primerange(0, 2 * 10**5 + 1))
-
-
-def test_is_prime_rejects_pseudoprimes():
-    # 561 is a Carmichael number; the other two are strong pseudoprimes to
-    # bases 2, 3, 5, 7 and to every prime base up to 23, respectively.
-    for n in (561, 3215031751, 3825123056546413051):
-        assert not sympy.isprime(n)
-        assert not primes.is_prime(n)
-    assert primes.is_prime(2**61 - 1)
-
-
-def test_is_prime_capacity_bound():
-    assert not primes.is_prime(primes.MAX_IS_PRIME_N - 1)  # even
-    with pytest.raises(CapacityError):
-        primes.is_prime(primes.MAX_IS_PRIME_N)
-
-
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 10**9))
 def test_factorize_matches_sympy(n):
@@ -476,6 +449,12 @@ def test_factorize_at_its_bound():
         primes.factorize(0)
 
 
+def _nu_calls(p):
+    """nu_p, nu_bar_p and nu_star_p at the modulus p."""
+    H, G = tc.TupleH((0, 2)), tc.TupleH((0, 6))
+    return (lambda: tc.nu_p(H, p), lambda: tc.nu_bar_p(H, G, p), lambda: tc.nu_star_p(H, 4, p))
+
+
 def test_nu_p_rejects_composite_modulus():
     with pytest.raises(DomainError):
         tc.nu_p(tc.TupleH((0, 2)), 4)
@@ -485,3 +464,29 @@ def test_nu_p_rejects_composite_modulus():
     with pytest.raises(DomainError):
         tc.nu_p(H, 4)
     assert tc.nu_p(H, 5) == 2
+    # 997^2, the Carmichael numbers 561 and 41041, and two strong
+    # pseudoprimes: 25326001 to bases 2, 3, 5 and 3215031751 to 2, 3, 5, 7.
+    # The message names the modulus, below 2 as well as above.
+    for p in (0, 1, 9, 994009, 561, 41041, 25326001, 3215031751):
+        assert not sympy.isprime(p)
+        for call in _nu_calls(p):
+            with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+                call()
+    # The largest prime up to MAX_FACTOR_N is accepted, the next one refused.
+    assert [call() for call in _nu_calls(999999999989)] == [2, 1, 2]
+    assert sympy.prevprime(primes.MAX_FACTOR_N) == 999999999989
+    assert sympy.nextprime(primes.MAX_FACTOR_N) == 1000000000039
+    for call in _nu_calls(1000000000039):
+        with pytest.raises(CapacityError):
+            call()
+
+
+def test_require_prime_matches_sympy_on_a_dense_range():
+    accepted = []
+    for p in range(2 * 10**4 + 1):
+        try:
+            tc._require_prime(p)
+            accepted.append(p)
+        except DomainError:
+            pass
+    assert accepted == list(sympy.primerange(0, 2 * 10**4 + 1))

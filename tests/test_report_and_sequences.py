@@ -32,8 +32,6 @@ def test_sequence_errors():
         sequences.generate_sequence("nope", 100)
     with pytest.raises(DomainError):
         sequences.generate_sequence("custom_exponents", 100, exponents=[])
-    with pytest.raises(DomainError):
-        sequences.as_tuple([])
 
 
 def test_density_threshold_monotone():

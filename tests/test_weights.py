@@ -193,7 +193,7 @@ def test_lambda_window_on_one_class_and_after_the_prime_filter():
     assert weights.lambda_window(cands, m, H1, 1, params).tolist() == lambda_R_of(cands, H1, params)
     # The theta sum's n + 6 prime: no period, so m is the size.
     cands, m = weights._window_candidates(H1, params, None)
-    cands = cands[[prime_engine.is_prime(int(n) + 6) for n in cands]]
+    cands = cands[[sympy.isprime(int(n) + 6) for n in cands]]
     assert cands.size == 86
     with pytest.raises(AssertionError):
         weights.lambda_window(cands, m, H1, 1, params)
