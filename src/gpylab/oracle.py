@@ -34,9 +34,8 @@ _BERNOULLI = (
 # B_2k / (2k)!, the coefficients of the Euler-Maclaurin tail.
 _EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, start=1))
 
-# The partial sums of _w_values run over blocks of _W_BLOCK n-columns; rows
-# go in chunks so that each block array holds at most _W_ENTRIES entries.
-_W_BLOCK = 128
+# _w_values sums its rows in chunks of at most _W_ENTRIES entries per array,
+# though never less than one row.
 _W_ENTRIES = 1 << 16
 
 # Grid points of verify_w_bounds: 10^6 points hold about 50 MB of per-point arrays.
@@ -63,8 +62,9 @@ class MainTermParams:
             raise DomainError("ell1, ell2 must be >= 0")
         if not 1 < self.R < math.inf:
             raise DomainError("R must be finite and exceed 1")
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
+        if self.N < 3:
+            # error_scale takes log log N, which is positive only from N = 3.
+            raise DomainError("N must be >= 3")
         if self.V < 2:
             raise DomainError("V must be >= 2")
 
@@ -194,11 +194,13 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     """W(it) = it zeta(1 + it) at each t of ts, with W(0) = 1, as a complex array.
 
     zeta(1 + it) is taken by Euler-Maclaurin: the partial sum of n^{-s} over
-    n < M = max(50, floor(10|t|)), then the tail terms at M.  The partial
-    sums run over blocks of _W_BLOCK n-columns for every t still summing.
+    n < M = max(50, floor(10|t|)), then the tail terms at M.  The rows, sorted
+    by M, go in chunks as wide as the chunk's last row, M - 1 columns, each
+    with as many rows as keep it within _W_ENTRIES entries (at least one).
     Each term is n^{-1} (cos, sin)(-t log n), formed as CPython's complex
-    power forms n ** -s, and np.cumsum adds each row's terms to its running
-    total in increasing n.  So every value is bit for bit the scalar sum
+    power forms n ** -s, and np.cumsum along n adds each row's terms in
+    increasing n; the row's partial sum is its running total at n = M - 1.
+    So every value is bit for bit the scalar sum
     sum(n ** -s for n in range(1, M)) plus the same tail, whatever other t
     share the call.
     """
@@ -206,32 +208,29 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     if not np.all(np.abs(ts) <= 1e3):
         raise DomainError("|t| must be <= 1000")
     Ms = np.maximum(50, (10 * np.abs(ts)).astype(np.int64))
-    # Rows in increasing M, so the rows still summing at any n are a suffix.
     order = np.argsort(Ms, kind="stable")
     t_rows, m_rows = ts[order], Ms[order]
     # Column j holds n = j + 1.  n^{-1} and log n come from libm, as in
     # CPython's complex power: numpy's n ** -1.0 is 1 / n and its log has
     # its own rounding, and each differs from libm at a few n.
     n_top = int(m_rows[-1]) if ts.size else 1
-    n = np.arange(1, n_top)
     inv_n = np.array([float(k) ** -1.0 for k in range(1, n_top)])
     log_n = np.array([math.log(k) for k in range(1, n_top)])
-    re, im = np.zeros(ts.size), np.zeros(ts.size)
-    height = _W_ENTRIES // (_W_BLOCK + 1)
-    for c0 in range(0, n_top - 1, _W_BLOCK):
-        cols = slice(c0, c0 + _W_BLOCK)
-        # A row with M <= c0 + 1 has no term n >= c0 + 1 left to add.
-        first = int(np.searchsorted(m_rows, c0 + 2, side="left"))
-        for r0 in range(first, ts.size, height):
-            rows = slice(r0, r0 + height)
-            phase = -t_rows[rows, None] * log_n[cols]
-            size = np.where(n[cols] < m_rows[rows, None], inv_n[cols], 0.0)
-            block = np.empty((phase.shape[0], phase.shape[1] + 1))
-            for total, trig in ((re, np.cos), (im, np.sin)):
-                block[:, 0] = total[rows]
-                np.multiply(size, trig(phase), out=block[:, 1:])
-                np.cumsum(block, axis=1, out=block)
-                total[rows] = block[:, -1]
+    re, im = np.empty(ts.size), np.empty(ts.size)
+    widths = (m_rows - 1).tolist()
+    r1 = 0
+    while r1 < ts.size:
+        # The widths ascend: a chunk is as wide as its last row.
+        r0, r1 = r1, r1 + 1
+        while r1 < ts.size and (r1 + 1 - r0) * widths[r1] <= _W_ENTRIES:
+            r1 += 1
+        width = widths[r1 - 1]
+        phase = -t_rows[r0:r1, None] * log_n[:width]
+        last = (np.arange(r1 - r0), m_rows[r0:r1] - 2)
+        for total, trig in ((re, np.cos), (im, np.sin)):
+            terms = trig(phase)
+            terms *= inv_n[:width]
+            total[r0:r1] = np.cumsum(terms, axis=1, out=terms)[last]
 
     w = []
     for t, M, a, b in zip(t_rows.tolist(), m_rows.tolist(), re.tolist(), im.tolist()):
@@ -291,11 +290,9 @@ def verify_w_bounds(t_grid_max: float = 100.0, step: float = 0.01) -> dict:
         t0 = None
 
     pow_ok = w >= ts ** (2.0 / 3.0)
-    t1 = None
     tail_ok = np.flip(np.cumprod(np.flip(pow_ok)).astype(bool))
-    for i in np.flatnonzero((ts >= 1.0) & tail_ok):
-        t1 = float(ts[i])
-        break
+    start = np.flatnonzero((ts >= 1.0) & tail_ok)
+    t1 = float(ts[start[0]]) if start.size else None
     pow_margin = w - ts ** (2.0 / 3.0)
     worst = int(np.argmin(pow_margin))
     return {

@@ -17,7 +17,6 @@ decides primality, and Euler phi.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
@@ -142,37 +141,32 @@ def _sieve_odd(out: np.ndarray, n: int, start: int, hi: int, odd_base: np.ndarra
     """Write the primes of the odd numbers start, start + 2, ..., <= hi into
     out[n:], ascending, and return the new fill.
 
-    Entry i of a segment starting at odd s represents s + 2i.  One flag
-    buffer serves every segment; it is filled from one period of the wheel,
-    then each base prime p > 13 strikes its odd multiples from max(p^2, s) on.
+    Entry i of a segment starting at odd s represents s + 2i.  One buffer
+    serves every segment: one broadcast copy tiles it with the wheel for
+    3*5*7*11*13, the segment's flags are its slice from the segment's phase
+    on, and each base prime p > 13 strikes its odd multiples from
+    max(p^2, s) on.
     """
     total = (hi - start) // 2 + 1
     seg = min(SEGMENT_SIZE, total)
     # wheel[i] flags the odd number start + 2i: False where a wheel prime
-    # divides it, i.e. where (start - 1)/2 + i = (p - 1)/2 (mod p).
+    # divides it, i.e. where (start - 1)/2 + i = (p - 1)/2 (mod p).  It holds
+    # one period, or the whole window if that is shorter.
     wheel = np.ones(min(total, _WHEEL_PERIOD), dtype=bool)
     for p in _WHEEL_PRIMES:
         wheel[((p - 1) // 2 - (start - 1) // 2) % p :: p] = False
-    # One slot past the segment takes the strikes that fall beyond it.
-    flags = np.empty(seg + 1, dtype=bool)
+    # Whole wheels: a segment, one slot past it to take the strikes that fall
+    # beyond it, and up to one wheel before it for the segment's phase.
+    tiles = np.empty((-(-(seg + 1) // wheel.size) + 1) * wheel.size, dtype=bool)
     squares = odd_base * odd_base
     done = 0
     while done < total:
         count = min(seg, total - done)
         s = start + 2 * done
         end = s + 2 * (count - 1)
-        # Entry i is wheel[(done + i) % _WHEEL_PERIOD]: the wheel's tail from
-        # done's phase, then one whole period, doubled by copying the whole
-        # periods already in place.
-        r = done % _WHEEL_PERIOD
-        head = min(count, _WHEEL_PERIOD - r)
-        flags[:head] = wheel[r : r + head]
-        filled = min(_WHEEL_PERIOD, count - head)
-        flags[head : head + filled] = wheel[:filled]
-        while head + filled < count:
-            k = min(filled, count - head - filled)
-            flags[head + filled : head + filled + k] = flags[head : head + k]
-            filled += k
+        # Entry i is wheel[(done + i) % wheel.size].
+        tiles.reshape(-1, wheel.size)[:] = wheel
+        flags = tiles[done % wheel.size :]
         ps = odd_base[: int(squares.searchsorted(end, side="right"))]
         if ps.size:
             # First odd multiple m*p >= max(p^2, s), as an entry offset.
@@ -296,7 +290,11 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
 
     theta(x; q, a) is a step function, so |E| attains its supremum either at a
     prime jump p (value after the jump) or as x -> p from below (theta without
-    p), or at the endpoint x = X; all three families are scanned.
+    p), or at the endpoint x = X; all three families are scanned.  One stable
+    sort groups the primes <= X by residue, so each class is visited once,
+    ascending and equal element for element to p[p % q == a], and nothing of
+    length q is allocated.  Every coprime class that holds no prime gives the
+    same |E(X; q, a)| = X / phi(q).
     """
     if q < 1:
         raise DomainError("modulus q must be >= 1")
@@ -304,49 +302,28 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
         raise DomainError("X must be >= 2")
     table = _table_for(X, table)
     phi_q = _phi(q)
-    best = 0.0
-    for pa in coprime_classes(_primes_le(table, X), q):
-        if pa.size:
-            logs = np.log(pa)
-            cum = np.cumsum(logs)
-            after = np.abs(cum - pa / phi_q)
-            before = np.abs((cum - logs) - pa / phi_q)
-            endpoint = abs(cum[-1] - X / phi_q)
-            best = max(best, float(after.max()), float(before.max()), endpoint)
-        else:
-            best = max(best, X / phi_q)
-    return best
-
-
-def coprime_classes(p: np.ndarray, q: int) -> Iterator[np.ndarray]:
-    """Yield the primes of p in each residue class a mod q with gcd(a, q) = 1
-    that holds one, in increasing a; then one empty array if any such class
-    holds none.
-
-    p must be ascending. One stable sort groups p by residue, so each class
-    comes out ascending and equal element for element to p[p % q == a].
-    Empty classes are not visited one by one: all of them give a caller the
-    same value, so one empty array stands for them.
-    """
-    if p.size == 0:
-        yield p  # every class coprime to q is empty
-        return
+    p = _primes_le(table, X)  # never empty: it holds 2
     r = p % q
     if q <= 1 << 16:
         # A stable sort has one result whatever the key dtype; numpy's is a
         # radix sort on 16-bit keys, about 4x faster here than on int64.
         r = r.astype(np.uint16)
     order = np.argsort(r, kind="stable")
-    r = r[order]
-    grouped = p[order]
+    r, p = r[order], p[order]
     # Where each residue present starts, then the end of the last one.
     bounds = np.flatnonzero(np.r_[True, r[1:] != r[:-1], True])
     coprime = np.flatnonzero(np.gcd(r[bounds[:-1]].astype(np.int64), q) == 1)
-    del r, order  # a generator frame would keep them alive through the loop
+    del r, order  # before the per-class arrays are allocated
+    best = X / phi_q if coprime.size < phi_q else 0.0
     for i in coprime.tolist():
-        yield grouped[bounds[i] : bounds[i + 1]]
-    if coprime.size < _phi(q):
-        yield p[:0]
+        pa = p[bounds[i] : bounds[i + 1]]
+        logs = np.log(pa)
+        cum = np.cumsum(logs)
+        after = np.abs(cum - pa / phi_q)
+        before = np.abs((cum - logs) - pa / phi_q)
+        endpoint = abs(cum[-1] - X / phi_q)
+        best = max(best, float(after.max()), float(before.max()), endpoint)
+    return best
 
 
 def _phi(q: int) -> int:

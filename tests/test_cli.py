@@ -155,6 +155,12 @@ def test_domain_error_exit_code(capsys):
         ["gpy", "moment1", "--h1", "0,2", "--h2", "0,4", "--n", "1000"],
         # 561 = 3 * 11 * 17, a Carmichael number.
         ["tuple", "check", "--shifts", "0,2", "--p", "561"],
+        # The predictions' error_scale takes log log N, positive from N = 3.
+        ["oracle", "t4", "--h1", "0", "--h2", "0", "--n", "1"],
+        ["oracle", "t4", "--h1", "0", "--h2", "0", "--n", "2"],
+        ["oracle", "t5", "--h1", "0", "--h2", "0", "--h0", "2", "--n", "1"],
+        ["gpy", "moment1", "--h1", "0", "--h2", "0", "--n", "1"],
+        ["gpy", "moment2", "--h1", "0", "--h2", "0", "--h0", "2", "--n", "1"],
     ):
         assert cli.main(argv) == cli.EXIT_DOMAIN, argv
 

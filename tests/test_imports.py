@@ -1,7 +1,8 @@
 """Static checks on the package source: no module imports a name it leaves
-unread."""
+unread, and every module-level constant is read somewhere in the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import gpylab
@@ -41,3 +42,49 @@ def test_an_unread_import_is_found():
     assert _unread_imports(tree) == {"TupleH", "math"}
     tree = ast.parse("from .errors import GpyError\n__all__ = ['GpyError']\n")
     assert _unread_imports(tree) == set()
+
+
+# Module-level constants that no module of the package reads, with the reason
+# each is kept.
+UNREAD_CONSTANTS = {
+    # Selects nothing since the divisor walk; only perfbench/workloads.py
+    # reads it, until the benchmark's next change drops it.
+    "weights.MAX_MASK_PRIMES",
+    # The CLI coverage contract: tests/test_cli.py checks that every
+    # operation it names has a working subcommand.
+    "cli.OPERATION_MAP",
+}
+
+
+def _unread_constants(modules: dict) -> set:
+    """`module.NAME` for each UPPER_CASE name bound at the top level of a
+    module that no module loads, neither by name nor as an attribute."""
+    bound, read = set(), set()
+    for name, tree in modules.items():
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            bound |= {
+                (name, t.id)
+                for t in targets
+                if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {f"{module}.{const}" for module, const in bound if const not in read}
+
+
+def test_every_constant_in_the_package_is_read():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert _unread_constants(modules) == UNREAD_CONSTANTS
+
+
+def test_an_unread_constant_is_found():
+    a = ast.parse(
+        "LIMIT = 3\n_STEP: int = 2\nKINDS = ('x',)\nlower = 1\n"
+        "def f():\n    return _STEP\n"
+    )
+    b = ast.parse("from . import a\nprint(a.KINDS)\n")
+    assert _unread_constants({"a": a, "b": b}) == {"a.LIMIT"}

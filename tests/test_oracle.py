@@ -45,6 +45,13 @@ def test_level_and_t_must_be_finite():
             oracle.j_product(t, 100)
 
 
+def test_main_term_params_refuse_N_below_3():
+    for N in (1, 2):
+        with pytest.raises(DomainError):
+            oracle.MainTermParams(H1, H2, 1, 1, 10.0, N, 5)
+    assert oracle.main_term_t4(oracle.MainTermParams(H1, H2, 1, 1, 10.0, 3, 5))["error_scale"] > 0
+
+
 def test_g00_rejects_inadmissible():
     with pytest.raises(DomainError):
         oracle.g00(tc.TupleH((0, 2, 4)), 5)
@@ -159,24 +166,38 @@ def _w_scalar(t):
     return 1j * t * total
 
 
+# _W_ENTRIES for the chunk-edge tests: a chunk of k rows, each as wide as
+# its last row's M - 1, holds k (M - 1) <= 300 entries, or is one row.
+_EDGE_ENTRIES = 300
+
+
 def _edge_ts():
-    # M = max(50, floor(10|t|)) leaves 50 at t = 5.1; the t with M - 1 next to
-    # a multiple of _W_BLOCK end their sums at or just past a block edge.
-    B = oracle._W_BLOCK
-    ts = [4.95, 5.0, 5.05, 5.1, 5.15]
-    ts += [(m + 0.5) / 10 for k in (1, 2) for m in range(k * B - 1, k * B + 4)]
-    return ts + [-t for t in ts[::3]]
+    # M = max(50, floor(10|t|)) leaves 50 below t = 5.1.  At _EDGE_ENTRIES the
+    # rows, sorted by M, fall in chunks of M = 50 x 6 | 50, 51, 51, 60, 61
+    # (300 entries) | 62, 62, 100 | 101, 150 | 151, 151 (300) | 300 | 301 (300)
+    # | 302 | 350 | 350: an edge between rows of one M, edges on either side
+    # of a full chunk, and rows wider than _EDGE_ENTRIES alone.
+    ts = [4.95, 5.0, 5.05, 0.01, 2.5, 3.3, 4.0]
+    ms = [(51, 0.0), (51, 0.5), (60, 0.5), (61, 0.5), (62, 0.25), (62, 0.75), (100, 0.5)]
+    ms += [(101, 0.5), (150, 0.5), (151, 0.25), (151, 0.75), (300, 0.5), (301, 0.5)]
+    ms += [(302, 0.5), (350, 0.25), (350, 0.75)]
+    ts += [(m + f) / 10 for m, f in ms]
+    # Unsorted, and every third t negative.
+    return [t if i % 3 else -t for i, t in enumerate(ts[::-1])]
 
 
-def test_w_values_batch_equals_each_point_alone():
+def test_w_values_batch_equals_each_point_alone(monkeypatch):
     ts = _edge_ts()
-    batch = oracle._w_values(np.array(ts)).tolist()
-    for t, w in zip(ts, batch):
-        assert w == oracle.w_function(t) == _w_scalar(t)
+    for entries in (oracle._W_ENTRIES, _EDGE_ENTRIES):
+        monkeypatch.setattr(oracle, "_W_ENTRIES", entries)
+        batch = oracle._w_values(np.array(ts)).tolist()
+        for t, w in zip(ts, batch):
+            assert w == oracle.w_function(t) == _w_scalar(t)
 
 
-def test_w_values_against_mpmath_at_block_edges():
+def test_w_values_against_mpmath_at_chunk_edges(monkeypatch):
     ts = _edge_ts()
+    monkeypatch.setattr(oracle, "_W_ENTRIES", _EDGE_ENTRIES)
     with mpmath.workdps(30):
         want = [complex(1j * t * mpmath.zeta(1 + 1j * mpmath.mpf(t))) for t in ts]
     for w, v in zip(oracle._w_values(np.array(ts)).tolist(), want):
@@ -184,11 +205,12 @@ def test_w_values_against_mpmath_at_block_edges():
 
 
 def test_w_values_rows_in_chunks_bound_memory_not_values(monkeypatch):
-    # 200 rows with M up to 300: one block over every row would hold
-    # 200 * (_W_BLOCK + 1) floats per array; chunks of 4 rows hold 4 rows.
+    # 200 rows with M up to 300: one chunk of every row would hold
+    # 200 * 299 floats per array; at 4 * 299 entries a chunk holds at most
+    # 4 rows of the widest, so the peak stays under a quarter of that array.
     ts = np.linspace(0.01, 30.0, 200)
     whole = oracle._w_values(ts)
-    monkeypatch.setattr(oracle, "_W_ENTRIES", 4 * (oracle._W_BLOCK + 1))
+    monkeypatch.setattr(oracle, "_W_ENTRIES", 4 * 299)
     tracemalloc.start()
     try:
         chunked = oracle._w_values(ts)
@@ -196,7 +218,7 @@ def test_w_values_rows_in_chunks_bound_memory_not_values(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(chunked, whole)
-    assert peak < 200 * (oracle._W_BLOCK + 1) * 8
+    assert peak < 200 * 299 * 8 // 4
 
 
 def test_verify_w_bounds_pinned_report():

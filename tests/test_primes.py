@@ -398,7 +398,10 @@ def test_ap_error_star_bit_identical_to_per_residue_filter():
         assert primes.ap_error_star(10**5, q, table) == _ap_error_star_per_residue(10**5, q, table)
     # Classes 1, 44, 45 and 46 mod 47 hold no prime <= 50, and classes 1 and 4
     # mod 5 none <= 4, where that empty-class term X / phi(q) = 1 is the maximum.
-    for X, q in ((50, 47), (4, 5)):
+    # At X = 2 and 3 the table holds one or two primes: mod 2 its only coprime
+    # class holds 3 or nothing, mod 3 class 1 is empty.
+    small_X = [(X, q) for X in (2, 3) for q in (1, 2, 3)]
+    for X, q in ((50, 47), (4, 5), *small_X):
         small = primes.primes_upto(X)
         assert primes.ap_error_star(X, q, small) == _ap_error_star_per_residue(X, q, small)
     assert primes.ap_error_star(4, 5) == 1.0
