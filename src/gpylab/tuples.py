@@ -115,35 +115,74 @@ def regular_class_count(H: TupleH, V: int) -> int:
     return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
 
 
-def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Classes x mod m crossed with each residue res[j] mod q[j], gcd(m, q[j]) = 1.
+def inverse_mod(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a^{-1} mod u elementwise, in [0, u), for int64 arrays with every
+    gcd(a, u) = 1 (an inverse mod 1 is 0).
 
-    x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * m^{-1} mod q);
+    One extended Euclidean pass over the whole array: each step divides
+    the pairs not yet done, so the number of steps is that of the slowest
+    pair, O(log u).  The remainders stay in [0, u) and the coefficients
+    of a within (-u, u], so nothing leaves int64; the check a inv = 1
+    (mod u) needs u^2 < 2^63.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    u_max = int(u.max(initial=1))
+    if u_max * u_max >= 2**63:
+        raise CapacityError(f"modulus {u_max} squared does not fit in int64")
+    a = np.asarray(a, dtype=np.int64) % u
+    # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
+    r0, r1 = u, a
+    s0, s1 = np.zeros_like(a), np.ones_like(a)
+    while r1.any():
+        live = r1 != 0
+        quot = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - quot * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - quot * s1, 0)
+    inv = s0 % u
+    assert (a * inv % u == 1 % u).all(), "inverse_mod needs gcd(a, u) = 1"
+    return inv
+
+
+def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Classes x mod m crossed with each residue res[j] mod q[j], gcd(m, q[j]) = 1,
+    given inv[j] = m^{-1} mod q[j] in [0, q[j]).
+
+    x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * inv mod q);
     returns the (len(res), len(x)) array whose row j holds x lifted by
     res[j] mod m*q[j].  Classes lie in [0, m) and residues in [0, q[j]), so
-    |r - a| < max(m, q) and the inverse of m is below q: every int64 product
-    stays below max(m, q) * q, which must fit.  That bound is smallest when
-    m is the larger modulus, so a caller passes its larger modulus as m.
+    |r - a| < max(m, q) and inv < q: every int64 product stays below
+    max(m, q) * q, which must fit.  That bound is smallest when m is the
+    larger modulus, so a caller passes its larger modulus as m.  The caller
+    brings the inverses, as one pow for a single modulus or one inverse_mod
+    pass for many.  numpy runs fastest along the inner axis, so where res is
+    the longer the lift is computed as (len(x), len(res)) and returned
+    transposed.
     """
     # An empty res lifts to no classes.
     q_max = int(q.max(initial=1))
     if max(m, q_max) * q_max >= 2**63:
         raise CapacityError(f"lifted modulus {m}*{q_max} does not fit in int64")
-    # One inverse of m per distinct modulus.
-    qs = q.tolist()
-    inverse = {u: pow(m % u, -1, u) for u in set(qs)}
-    inv = np.array([inverse[u] for u in qs], dtype=np.int64)
-    a, b = x[None, :], res[:, None]
-    return a + m * ((b - a) * inv[:, None] % q[:, None])
+    outer = res.size > x.size
+    if outer:
+        a, b = x[:, None], res
+    else:
+        a, b, inv, q = x, res[:, None], inv[:, None], q[:, None]
+    lift = np.subtract(b, a, dtype=np.int64)
+    lift *= inv
+    lift %= q
+    lift *= m
+    lift += a
+    return lift.T if outer else lift
 
 
 def crt_product(residues: list, moduli: list) -> np.ndarray:
     """The classes c in [0, prod(moduli)) with c mod moduli[i] in residues[i]
     for every i, the moduli pairwise coprime: one crt_lift per modulus, each
-    based on the product of the moduli before it."""
+    based on the product of the moduli before it, with one pow for its
+    inverse."""
     x, m = np.zeros(1, dtype=np.int64), 1
     for r, q in zip(residues, moduli):
-        x = crt_lift(x, m, r, np.full(r.size, q)).ravel()
+        x = crt_lift(x, m, r, np.full(r.size, q), np.full(r.size, pow(m % q, -1, q))).ravel()
         m *= q
     return x
 

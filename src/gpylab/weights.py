@@ -13,19 +13,21 @@ min(P, N) offsets are sieved by the primes p <= V and their regular offsets
 tiled by P.  It then evaluates every weight of the window in one
 depth-first walk over the squarefree d <= R built from the primes in
 (V, R], carrying at each d the window entries n with d | P_H(n).  With m
-candidates per period, entry j + q m is entry j plus q P, so the top
-level flags the entries divisible by each prime q on the first q m
-candidates and tiles the flags every q periods; deeper levels reduce
-their own entries.  lambda_R runs the same walk on a single n over the
-primes p <= R that divide P_H(n).  The direct route
+candidates per period, entry j + q m is entry j plus q P, so a top-level
+d = q finds its entries among the first q m candidates and holds them as
+offsets repeated every q m: it adds its term by strided slices and gathers
+indices only for a deeper d q' <= R.  lambda_R runs the same walk on a
+single n over the primes p <= R that divide P_H(n).  The direct route
 shares no class code with the divisor route, which lists those squarefree
 d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
-e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e are
-lifted once.  For each d, the roots of P_H1 mod d are lifted by the
-regular classes mod P once; for each g | d, the rows of that lift whose
-root is also a root of P_H2 mod g are counted as they are for e' = 1 and
-crossed with the roots mod every other e' coprime to d with g e' <= R, so
-e = g e', and the counts of each d are tallied in one vector over e.  The divisor route calls no window code.
+e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e
+are lifted once, and the inverses of d P mod every e coprime to d come
+from one extended-Euclid pass.  For each d, the roots of P_H1 mod d are
+lifted by the regular classes mod P, and those classes by the roots mod
+every e' coprime to d, giving one window count per (root of d, root of
+e').  A pair has e = g e' with g = gcd(d, e); g keeps the roots of d that
+are also roots of P_H2 mod g, and the counts of a pair are summed over
+those roots and the roots of e'.  The divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -44,7 +46,9 @@ from .errors import CapacityError, DomainError
 # Selects nothing: the benchmark alone reads it, to label its walk items.
 MAX_MASK_PRIMES = 16
 
-# Lifted classes per crt_lift call of pair_sum_divisor: 512 KiB per int64 temporary.
+# Lifted classes per crt_lift call of pair_sum_divisor: 512 KiB per int64
+# temporary.  A call crosses all the classes of one d with at least one
+# root of e', so it holds max(_MAX_RUN_CLASSES, classes of d) at most.
 _MAX_RUN_CLASSES = 2**16
 
 # Detector subset-enumeration guard.
@@ -91,49 +95,74 @@ def polynomial_value(n: int, H: tc.TupleH) -> int:
     return out
 
 
+def _entries(offs: np.ndarray, period: int, size: int) -> np.ndarray:
+    """The indices c + k period < size of the offsets c in [0, period), ascending."""
+    if period >= size:
+        return offs
+    idx = (np.arange(0, size, period)[:, None] + offs).ravel()
+    return idx[: np.searchsorted(idx, size)]
+
+
 def _lambda_walk(
     n: np.ndarray, m: int, H: tc.TupleH, primes: list, a: int, log_R: float
 ) -> np.ndarray:
     """Sum of mu(d) (log R/d)^a / a! over squarefree d <= R with d | P_H(n),
     for every entry of n, where d runs over products of the ascending `primes`.
 
-    Depth-first over d, pruning once the product exceeds R.  Each stack entry
-    is (indices, next prime, log d, mu(d)): the indices are the entries of n
-    with d | P_H(n), and a child d*q keeps those whose n mod q is a root -h of
-    P_H mod q.  Each term is added on its own entries only.  n must advance
-    by one fixed period P every m entries (m >= n.size claims none): the
-    root's flags for q are then computed on n[:q m] and tiled, while deeper
-    entries reduce their own subsets.
+    Depth-first over d, pruning once the product exceeds R.  Each stack
+    entry is (offsets, period, next prime, log d, mu(d)): the entries of n
+    with d | P_H(n) are the offsets repeated every period, and a child d*q
+    keeps those whose n mod q is a root -h of P_H mod q.  n must advance by
+    one fixed period P every m entries (m >= n.size claims none): a
+    top-level child q then finds its offsets on n[:q m] alone, with period
+    q m, and a deeper child holds indices, with period n.size.  A node with
+    a deeper d q' <= R to visit gathers its indices, and so does one with
+    more offsets than whole periods in n; any other adds its term by one
+    strided slice per offset.  Either way each entry receives the same
+    terms in the same order.
     """
     logs = [math.log(q) for q in primes]
     roots = [sorted({(-h) % q for h in H.shifts}) for q in primes]
-    out = np.zeros(n.size, dtype=np.float64)
-    # The root d = 1 holds every entry, as a slice: nothing is gathered.
-    stack = [(slice(None), 0, 0.0, 1)]
-    while stack:
-        idx, start, log_d, mu = stack.pop()
-        out[idx] += mu * (log_R - log_d) ** a
-        top = start == 0
-        vals = n[idx]
-        children = []
+    size = n.size
+
+    def children(vals, idx, start, log_d, mu):
+        """The child entries of a node holding n[idx] = vals, smallest prime last."""
+        kids = []
         for i in range(start, len(primes)):
             log_dq = log_d + logs[i]
             # Tolerate rounding at the d = R boundary.
             if log_dq > log_R + 1e-12:
                 break
             q = primes[i]
-            # At the top, n[j + q m] = n[j] + q P: the flags repeat every q periods.
-            r = vals[: q * m] % q if top else vals % q
+            # At the root, n[j + q m] = n[j] + q P: the hits repeat every q m.
+            r = vals[: q * m] % q if idx is None else vals % q
             hit = r == roots[i][0]
             for root in roots[i][1:]:
                 hit |= r == root
-            if top and hit.size < n.size:
-                hit = np.tile(hit, -(-n.size // hit.size))[: n.size]
             if hit.any():
-                children.append((np.flatnonzero(hit) if top else idx[hit], i + 1, log_dq, -mu))
-        # Reversed, so the smallest prime is visited first.
-        stack.extend(reversed(children))
-    return out / math.factorial(a)
+                if idx is None:
+                    kids.append((np.flatnonzero(hit), min(q * m, size), i + 1, log_dq, -mu))
+                else:
+                    kids.append((idx[hit], size, i + 1, log_dq, -mu))
+        return kids[::-1]
+
+    # The root d = 1 holds every entry: 0 + 1 * (log R - 0)^a is log R^a.
+    out = np.full(size, log_R**a)
+    stack = children(n, None, 0, 0.0, 1)
+    while stack:
+        offs, period, start, log_d, mu = stack.pop()
+        term = mu * (log_R - log_d) ** a
+        if start < len(primes) and log_d + logs[start] <= log_R + 1e-12:
+            idx = _entries(offs, period, size)
+            out[idx] += term
+            stack.extend(children(n[idx], idx, start, log_d, mu))
+        elif offs.size <= size // period:
+            for c in offs.tolist():
+                out[c::period] += term
+        else:
+            out[_entries(offs, period, size)] += term
+    out /= math.factorial(a)
+    return out
 
 
 def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
@@ -266,6 +295,19 @@ def pair_sum_theta(
     return _pair_sum(H1, H2, ell1, ell2, params, None, h0)
 
 
+def _window_counts(classes: np.ndarray, mods: np.ndarray, N: int) -> np.ndarray:
+    """The number of n in (N, 2N] in the classes classes[i, :, k] mod
+    mods[k], which lie in [0, mods[k]), as an array over (i, k).
+
+    The count of a class c mod M is (2N - c) // M - (N - c) // M, and
+    (kN - c) // M is kN // M, less 1 where c > kN % M: one division per
+    modulus, then one comparison per class.
+    """
+    (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
+    over = (classes > r1).view(np.int8) - (classes > r2).view(np.int8)
+    return (k2 - k1) * classes.shape[1] + over.sum(axis=1)
+
+
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
@@ -275,18 +317,18 @@ def pair_sum_divisor(
     contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times
     the exact count of regular window n with d | P_H1(n) and e | P_H2(n).
     The count lifts by CRT.  The roots of P_H2 mod each e are lifted once,
-    and so are the roots of P_H1 mod each d, which are then lifted by the
-    regular classes mod P once per d, one row per root.  A pair is written
-    e = g e' with g = gcd(d, e): for each squarefree g | d, the rows of the
-    roots of d that are also roots of P_H2 mod g are crossed with the roots
-    of P_H2 mod every e' > 1 coprime to d with g e' <= R, a step of root rows
-    per crt_lift call, so that one call holds at most
-    max(_MAX_RUN_CLASSES, lifted classes) classes; e' = 1 counts those rows
-    as they are.  The window is counted over the classes mod
-    lcm(d, e) P = d e' P, and each row's count is added into one count
-    vector per d, indexed by e.  The R^2 <= 10^7 guard also bounds the
-    pairs: the d are distinct integers in [1, R], so there are at most 3162
-    of them.
+    and the inverses (d P)^{-1} mod e of every coprime pair come from one
+    inverse_mod pass over the pairs d < e (Bezout gives both directions).
+    For each d, the roots of P_H1 mod d are lifted by the regular classes
+    mod P, one row per root, and those lifted classes are crossed with the
+    roots of P_H2 mod every e' > 1 coprime to d in crt_lift calls of at most
+    max(_MAX_RUN_CLASSES, lifted classes) classes; e' = 1 counts the lifted
+    classes as they are.  That gives the window count of every (root of d,
+    root of e') over the classes mod d e' P.  A pair is written e = g e'
+    with g = gcd(d, e): the squarefree g | d keeps the roots x of d with
+    g | P_H2(x), and the count of (d, g e') for g e' <= R sums the kept rows
+    over the roots of e'.  The R^2 <= 10^7 guard also bounds the pairs: the
+    d are distinct integers in [1, R], so there are at most 3162 of them.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -302,7 +344,7 @@ def pair_sum_divisor(
             if d * Q[i] > params.R:
                 break
             stack.append((d * Q[i], idx + (i,)))
-    # Ascending, so the e' <= R/g coprime to d are a prefix of those coprime to d.
+    # Ascending, so that searchsorted finds every e among them.
     ds.sort()
     N = params.N
     log_R = math.log(params.R)
@@ -324,46 +366,55 @@ def pair_sum_divisor(
     sizes = np.array([r.size for r in y])
     # The roots of P_H2 mod every e, concatenated, each beside its e.
     y_all, e_all = np.concatenate(y), np.repeat(vals, sizes)
-    terms = []
+    # Bezout s d + t e = 1 for each coprime pair d < e, in one inverse_mod
+    # pass, gives d^{-1} = s mod e and e^{-1} = t mod d.  Then
+    # inv[j, i] = (d P)^{-1} mod e for d = vals[j], e = vals[i] > 1 coprime.
+    coprime = (np.gcd(vals[:, None], vals[None, :]) == 1) & (vals > 1)
+    jd, je = np.nonzero(np.triu(coprime, 1))
+    s = tc.inverse_mod(vals[jd], vals[je])
+    inv = np.zeros(coprime.shape, dtype=np.int64)
+    inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
+    inv_P = tc.inverse_mod(P % vals, vals)
+    inv = inv * inv_P % vals
+    pair_d, pair_e, pair_count = [], [], []
     for j, (d, idx_d) in enumerate(ds):
         x_d = tc.crt_product([roots1[i] for i in idx_d], [Q[i] for i in idx_d])
-        # Row i: the root x_d[i] lifted by every regular class, mod d P.
-        lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d))
-        keep_y = np.repeat(np.gcd(vals, d) == 1, sizes)
+        # Row i: the root x_d[i] lifted by every regular class, mod d P; d = 1
+        # has the one root 0 and keeps the regular classes.
+        if d == 1:
+            lifted = reg[None, :]
+        else:
+            lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
+        # count[i, k]: the window n in the classes of root i and e'-root k.
+        # The first e' is 1, whose classes are the lifted ones, mod d P.
+        count = [_window_counts(lifted[:, :, None], np.array([d * P]), N)]
+        # Then the roots of every e' > 1 coprime to d.
+        co = coprime[j]
+        keep_y = np.repeat(co, sizes)
         ys, qs = y_all[keep_y], e_all[keep_y]
-        # The count of each pair (d, e), e = vals[i], at index i.
-        count = np.zeros(vals.size, dtype=np.int64)
-        for i_g in np.flatnonzero(d % vals == 0).tolist():
-            g = ds[i_g][0]
-            keep = ((x_d % g)[:, None] == y[i_g]).any(axis=1)
-            if not keep.any():
-                continue
-            # g = 1 keeps every row, and needs no copy.
-            X = lifted.ravel() if keep.all() else lifted[keep].ravel()
-            # The window count (2N - c) // M - (N - c) // M of each class c,
-            # 0 <= c < M: (kN - c) // M is kN // M, less 1 where c > kN % M.
-            # One division per modulus, then one comparison per class.  The
-            # first e' is 1, whose classes are X itself, mod M = d P.
-            (k1, r1), (k2, r2) = divmod(N, d * P), divmod(2 * N, d * P)
-            count[i_g] += (k2 - k1) * X.size + np.count_nonzero(X > r1) - np.count_nonzero(X > r2)
-            n_y = int(np.count_nonzero(g * qs <= params.R))
-            step = max(1, _MAX_RUN_CLASSES // X.size)
-            for lo in range(1, n_y, step):
-                hi = min(lo + step, n_y)
-                ye, qe = ys[lo:hi], qs[lo:hi]
-                lift = tc.crt_lift(X, d * P, ye, qe)
-                mods = d * P * qe
-                assert (mods == np.lcm(d, g * qe) * P).all()
-                (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
-                cnt = (
-                    (k2 - k1) * X.size
-                    + np.add.reduce(lift > r1[:, None], axis=1)
-                    - np.add.reduce(lift > r2[:, None], axis=1)
-                )
-                np.add.at(count, np.searchsorted(vals, g * qe), cnt)
-        nz = count != 0
-        terms.append(w1[j] * w2[nz] * count[nz])
-    return prime_engine.exact_sum(np.concatenate(terms))
+        inv_y = np.repeat(inv[j, co], sizes[co])
+        step = max(1, _MAX_RUN_CLASSES // lifted.size)
+        for lo in range(0, ys.size, step):
+            hi = min(lo + step, ys.size)
+            lift = tc.crt_lift(lifted.ravel(), d * P, ys[lo:hi], qs[lo:hi], inv_y[lo:hi])
+            count.append(_window_counts(lift.T.reshape(*lifted.shape, hi - lo), d * P * qs[lo:hi], N))
+        count = np.hstack(count)
+        # Root x of d serves g | d when g | P_H2(x), i.e. g | gcd(P_H2(x) mod d, d).
+        z = np.ones_like(x_d)
+        for h in H2.shifts:
+            z = z * ((x_d + h) % d) % d
+        gs = vals[d % vals == 0]
+        keep = (np.gcd(z, d) % gs[:, None] == 0).astype(np.int64)
+        # Summed over the roots each g keeps, then over the roots of each e'.
+        es, seg = np.concatenate(([1], vals[co])), np.concatenate(([1], sizes[co]))
+        per_e = np.add.reduceat(keep @ count, np.cumsum(seg) - seg, axis=1)
+        ge = gs[:, None] * es
+        ok = (ge <= params.R) & (per_e != 0)
+        pair_d.append(np.full(np.count_nonzero(ok), j))
+        pair_e.append(np.searchsorted(vals, ge[ok]))
+        pair_count.append(per_e[ok])
+    pair_d, pair_e, pair_count = (np.concatenate(v) for v in (pair_d, pair_e, pair_count))
+    return prime_engine.exact_sum(w1[pair_d] * w2[pair_e] * pair_count)
 
 
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:

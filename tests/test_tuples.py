@@ -100,6 +100,38 @@ def python_crt(x, m, res, q):
     return [a + m * ((r - a) * inv % q) for a in x for r in res]
 
 
+def inverses(m, q):
+    """m^{-1} mod each entry of q, by Python's pow."""
+    return np.array([pow(m % k, -1, k) for k in np.asarray(q).tolist()], dtype=np.int64)
+
+
+def test_inverse_mod_matches_pow_on_every_coprime_pair_to_300():
+    # a = 0, u = 1 is coprime, and its inverse is 0.
+    pairs = [(a, u) for u in range(1, 301) for a in range(u) if math.gcd(a, u) == 1]
+    a, u = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    inv = tc.inverse_mod(a, u)
+    assert inv.tolist() == [pow(int(x), -1, int(y)) for x, y in pairs]
+    assert tc.inverse_mod(np.array([0, 5]), np.array([1, 1])).tolist() == [0, 0]
+    # Residues at or above u, or negative, are reduced first.
+    assert tc.inverse_mod(np.array([10, -3]), np.array([7, 7])).tolist() == [5, 2]
+
+
+def test_inverse_mod_at_the_int64_square_bound():
+    # The check a inv = 1 (mod u) needs u^2 < 2^63: 3037000499^2 < 2^63 < 3037000500^2.
+    u = 3037000499
+    a = [x for x in (1, 2, 10**9 + 7, 2**31 + 11, u - 2, u - 1) if math.gcd(x, u) == 1]
+    assert len(a) >= 4
+    inv = tc.inverse_mod(np.array(a), np.full(len(a), u))
+    assert inv.tolist() == [pow(x, -1, u) for x in a]
+    with pytest.raises(CapacityError):
+        tc.inverse_mod(np.array([1]), np.array([u + 1]))
+
+
+def test_inverse_mod_refuses_a_common_factor():
+    with pytest.raises(AssertionError):
+        tc.inverse_mod(np.array([3, 2]), np.array([7, 4]))
+
+
 def test_crt_lift_by_primorial_29_matches_python_ints():
     # The last lift of pair_sum_divisor at V = 29: a few classes mod 97 by
     # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
@@ -109,11 +141,11 @@ def test_crt_lift_by_primorial_29_matches_python_ints():
     P = tc.primorial(29)
     reg = tc.regular_classes(H, 29) % P
     x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
-    lift = tc.crt_lift(reg, P, x, np.full(x.size, 97))
+    lift = tc.crt_lift(reg, P, x, np.full(x.size, 97), inverses(P, np.full(x.size, 97)))
     assert 0 <= lift.min() and lift.max() < 97 * P
     assert lift.ravel().tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
     with pytest.raises(CapacityError):
-        tc.crt_lift(x, 97, reg, np.full(reg.size, P))
+        tc.crt_lift(x, 97, reg, np.full(reg.size, P), inverses(97, np.full(reg.size, P)))
 
 
 def test_crt_lift_capacity_at_int64_boundary():
@@ -123,36 +155,46 @@ def test_crt_lift_capacity_at_int64_boundary():
     assert m * q == 2**63 - 1
     x = np.array([0, 5, 48], dtype=np.int64)
     res = np.array([1, q // 2, q - 1], dtype=np.int64)
-    lift = tc.crt_lift(res, q, x, np.full(x.size, m))
+    lift = tc.crt_lift(res, q, x, np.full(x.size, m), inverses(q, np.full(x.size, m)))
     assert lift.ravel().tolist() == python_crt(x.tolist(), m, res.tolist(), q)
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64), np.array([2**63]))
+        tc.crt_lift(
+            np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64),
+            np.array([2**63]), np.array([1]),
+        )
 
 
 def test_crt_lift_by_array_moduli_matches_python_ints():
     # Each residue with its own modulus, as pair_sum_divisor crosses the
-    # classes mod d P with the roots mod a run of e'.  2^63 - 1 = 49 * m with
+    # classes mod d P with the roots of every e'.  2^63 - 1 = 49 * m with
     # coprime factors, so the residues mod 49 lift to the largest modulus
-    # that fits; a q of 1 keeps the classes as they are.
+    # that fits; a q of 1 keeps the classes as they are.  With more
+    # residues than classes, the lift is computed transposed.
     m = 188232082384791343
     x = np.array([0, 5, m - 1], dtype=np.int64)
     res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
     q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
-    lift = tc.crt_lift(x, m, res, q)
+    lift = tc.crt_lift(x, m, res, q, inverses(m, q))
     assert m * int(q.max()) == 2**63 - 1
-    assert lift.tolist() == [
-        python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())
-    ]
+    want = [python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())]
+    assert lift.tolist() == want
+    # The same lift one residue at a time, with more classes than residues.
+    for j in range(res.size):
+        one = tc.crt_lift(x, m, res[j : j + 1], q[j : j + 1], inverses(m, q[j : j + 1]))
+        assert one.tolist() == [want[j]]
     # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
-    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), np.array([3037000499]))
+    q = np.array([3037000499])
+    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), q, inverses(2, q))
     assert lift.tolist() == [python_crt([0, 1], 2, [3037000498], 3037000499)]
+    q = np.array([3037000501])
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0]), 2, np.array([0]), np.array([3037000501]))
+        tc.crt_lift(np.array([0]), 2, np.array([0]), q, inverses(2, q))
     # 50 * m passes 2^63; so does 2^63 * 1.
+    q = np.array([49, 50])
     with pytest.raises(CapacityError):
-        tc.crt_lift(x, m, np.array([0, 1]), np.array([49, 50]))
+        tc.crt_lift(x, m, np.array([0, 1]), q, np.array([0, 0]))
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0]), 2**63, np.array([0]), np.array([1]))
+        tc.crt_lift(np.array([0]), 2**63, np.array([0]), np.array([1]), np.array([0]))
 
 
 def test_class_member_cap_at_its_boundary(monkeypatch):

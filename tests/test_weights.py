@@ -1,5 +1,6 @@
 """Sieve weights: single values, vectorized windows, and the pair sums."""
 
+import collections
 import functools
 import gc
 import itertools
@@ -24,17 +25,44 @@ H2 = tc.TupleH((0, 6))
 mobius = functools.lru_cache(maxsize=None)(sympy.mobius)
 
 
+@functools.lru_cache(maxsize=None)
+def log_monomials(d, a):
+    """(log R - sum_{p | d} log p)^a for squarefree d, as pairs (monomial,
+    integer coefficient); a monomial is (k0, (p, k), ...) for
+    log R^k0 prod log p^k."""
+    ps = sympy.primefactors(d)
+    out = []
+    # Stars and bars: the exponents of log R and of each log p sum to a.
+    for cuts in itertools.combinations(range(a + len(ps)), len(ps)):
+        bounds = (-1, *cuts, a + len(ps))
+        ks = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        multinomial = math.factorial(a) // math.prod(math.factorial(k) for k in ks)
+        monomial = (ks[0], *((p, k) for p, k in zip(ps, ks[1:]) if k))
+        out.append((monomial, (-1) ** (a - ks[0]) * multinomial))
+    return out
+
+
 def brute_lambda(n, H, ell, R, absolute=False):
-    """Divisor-sum definition, term by term over squarefree d <= R; with
-    absolute, |mu(d)| in place of mu(d)."""
+    """Divisor-sum definition over squarefree d <= R; with absolute, |mu(d)|
+    in place of mu(d).
+
+    Each term mu(d) (log R - sum_{p | d} log p)^a is expanded into monomials
+    in log R and the log p, and their integer coefficients are added
+    exactly, so a sum that cancels identically is exactly 0.0."""
     value = math.prod(n + h for h in H.shifts)
     a = H.size + ell
-    terms = []
+    coeffs = collections.Counter()
     for d in range(1, int(R) + 1):
-        mu = mobius(d)
+        mu = int(mobius(d))
         if mu == 0 or value % d != 0:
             continue
-        terms.append((abs(mu) if absolute else mu) * math.log(R / d) ** a)
+        for monomial, c in log_monomials(d, a):
+            coeffs[monomial] += (abs(mu) if absolute else mu) * c
+    log_R = math.log(R)
+    terms = [
+        c * log_R ** k0 * math.prod(math.log(p) ** k for p, k in logs)
+        for (k0, *logs), c in coeffs.items() if c
+    ]
     return math.fsum(terms) / math.factorial(a)
 
 
@@ -219,6 +247,23 @@ def test_window_memory_at_v31_is_a_few_bytes_per_n():
     assert all(math.gcd(int(n) + h, P) == 1 for n in cands for h in H14.shifts)
 
 
+def test_lambda_window_memory_on_a_mask_window():
+    # No deeper d q' <= 31.3 exists for q > 5, so every node adds its term
+    # by strided slices: the walk allocates the output and little else.
+    H = tc.TupleH((0, 2, 6, 8))
+    params = weights.WeightParams(K=4, ell=1, R=31.3, V=5, N=10**6)
+    cands, m = regular_candidates(H, params)
+    assert (cands.size, m) == (33334, 1)
+    tracemalloc.start()
+    try:
+        vals = weights.lambda_window(cands, m, H, 1, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * cands.size
+    assert vals[:50].tolist() == lambda_R_of(cands[:50], H, params)
+
+
 def test_pair_sum_direct_matches_brute_force():
     params = weights.WeightParams(K=2, ell=1, R=20.0, V=3, N=400)
     # The roots of (0,2) and (6,8) are disjoint mod 5 and mod 7: a shared
@@ -306,7 +351,11 @@ def test_pair_sum_routes_at_v29():
     params = weights.WeightParams(K=4, ell=0, R=35.0, V=29, N=10**6)
     direct = weights.pair_sum_direct(Ha, Hb, 0, 1, params)
     assert direct > 0
-    assert weights.pair_sum_divisor(Ha, Hb, 0, 1, params) == pytest.approx(direct, rel=1e-12)
+    divisor = weights.pair_sum_divisor(Ha, Hb, 0, 1, params)
+    assert divisor == pytest.approx(direct, rel=1e-12)
+    # Counts are exact and the terms are summed correctly rounded, so the
+    # value is fixed whatever order the pairs are counted in.
+    assert divisor == 2552.8868203151096
     # Too many classes for the divisor route; the direct route still answers.
     params = weights.WeightParams(K=2, ell=1, R=40.0, V=29, N=5000)
     assert tc.regular_class_count(H1.union(H2), 29) > tc.MAX_CLASS_MEMBERS
@@ -316,12 +365,23 @@ def test_pair_sum_routes_at_v29():
         weights.pair_sum_divisor(H1, H2, 1, 1, params)
 
 
+def test_divisor_route_value_at_r1000():
+    # 252 squarefree d <= 1000 coprime to 30, each root of d crossed with
+    # the roots of every e' coprime to it; exact counts and one correctly
+    # rounded sum fix the value.
+    Ha, Hb = tc.TupleH((152, 390)), tc.TupleH((152, 306))
+    params = weights.WeightParams(K=2, ell=2, R=1000.0, V=5, N=10**5)
+    divisor = weights.pair_sum_divisor(Ha, Hb, 2, 2, params)
+    assert divisor == 45058223.24557132
+    assert weights.pair_sum_direct(Ha, Hb, 2, 2, params) == pytest.approx(divisor, rel=1e-12)
+
+
 def test_direct_routes_use_no_class_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class code called")
 
-    monkeypatch.setattr(tc, "regular_classes", refuse)
-    monkeypatch.setattr(tc, "crt_lift", refuse)
+    for name in ("regular_classes", "crt_lift", "inverse_mod"):
+        monkeypatch.setattr(tc, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_direct(H1, H2, 1, 1, params) > 0
     assert weights.pair_sum_direct(H1, H2, 1, 1, params, per_class=11) > 0
@@ -346,9 +406,10 @@ def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
     params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=10**4)
     want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
     assert want > 0
-    # 64: at most 32 root rows per crt_lift call at V = 5 (two regular
-    # classes), one row per call at V = 13 (640 classes); 2^40: every row
-    # of a (d, g) in one call.
+    # A crt_lift call crosses every lifted class of one d with a run of
+    # roots of e'.  64: at V = 5 (two regular classes, at most four roots
+    # of d) a run of at least 8 roots; at V = 13 (640 classes) one root per
+    # call.  2^40: every root of every e' coprime to d in one call.
     for bound in (64, 2**40):
         monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
         assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
@@ -439,6 +500,9 @@ def test_detector_sum_counts_prime_at_window_start():
     V=st.integers(2, 7),
     N=st.integers(1, 40),
 )
+# The only regular n is 4, and 4 + 11 = 15 <= R: Lambda = log 16 - log 16/3
+# - log 16/5 + log 16/15 = 0, which the oracle returns as exactly 0.0.
+@example(A={11}, K=1, ell=0, R=16.0, V=2, N=2)
 def test_detector_sum_matches_brute_force_on_random_inputs(A, K, ell, R, V, N):
     A = tc.TupleH(tuple(sorted(A)))
     assume(K <= A.size)
