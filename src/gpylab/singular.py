@@ -7,10 +7,14 @@ truncated product over p <= cutoff plus a rigorous enclosure of the tail.
 
 Also here: the subset averages B_A(k) and S*(k), the z-quasi-prime density
 R(H) in exact rationals, and a quasi-monotonicity report for the S*(k)
-sequence.  Since S(H + t) = S(H), the average over an interval A sums one
-row per shape {0 < d_1 < ... < d_{k-1} <= h - 1}, weighted by its number of
-translates inside A; any other A sums every k-subset.  Both give the
-correctly rounded sum over all k-subsets.
+sequence.  Both S*(k) routes read one row generator.  For k >= 2 a subset
+with both parities has nu_2 = 2, a zero factor, so only the subsets of
+each parity half are rows.  Since S(H + t) = S(H), a half that is an
+arithmetic progression sums one row per shape {0 < i_1 < ... < i_{k-1}},
+weighted by its number of translates inside the half; any other half sums
+its k-subsets.  The exact route gives the correctly rounded sum of the
+float S(H) over all k-subsets; the z = 23 estimate sums the integers
+prod_{p<=23} (p - nu_p(H)) exactly over the same rows.
 """
 
 from __future__ import annotations
@@ -31,14 +35,14 @@ MAX_ORDERED_SUBSETS = 10**8
 # quasiprime_density needs the full prime list below z only; keep z modest.
 MAX_QUASIPRIME_Z = 100
 
-# The histogram fallback in check_monotone counts residues modulo
-# Z = primorial(z) = Z1 * Z2 (CRT) from a Z1- and a Z2-row float32 table, one
-# column per shift: 4 (Z1 + Z2) bytes per shift, 150 KB at z = 23 (Z1 = 30030,
-# Z2 = 7429), so past ~1500 shifts they outgrow a Z-byte table (Z = 223092870).
+# The estimate in check_monotone (reported as "histogram") treats the
+# primes above z = HISTOGRAM_Z as generic.
 HISTOGRAM_Z = 23
 
-# Residues mod Z per chunk of the histogram's count matrix.
-HISTOGRAM_CHUNK = 1 << 20
+# Rows the estimate may sum: 2 C(28, 7) = 2.37 M for k = 8 on [1, 58], the
+# largest interval it is exact on, and 2 C(49, 5) = 3.81 M for k = 6 on
+# [1, 100]; k = 7 there needs 2 C(49, 6) = 28 M.
+MAX_ESTIMATE_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -131,45 +135,88 @@ def singular_series_extended(H: tc.TupleH, h0: int, cutoff: int | None = None) -
     return singular_series(H0, cutoff)
 
 
-def _index_rows(n: int, k: int, first: int = 0) -> np.ndarray:
-    """The k-subsets of range(first, n) as a (k, C(n - first, k)) array of
-    indices, one column per subset in lexicographic order.
+def _index_rows(n: int, k: int, first: int = 0):
+    """Yield the k-subsets of range(first, n) as (k, rows) arrays of indices,
+    one column per subset in lexicographic order, in chunks by smallest index
+    (the 1-subsets in one chunk; no subsets, one empty chunk).
 
-    Built from the last position back: the (j + 1)-subsets with smallest
-    index f are f above each j-subset of range(f + 1, n), a suffix of the
-    j-subsets built before.  So each step writes its output once.
+    The (j + 1)-subsets with smallest index f are f above each j-subset of
+    range(f + 1, n), a suffix of the j-subsets built before.  So the
+    (k - 1)-subsets of range(first + 1, n) are built once, from the last
+    position back, and each chunk is one suffix of them under its f.
     """
-    dtype = np.min_scalar_type(n)
-    rows = np.arange(first + k - 1, n, dtype=dtype)[None, :]
-    for j in range(1, k):
-        s = first + k - 1 - j
-        out = np.empty((j + 1, math.comb(n - s, j + 1)), dtype=dtype)
-        pos = 0
-        for f in range(s, n - j):
+
+    def above(rows, j, start):
+        for f in range(start, n - j):
             tail = rows[:, rows.shape[1] - math.comb(n - f - 1, j) :]
-            out[0, pos : pos + tail.shape[1]] = f
-            out[1:, pos : pos + tail.shape[1]] = tail
-            pos += tail.shape[1]
-        rows = out
-    return rows
+            out = np.empty((j + 1, tail.shape[1]), dtype=rows.dtype)
+            out[0] = f
+            out[1:] = tail
+            yield out
+
+    if n - first < k:
+        yield np.empty((k, 0), dtype=np.min_scalar_type(n))
+        return
+    rows = np.arange(first + k - 1, n, dtype=np.min_scalar_type(n))[None, :]
+    if k == 1:
+        yield rows
+        return
+    for j in range(1, k - 1):
+        rows = np.concatenate(list(above(rows, j, first + k - 1 - j)), axis=1)
+    yield from above(rows, k - 1, first)
 
 
-def _weighted_rows(A: tc.TupleH, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows of k indices into A's shifts (a (k, rows) array) whose weighted
-    sum over any translation-invariant f equals the sum of f over all
-    k-subsets of A, and the weight of each row (None: every weight is 1).
+def _halves(A: tc.TupleH, k: int):
+    """Yield the positions in A of the shifts of each parity and whether the
+    half's k-subsets are taken as shapes: for k >= 2, when its shifts are
+    an arithmetic progression a + s i."""
+    s = np.array(A.shifts, dtype=np.int64)
+    for pos in (np.flatnonzero(s % 2 == 0), np.flatnonzero(s % 2 == 1)):
+        if pos.size:
+            gaps = np.diff(s[pos])
+            yield pos.astype(np.min_scalar_type(A.size)), k >= 2 and bool((gaps == gaps[:1]).all())
 
-    S(H + t) = S(H).  So if A is an interval [a, a + h - 1], each shape
-    {0 < d_1 < ... < d_{k-1} <= h - 1} stands for its h - d_{k-1}
-    translates inside A: C(h - 1, k - 1) rows in place of C(h, k).  Any
-    other A gets its C(h, k) subsets, each of weight 1.
+
+def _row_count(A: tc.TupleH, k: int) -> int:
+    """The number of rows _rows yields for A and k."""
+    return sum(math.comb(pos.size - 1, k - 1) if shapes else math.comb(pos.size, k)
+               for pos, shapes in _halves(A, k))
+
+
+def _rows(A: tc.TupleH, k: int):
+    """Yield (idx, weight) chunks of rows whose weighted sum of any
+    translation-invariant f with f = 0 at nu_2 = 2 equals the sum of f over
+    all k-subsets of A: idx is a (k, rows) array of positions in A.shifts
+    and weight the int64 weight of each row.
+
+    A k-subset with both parities has nu_2 = 2, so only the subsets of
+    each parity half are rows.  A half that is a progression a + s i has
+    the same nu_p on a shape {0 < i_1 < ... < i_{k-1} <= n - 1} as on its
+    n - i_{k-1} translates by multiples of s: C(n - 1, k - 1) rows in place
+    of C(n, k).  Any other half gives its k-subsets, each of weight 1.
+    Chunks follow _index_rows, by first index (of the shape's tail).
     """
-    h = A.size
-    if A.shifts[-1] - A.shifts[0] != h - 1:
-        return _index_rows(h, k), None
-    tails = _index_rows(h, k - 1, first=1)
-    shapes = np.vstack([np.zeros((1, tails.shape[1]), dtype=tails.dtype), tails])
-    return shapes, h - shapes[-1].astype(np.float64)
+    for pos, shapes in _halves(A, k):
+        n = pos.size
+        if shapes:
+            for tails in _index_rows(n, k - 1, first=1):
+                yield pos[np.vstack([np.zeros_like(tails[:1]), tails])], n - tails[-1].astype(np.int64)
+        else:
+            for idx in _index_rows(n, k):
+                yield pos[idx], np.ones(idx.shape[1], dtype=np.int64)
+
+
+def _nu(res: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """nu_p of each row of idx, from the residues res of A.shifts mod p:
+    the entries whose residue no earlier entry of the row has."""
+    r = [res[i] for i in idx]
+    nu = np.ones(idx.shape[1], dtype=np.uint8)
+    for j in range(1, len(r)):
+        unseen = r[j] != r[0]
+        for i in range(1, j):
+            unseen &= r[j] != r[i]
+        nu += unseen
+    return nu
 
 
 def _two_product(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,38 +237,28 @@ def _subset_sum(A: tc.TupleH, k: int, cutoff: int) -> tuple[float, float]:
     """Sum of the float S(H) over the k-subsets H of A, correctly rounded,
     and a relative tail bound.
 
-    Each row of _weighted_rows gets its product over the primes up to the
-    largest pairwise difference, one prime at a time in increasing p.  The
-    residues of A mod p are taken once and gathered by row; nu_p counts the
-    entries whose residue no earlier entry of the row has, and the row is
-    multiplied by the factor of that nu_p.  So each row's float is the
-    product every one of its translates would get.  Above the largest
-    difference every subset is generic, contributing one shared constant.
-    exact_sum of the exact weight * value pairs (hi, lo) rounds the sum over
-    every subset once, whatever the rows.
+    Each row of _rows gets its product over the primes up to A's largest
+    pairwise difference, multiplied in increasing p, of the factor of its
+    nu_p.  So each row's float is the product every subset it stands for
+    would get, and a subset with both parities gets exactly 0.0, from
+    (1 - 2/2).  Above the largest difference every subset is generic,
+    contributing one shared constant.  exact_sum of the exact
+    weight * value pairs (hi, lo) rounds the sum over every subset once,
+    whatever the rows.
     """
-    idx, weight = _weighted_rows(A, k)
+    idx, weight = (np.concatenate(part, axis=-1) for part in zip(*_rows(A, k)))
     shifts = np.array(A.shifts, dtype=np.int64)
     pmax = max(A.shifts[-1] - A.shifts[0], k, 2)
     prod = np.ones(idx.shape[1], dtype=np.float64)
     for p in prime_engine.primes_upto(pmax):
         res = (shifts % p).astype(np.min_scalar_type(p))
-        r = [res[i] for i in idx]
-        nu = np.ones(prod.size, dtype=np.uint8)
-        for j in range(1, k):
-            unseen = r[j] != r[0]
-            for i in range(1, j):
-                unseen &= r[j] != r[i]
-            nu += unseen
         fac = np.array([(1.0 - v / p) * (1.0 - 1.0 / p) ** (-k) for v in range(k + 1)])
-        prod *= fac[nu]
+        prod *= fac[_nu(res, idx)]
 
     # Shared generic factor over pmax < p <= cutoff.
     table = prime_engine.primes_upto(cutoff)
     prod *= math.exp(_generic_log(k, table.primes[table.primes > pmax].astype(np.float64)))
     tail_rel = math.exp(_tail_log_bound(k, cutoff)) - 1.0
-    if weight is None:
-        return prime_engine.exact_sum(prod), tail_rel
     hi, lo = _two_product(weight, prod)
     return prime_engine.exact_sum(hi, lo), tail_rel
 
@@ -236,8 +273,8 @@ def average_B(A: tc.TupleH, k: int, cutoff: int = 10**5) -> tuple[float, float]:
     """B_A(k): sum of S(H) over ordered k-subsets of A, with certified radius.
 
     k! times the correctly rounded sum over the unordered k-subsets, taken
-    over one weighted row per shape when A is an interval (_weighted_rows).
-    MAX_ORDERED_SUBSETS bounds C(h, k) k! either way.
+    over the weighted same-parity rows of _rows.  MAX_ORDERED_SUBSETS
+    bounds C(h, k) k! whatever the rows.
     """
     if not 1 <= k <= A.size:
         raise DomainError(f"k={k} outside [1, {A.size}]")
@@ -285,61 +322,54 @@ def quasiprime_count(H: tc.TupleH, z: int) -> int:
     return int(np.count_nonzero(good))
 
 
-def _coprime_table(ps: list, shifts) -> np.ndarray:
-    """[gcd(i + a, m) = 1] as float32 for m = prod(ps), the residues i mod m
-    by rows and the shifts a by columns."""
-    table = np.ones((math.prod(ps), len(shifts)), dtype=np.float32)
-    for j, a in enumerate(shifts):
-        for p in ps:
-            table[-a % p :: p, j] = 0  # rows i with p | i + a
-    return table
+def _s_star_truncated(A: tc.TupleH, k_values, cutoff: int) -> dict:
+    """Estimate S*(k) for all requested k from the z-quasi-prime densities.
 
-
-def _s_star_histogram(A: tc.TupleH, k_values, cutoff: int) -> dict:
-    """Estimate S*(k) for all requested k via the quasi-prime histogram.
-
-    For z = HISTOGRAM_Z and Z = primorial(z), count the residues i mod Z by
-    f_i = #{a in A : i + a coprime to all p <= z}; then the sum over ordered
-    k-subsets of R(H) equals Z^{-1} sum_i f_i^{(k)} (falling factorial), and
-    each S(H) is approximated by R(H) * Y_z^k * T(k) with
-    Y_z = prod_{p<=z}(1-1/p)^{-1} and T(k) the generic continuation of the
-    Euler product above z.
-
-    Z = Z1 Z2, with Z2 the product of the largest primes <= z while
-    Z2^2 <= Z.  By CRT, i is the pair (i mod Z1, i mod Z2), and i + a is
-    coprime to Z when it is coprime to Z1 and to Z2; so f = u v^T for the
-    _coprime_table u of Z1 and v of Z2, exact in float32 as |A| < 2^24.
+    For z = HISTOGRAM_Z and Z = primorial(z), each S(H) is approximated by
+    R(H) * Y_z^k * T(k), with R(H) = prod_{p<=z} (1 - nu_p(H)/p) the
+    quasi-prime density, Y_z = prod_{p<=z}(1-1/p)^{-1} and T(k) the generic
+    continuation of the Euler product above z.  Z R(H) = prod_{p<=z}
+    (p - nu_p(H)) is an integer, summed exactly over the rows of _rows:
+    p = 2 gives 2 - 1 = 1 on every row, so only the odd primes are
+    multiplied.  By CRT, k! times that sum counts the pairs (i mod Z,
+    ordered k-subset H) with every i + h coprime to Z.
 
     Every prime above z is treated as generic, so the estimate is exact
     only while no difference of two elements of A has a prime factor
     above z.  For A = [1, h] that holds for h <= 58; from [1, 59] on
-    (58 = 2 * 29) it runs low, by 1.42% at S*(5) on [1, 100].
+    (58 = 2 * 29) it runs low, by 1.42% at S*(5) on [1, 100].  Refuses any
+    k with more than MAX_ESTIMATE_ROWS rows, before any work.
     """
+    for k in k_values:
+        rows = _row_count(A, k)
+        if rows > MAX_ESTIMATE_ROWS:
+            raise CapacityError(f"S*({k}) estimate needs {rows} rows (budget {MAX_ESTIMATE_ROWS})")
     z = HISTOGRAM_Z
     Z = tc.primorial(z)
     small = list(prime_engine.primes_upto(z))
-    ps1, ps2 = small[:], []
-    while ps1 and (ps1[-1] * math.prod(ps2)) ** 2 <= Z:
-        ps2.append(ps1.pop())
-    u, vT = _coprime_table(ps1, A.shifts), _coprime_table(ps2, A.shifts).T
-
-    # hist[f] = #{i mod Z : f_i = f}, from blocks of rows of f = u v^T.
-    hist = np.zeros(A.size + 1, dtype=np.int64)
-    rows = max(1, HISTOGRAM_CHUNK // vT.shape[1])
-    for lo in range(0, len(u), rows):
-        f = (u[lo : lo + rows] @ vT).astype(np.intp)
-        hist += np.bincount(f.ravel(), minlength=A.size + 1)
-
     Y_z = 1.0
     for p in small:
         Y_z /= 1.0 - 1.0 / p
 
     gp = prime_engine.primes_upto(cutoff).primes[len(small) :].astype(np.float64)
 
+    shifts = np.array(A.shifts, dtype=np.int64)
+    res = [(shifts % p).astype(np.min_scalar_type(p)) for p in small[1:]]
     out = {}
     for k in k_values:
-        # Exact sum of the falling factorials f^(k); over Z, the ordered-subset sum of R(H).
-        r_avg = sum(cnt * math.perm(fv, k) for fv, cnt in enumerate(hist.tolist())) / Z
+        # g = Z R(H) < 2^27.  Within MAX_ESTIMATE_ROWS a chunk has at most
+        # 2^22 rows and its weights sum to at most C(2^22 + 1, 2) < 2^43 (the
+        # shapes of k = 2), so each dot with a 14-bit half of g stays below
+        # 2^63.
+        total = 0
+        for idx, weight in _rows(A, k):
+            g = np.ones(idx.shape[1], dtype=np.int64)
+            for r, p in zip(res, small[1:]):
+                g *= p - _nu(r, idx)  # nu_p <= p: no wrap in nu's uint8
+            lo = g & ((1 << 14) - 1)
+            g >>= 14
+            total += (int(weight @ g) << 14) + int(weight @ lo)
+        r_avg = math.factorial(k) * total / Z
         out[k] = r_avg * (Y_z**k) * math.exp(_generic_log(k, gp)) / A.size**k
     return out
 
@@ -349,14 +379,14 @@ def check_monotone(
 ) -> dict:
     """S*(1..k_max) and the minimum consecutive ratio S*(k+1)/S*(k).
 
-    Exact values from average_B (one weighted row per shape on an
-    interval, every subset otherwise) wherever it takes k, and the
-    quasi-prime histogram estimate where its MAX_ORDERED_SUBSETS budget
-    refuses k; the report records which method produced each value.  The
-    histogram treats every prime above HISTOGRAM_Z = 23 as generic, so it
-    is exact only while no difference in A has a larger prime factor: for
-    A = [1, h] up to h = 58, and low from [1, 59] on (1.42% low at S*(5)
-    on [1, 100]).
+    Exact values from average_B wherever its MAX_ORDERED_SUBSETS budget
+    takes k; where it refuses k, the z = 23 truncated estimate (method
+    "histogram"), computed exactly from the same rows.  The report records
+    which method produced each value.  The estimate treats every prime
+    above HISTOGRAM_Z = 23 as generic, so it is exact only while no
+    difference in A has a larger prime factor: for A = [1, h] up to
+    h = 58, and low from [1, 59] on (1.42% low at S*(5) on [1, 100]).
+    Past MAX_ESTIMATE_ROWS rows it raises CapacityError before any work.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -365,20 +395,13 @@ def check_monotone(
     if not math.isfinite(floor):
         raise DomainError(f"floor must be finite, got {floor}")
 
-    values: dict[int, float] = {}
-    methods: dict[int, str] = {}
-    need_histogram = []
+    need = [k for k in range(1, k_max + 1) if not _within_budget(A.size, k)]
+    values = _s_star_truncated(A, need, cutoff) if need else {}
+    methods = {k: "histogram" for k in values}
     for k in range(1, k_max + 1):
-        if _within_budget(A.size, k):
+        if k not in values:
             values[k] = s_star(A, k, cutoff)
             methods[k] = "exact"
-        else:
-            need_histogram.append(k)
-    if need_histogram:
-        est = _s_star_histogram(A, need_histogram, cutoff)
-        for k, v in est.items():
-            values[k] = v
-            methods[k] = "histogram"
 
     s_values = [values[k] for k in range(1, k_max + 1)]
     ratios = []

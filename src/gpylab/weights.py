@@ -104,7 +104,7 @@ def _entries(offs: np.ndarray, period: int, size: int) -> np.ndarray:
 
 
 def _lambda_walk(
-    n: np.ndarray, m: int, H: tc.TupleH, primes: list, a: int, log_R: float
+    n: np.ndarray, m: int, H: tc.TupleH, primes: list, a: int, R: float
 ) -> np.ndarray:
     """Sum of mu(d) (log R/d)^a / a! over squarefree d <= R with d | P_H(n),
     for every entry of n, where d runs over products of the ascending `primes`.
@@ -120,7 +120,15 @@ def _lambda_walk(
     more offsets than whole periods in n; any other adds its term by one
     strided slice per offset.  Either way each entry receives the same
     terms in the same order.
+
+    Where every prime factor of P_H(n) is walked and their set S has
+    prod S <= R, the walk visits every subset T of S, and the sum of
+    (-1)^|T| (log R - log prod T)^a is an |S|-th difference of a degree-a
+    polynomial: exactly 0 when |S| > a.  The walk rounds there, so the
+    entries within 1e-9 (log R)^a / a! of 0 are rechecked in Python ints
+    and set to 0.0 where that holds; no other entry moves.
     """
+    log_R = math.log(R)
     logs = [math.log(q) for q in primes]
     roots = [sorted({(-h) % q for h in H.shifts}) for q in primes]
     size = n.size
@@ -162,7 +170,29 @@ def _lambda_walk(
         else:
             out[_entries(offs, period, size)] += term
     out /= math.factorial(a)
+    # Two bool passes: np.abs(out) would add a float copy of the window.
+    tol = 1e-9 * log_R**a / math.factorial(a)
+    near_zero = out <= tol
+    near_zero &= out >= -tol
+    for j in np.flatnonzero(near_zero).tolist():
+        if _cancels(int(n[j]), H, primes, a, R):
+            out[j] = 0.0
     return out
+
+
+def _cancels(n: int, H: tc.TupleH, primes: list, a: int, R: float) -> bool:
+    """Whether the primes dividing P_H(n) all lie in `primes`, number more
+    than a and multiply to at most R."""
+    S = set()
+    for h in H.shifts:
+        c = n + h
+        for q in primes:
+            while c % q == 0:
+                c //= q
+                S.add(q)
+        if c != 1:
+            return False
+    return len(S) > a and math.prod(S) <= R
 
 
 def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
@@ -178,7 +208,7 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
         if any((n + h) % p == 0 for h in H.shifts)
     ]
     # Beyond int64, np.array holds n as uint64 or as a Python int object.
-    return float(_lambda_walk(np.array([n]), 1, H, primes, H.size + ell, math.log(R))[0])
+    return float(_lambda_walk(np.array([n]), 1, H, primes, H.size + ell, R)[0])
 
 
 def _window_candidates(
@@ -228,7 +258,7 @@ def lambda_window(
     claims no period.
     """
     assert (cands[m:] - cands[: cands.size - m] == tc.primorial(params.V)).all()
-    return _lambda_walk(cands, m, H, _mask_primes(params), H.size + ell, math.log(params.R))
+    return _lambda_walk(cands, m, H, _mask_primes(params), H.size + ell, params.R)
 
 
 def _check_pair_inputs(H1: tc.TupleH, H2: tc.TupleH) -> tc.TupleH:

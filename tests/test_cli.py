@@ -237,6 +237,8 @@ def test_capacity_error_exit_code(capsys):
         ["combi", "coeffs", "--max", "1000"],
         # The next prime past factorize's bound, which decides primality.
         ["tuple", "check", "--shifts", "0,2", "--p", "1000000000039"],
+        # S*(7) on [1, 100] needs 2 C(49, 6) = 28 M estimate rows.
+        ["singular", "monotone", "--shifts", ",".join(map(str, range(1, 101))), "--kmax", "7"],
     ):
         start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv

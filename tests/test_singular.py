@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gpylab import singular
 from gpylab import tuples as tc
-from gpylab.errors import DomainError
+from gpylab.errors import CapacityError, DomainError
 
 # Twin constant 2 C_2 to 13 digits, from the classical Euler product.
 TWIN_CONSTANT = 1.3203236316937
@@ -98,22 +98,21 @@ def test_density_times_primorial_equals_direct_count(shifts, z):
 
 
 def test_histogram_counts_past_255_shifts(monkeypatch):
-    # With z = 2 every residue i sees exactly 300 of the 600 shifts coprime,
-    # and S*(1) is exactly 1 unless the per-residue counter wraps.
+    # With z = 2 each of the 600 shifts has R = 1/2, and S*(1) is exactly 1
+    # unless a per-row count wraps.
     monkeypatch.setattr(singular, "HISTOGRAM_Z", 2)
     A = tc.TupleH(tuple(range(1, 601)))
-    assert singular._s_star_histogram(A, [1], 1000)[1] == pytest.approx(1.0, rel=1e-12)
+    assert singular._s_star_truncated(A, [1], 1000)[1] == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("z, chunk", [(7, 64), (13, 1200)])
-def test_histogram_counts_match_quasiprime_densities(monkeypatch, z, chunk):
-    # Z = Z1 Z2 = 30 * 7 and 210 * 143, in blocks of 9 and 8 rows that do not
-    # divide Z1, with shifts above Z1 and Z2: the counts must give k! * sum of
-    # the exact R(H) over k-subsets.
+@pytest.mark.parametrize("z", [7, 13])
+def test_histogram_counts_match_quasiprime_densities(monkeypatch, z):
+    # Shifts above Z for z = 7, a two-element even half and an odd half that
+    # is no progression: the estimate must give k! * the sum of the exact
+    # R(H) over k-subsets.
     monkeypatch.setattr(singular, "HISTOGRAM_Z", z)
-    monkeypatch.setattr(singular, "HISTOGRAM_CHUNK", chunk)
     A = tc.TupleH((1, 5, 12, 250, 333))
-    est = singular._s_star_histogram(A, [2, 3], 1000)
+    est = singular._s_star_truncated(A, [2, 3], 1000)
     primes = [p for p in range(2, 1001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     Y = math.prod(Fraction(p, p - 1) for p in primes if p <= z)
     for k in (2, 3):
@@ -132,11 +131,69 @@ def test_histogram_at_z23_is_pinned_and_allocates_no_table_mod_Z():
     A = tc.TupleH(tuple(range(1, 26)))
     tracemalloc.start()
     try:
-        assert singular._s_star_histogram(A, [6], 10**5)[6] == 0.01643745104422517
+        assert singular._s_star_truncated(A, [6], 10**5)[6] == 0.01643745104422517
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < tc.primorial(singular.HISTOGRAM_Z) // 4
+
+
+# The values the residue histogram mod primorial(23) gave, as (shifts, k):
+# both parity halves progressions, one half only, and neither.
+MIXED_13 = (2, 6, 8, 12, 14, 20, 21, 33, 40, 41, 57, 60, 61)
+ESTIMATES = [
+    pytest.param(tuple(range(1, 51)), 5, 0.2925592151024415, id="1-50-k5"),
+    pytest.param(tuple(range(1, 51)), 6, 0.14763564731339016, id="1-50-k6"),
+    pytest.param(tuple(range(1, 101)), 5, 0.5156147062150015, id="1-100-k5"),
+    pytest.param(tuple(range(2, 59, 2)), 4, 4.277525765436793, id="even-2-58-k4"),
+    pytest.param(MIXED_13, 3, 0.5520824807046504, id="mixed-13-k3"),
+    pytest.param(MIXED_13, 4, 0.27572815672694845, id="mixed-13-k4"),
+    pytest.param(MIXED_13, 5, 0.09048437766008534, id="mixed-13-k5"),
+]
+
+
+@pytest.mark.parametrize("shifts, k, want", ESTIMATES)
+def test_estimate_is_pinned_to_the_histogram_values(shifts, k, want):
+    assert singular._s_star_truncated(tc.TupleH(shifts), [k], 10**5)[k] == want
+
+
+@pytest.mark.parametrize("t0", [0, 734019])
+def test_check_monotone_reports_the_pinned_estimate_at_25_6(t0):
+    rep = singular.check_monotone(tc.TupleH(tuple(range(t0 + 1, t0 + 26))), 6)
+    assert rep["methods"] == ["exact"] * 5 + ["histogram"]
+    assert rep["s_star"][5] == 0.01643745104422517
+
+
+def test_estimate_on_1_100_peaks_below_the_histogram():
+    # The residue histogram mod primorial(23) peaked at 35936076 traced bytes
+    # on this call (numpy 2.4).  The rows come in chunks by first index, the
+    # largest C(48, 4) = 194580 shapes.
+    A = tc.TupleH(tuple(range(1, 101)))
+    tracemalloc.start()
+    try:
+        assert singular._s_star_truncated(A, [6], 10**5)[6] == 0.36362371524205667
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35936076
+
+
+def test_estimate_rows_budget_at_its_limit_and_one_past_it(monkeypatch):
+    A = tc.TupleH(tuple(range(1, 26)))
+    rows = math.comb(12, 5) + math.comb(11, 5)  # shapes of the odd and even halves
+    assert singular._row_count(A, 6) == rows == 1254
+    monkeypatch.setattr(singular, "MAX_ESTIMATE_ROWS", rows)
+    assert singular._s_star_truncated(A, [6], 10**5)[6] == 0.01643745104422517
+    monkeypatch.setattr(singular, "MAX_ESTIMATE_ROWS", rows - 1)
+    with pytest.raises(CapacityError):
+        singular.check_monotone(A, 6)
+
+
+def test_estimate_rows_budget_admits_every_interval_it_is_exact_on():
+    budget = singular.MAX_ESTIMATE_ROWS
+    assert all(singular._row_count(tc.TupleH(tuple(range(1, 59))), k) <= budget for k in range(1, 9))
+    assert singular._row_count(tc.TupleH(tuple(range(1, 101))), 6) <= budget
+    assert singular._row_count(tc.TupleH(tuple(range(1, 101))), 7) > budget
 
 
 def _traced_peak(A, k):
@@ -149,16 +206,18 @@ def _traced_peak(A, k):
 
 
 def test_subset_matrix_is_built_in_one_allocation():
-    # [1, 61] without 30 is no interval, so each of its C(60, 4) = 487635
-    # subsets is a row: 1.9 MB of uint8 indices.  An int64 subset matrix
-    # alone would take 15.6 MB, a list of index tuples far more.
+    # The even half of [1, 61] without 30 is no progression, so each of its
+    # C(29, 4) = 23751 subsets is a row, beside the C(30, 3) = 4060 shapes of
+    # the odd half.  An int64 matrix of the C(60, 4) = 487635 subsets of the
+    # set alone would take 15.6 MB, a list of index tuples far more.
     A = tc.TupleH(tuple(x for x in range(1, 62) if x != 30))
     assert _traced_peak(A, 4) < 16 * 2**20
 
 
 def test_interval_rows_are_shapes():
-    # [1, 100] has C(99, 3) = 156849 shapes for k = 4; its C(100, 4) = 3921225
-    # subsets would take 15.7 MB as uint8 indices alone.
+    # The parity halves of [1, 100] have 2 C(49, 3) = 36848 shapes for k = 4;
+    # its C(100, 4) = 3921225 subsets would take 15.7 MB as uint8 indices
+    # alone.
     assert _traced_peak(tc.TupleH(tuple(range(1, 101))), 4) < 16 * 2**20
 
 
@@ -201,6 +260,9 @@ SETS = {
 CASES = [pytest.param(s, k, id=f"{name}-k{k}") for name, s in SETS.items() for k in (2, 3, 4)]
 # On these intervals fsum of the rounded weight * value products is 1 ulp off.
 CASES += [pytest.param(tuple(range(1, h + 1)), k, id=f"1-{h}-k{k}") for h, k in [(8, 2), (13, 3), (13, 4), (24, 2)]]
+# Both parities, and neither half a progression: odd 1, 5, 9, 19, 27 and even
+# 2, 4, 10, 16, 22, 30.
+CASES += [pytest.param((1, 2, 4, 5, 9, 10, 16, 19, 22, 27, 30), 3, id="no-progression-half-k3")]
 
 
 @pytest.mark.parametrize("shifts, k", CASES)
@@ -209,14 +271,36 @@ def test_average_B_equals_the_sum_over_all_subsets(shifts, k):
     assert singular.average_B(A, k)[0] == sum_over_all_subsets(A, k)
 
 
-def test_only_an_interval_takes_shape_rows():
+def _nu_rows(A, k, ps):
+    """(nu_p for p in ps, weight) of every row of singular._rows, sorted."""
+    shifts = np.array(A.shifts)
+    rows = []
+    for idx, weight in singular._rows(A, k):
+        nus = np.array([singular._nu(shifts % p, idx) for p in ps])
+        rows += [(tuple(col), w) for col, w in zip(nus.T.tolist(), weight.tolist())]
+    return sorted(rows)
+
+
+def test_only_a_progression_half_takes_shape_rows():
+    ps = [3, 5, 7]
+    # Odd half 1, 3, ..., 29 and even half 2, 4, ..., 30: shapes of each.
     interval = tc.TupleH(tuple(range(1, 31)))
-    idx, weight = singular._weighted_rows(interval, 4)
-    assert idx.shape == (4, math.comb(29, 3)) and weight.sum() == math.comb(30, 4)
+    rows = _nu_rows(interval, 4, ps)
+    assert len(rows) == singular._row_count(interval, 4) == 2 * math.comb(14, 3)
+    assert sum(w for _, w in rows) == 2 * math.comb(15, 4)
+    # The odd half without 17 is no progression: its C(14, 4) subsets, each
+    # of weight 1, and shapes of the even half.
     gapped = tc.TupleH(tuple(x for x in range(1, 31) if x != 17))
-    idx, weight = singular._weighted_rows(gapped, 4)
-    assert idx.shape == (4, math.comb(29, 4)) and weight is None
-    assert [tuple(r) for r in idx.T.tolist()] == list(itertools.combinations(range(29), 4))
+    rows = _nu_rows(gapped, 4, ps)
+    assert len(rows) == math.comb(14, 4) + math.comb(14, 3)
+    # Either way, every same-parity subset once and no mixed one.
+    for A in (interval, gapped):
+        want = []
+        for H in itertools.combinations(A.shifts, 4):
+            if len({h % 2 for h in H}) == 1:
+                want.append(tuple(len({h % p for h in H}) for p in ps))
+        expanded = [nu for nu, w in _nu_rows(A, 4, ps) for _ in range(w)]
+        assert sorted(expanded) == sorted(want)
 
 
 def test_s_star_4_on_1_100_is_pinned():
@@ -225,7 +309,7 @@ def test_s_star_4_on_1_100_is_pinned():
 
 def test_histogram_estimate_tracks_exact_values():
     A = tc.TupleH(tuple(range(1, 41)))
-    est = singular._s_star_histogram(A, [2, 3], 10**4)
+    est = singular._s_star_truncated(A, [2, 3], 10**4)
     for k in (2, 3):
         exact = singular.s_star(A, k, 10**4)
         assert est[k] == pytest.approx(exact, rel=0.05)

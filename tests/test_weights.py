@@ -103,6 +103,23 @@ def test_lambda_R_matches_divisor_sum():
             assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_lambda_R_is_exactly_zero_where_its_mobius_sum_cancels():
+    # 4 + 11 = 15 = 3 * 5 <= 23: with a = 1 < |S| = 2 the divisor sum
+    # log 23 - log 23/3 - log 23/5 + log 23/15 cancels identically.
+    H = tc.TupleH((11,))
+    assert weights.lambda_R(4, H, 0, 23.0) == 0.0
+    # With a = 2 = |S| it is (log 3)(log 5) / 2! * 2!, closed but not zero.
+    assert weights.lambda_R(4, H, 1, 23.0) == pytest.approx(math.log(3) * math.log(5), rel=1e-15)
+    # 15 > R = 14: the walk misses d = 15, leaving log 15 - log 14.
+    assert weights.lambda_R(4, H, 0, 14.0) == pytest.approx(math.log(15 / 14), rel=1e-12)
+    # The exact check itself: closed and more primes than a; then |S| = a,
+    # prod S > R, and a prime factor the walk does not take.
+    assert weights._cancels(4, H, [3, 5], 1, 23.0)
+    assert not weights._cancels(4, H, [3, 5], 2, 23.0)
+    assert not weights._cancels(4, H, [3, 5], 1, 14.0)
+    assert not weights._cancels(4, H, [3], 0, 23.0)
+
+
 def regular_candidates(H, params):
     # lambda_window assumes candidates free of prime factors up to V.
     return weights._window_candidates(H, params, None)
@@ -500,9 +517,11 @@ def test_detector_sum_counts_prime_at_window_start():
     V=st.integers(2, 7),
     N=st.integers(1, 40),
 )
-# The only regular n is 4, and 4 + 11 = 15 <= R: Lambda = log 16 - log 16/3
-# - log 16/5 + log 16/15 = 0, which the oracle returns as exactly 0.0.
+# The only regular n is 4, and 4 + 11 = 15 <= R: Lambda = log R - log R/3
+# - log R/5 + log R/15 = 0, which the oracle returns as exactly 0.0.  The
+# walk happens to round to 0.0 at R = 16 and did not at R = 23.
 @example(A={11}, K=1, ell=0, R=16.0, V=2, N=2)
+@example(A={11}, K=1, ell=0, R=23.0, V=2, N=2)
 def test_detector_sum_matches_brute_force_on_random_inputs(A, K, ell, R, V, N):
     A = tc.TupleH(tuple(sorted(A)))
     assume(K <= A.size)
