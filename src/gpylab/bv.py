@@ -150,11 +150,10 @@ def _folded_tables(p: np.ndarray, moduli: list[int]) -> Iterator[np.ndarray]:
     per-modulus bincount in its last bits.
     """
     logs = np.log(p.astype(np.float64))
-    # p <= 2N <= 2 * MAX_N < 2**32, so uint32 remainders are exact (and
-    # cheaper than int64 ones).
-    p32 = p.astype(np.uint32)
+    # p <= 2N <= 2 * MAX_N < 2**32, so the sieve's table is already uint32,
+    # whose remainders are cheaper than int64 ones.
     for base, covered in _fold_cover(moduli):
-        table = np.bincount(p32 % np.uint32(base), weights=logs, minlength=base)
+        table = np.bincount(p % base, weights=logs, minlength=base)
         for m in covered:
             yield table.reshape(-1, m).sum(axis=0)
 

@@ -1,17 +1,21 @@
 """Prime generation and Chebyshev-theta statistics.
 
 A segmented, odd-only sieve produces immutable prime tables.  Each table is
-one int64 array, allocated once at a proven upper bound on the number of
-primes in its window (prime_count_bound) and trimmed in place; a bound over
+one array, uint32 when its window ends below 2**32 and int64 above, so a
+table takes 4 bytes per prime wherever it can.  Readers of a uint32 table
+cast before they form x - p or p * p, which would wrap, and keep Python ints
+of 2**32 or more out of its arithmetic, where numpy raises OverflowError.
+A table is allocated once at a proven upper bound on the number of primes in
+its window (prime_count_bound) and trimmed in place; a bound over
 MAX_TABLE_BYTES is refused before any work.  One flag buffer serves every
 segment: it is filled from a wheel pattern for 3*5*7*11*13, then struck by
-the base primes above 13.  On top of the tables sit theta(x), theta(x; q, a),
-the progression error E(x; q, a) and its running maximum E*(X, q).  Every
-float sum in the library goes through exact_sum, the correctly rounded sum
-(== math.fsum) in a few numpy passes per block, so results are exactly
-rounded and independent of segmentation and order.  The small-integer
-arithmetic the other modules need lives here too: factorisation, which also
-decides primality, and Euler phi.
+the base primes above 13, slices of one shared int64 table.  On top of the
+tables sit theta(x), theta(x; q, a), the progression error E(x; q, a) and
+its running maximum E*(X, q).  Every float sum in the library goes through
+exact_sum, the correctly rounded sum (== math.fsum) in a few numpy passes
+per block, so results are exactly rounded and independent of segmentation
+and order.  The small-integer arithmetic the other modules need lives here
+too: factorisation, which also decides primality, and Euler phi.
 """
 
 from __future__ import annotations
@@ -38,9 +42,11 @@ SEGMENT_SIZE = 1 << 20
 # MAX_TABLE_BYTES, not by this.
 MAX_SIEVE_HI = 1 << 40
 
-# Ceiling on the bytes of one prime table, 8 * prime_count_bound(lo, hi).
-# primes_upto(10**9) needs about 485 MB and sieve_range(10**9 + 1, 2 * 10**9)
-# about 772 MB; primes_upto(10**12) would need 363 GB.
+# Ceiling on the bytes of one prime table, itemsize * prime_count_bound(lo, hi).
+# primes_upto(10**9) needs about 243 MB and sieve_range(10**9 + 1, 2 * 10**9)
+# about 386 MB.  Every uint32 window fits (primes_upto(2**32 - 1) needs about
+# 972 MB); primes_upto(2**32), an int64 table, needs 1.9 GB and
+# primes_upto(10**12) 363 GB.
 MAX_TABLE_BYTES = 1 << 30
 
 # The wheel: flags of odd numbers prime to 3*5*7*11*13 repeat every 15015
@@ -65,7 +71,14 @@ SUM_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes in [lo, hi], strictly increasing, immutable."""
+    """All primes in [lo, hi], strictly increasing, immutable.
+
+    sieve_range makes `primes` uint32 when hi < 2**32 and int64 otherwise.
+    On uint32, x - p wraps where p > x and p * p wraps where p >= 2**16, so
+    a reader casts to int64 (or float64) first; a Python int >= 2**32 in
+    uint32 arithmetic raises OverflowError, so such an operand is kept out
+    (theta_progression and ap_error_star take p % q = p where q > x).
+    """
 
     lo: int
     hi: int
@@ -103,9 +116,10 @@ def prime_count_bound(lo: int, hi: int) -> int:
 def sieve_range(lo: int, hi: int) -> PrimeTable:
     """Exact primes in [lo, hi] via a segmented odd-only sieve.
 
-    The table is one int64 array of prime_count_bound(lo, hi) entries, written
-    once per prime and trimmed in place; a window whose bound exceeds
-    MAX_TABLE_BYTES raises CapacityError before anything is allocated.
+    The table is one array of prime_count_bound(lo, hi) entries, uint32 if
+    hi < 2**32 and int64 otherwise, written once per prime and trimmed in
+    place; a window whose bound exceeds MAX_TABLE_BYTES raises CapacityError
+    before anything is allocated.
     """
     if lo < 0:
         raise DomainError(f"lo must be non-negative, got {lo}")
@@ -114,24 +128,20 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
     if hi > MAX_SIEVE_HI:
         raise CapacityError(f"hi={hi} exceeds supported ceiling {MAX_SIEVE_HI}")
     size = prime_count_bound(lo, hi)
-    if 8 * size > MAX_TABLE_BYTES:
+    dtype = np.dtype(np.uint32 if hi < 1 << 32 else np.int64)
+    if dtype.itemsize * size > MAX_TABLE_BYTES:
         raise CapacityError(
-            f"[{lo}, {hi}] may hold {size} primes, {8 * size} bytes over guard {MAX_TABLE_BYTES}"
+            f"[{lo}, {hi}] may hold {size} primes, {dtype.itemsize * size} bytes "
+            f"over guard {MAX_TABLE_BYTES}"
         )
-    if hi < 2:
-        return PrimeTable(lo, hi, np.empty(0, dtype=np.int64))
-
-    # The base primes come from this sieve; isqrt(hi) < hi, so the recursion
-    # ends at the hi < 2 case above.
-    base = sieve_range(0, math.isqrt(hi)).primes
-    out = np.empty(size, dtype=np.int64)
+    out = np.empty(size, dtype=dtype)
     n = 0
     if lo <= 2 <= hi:
         out[0] = 2
         n = 1
     start = max(lo, 3) | 1
     if start <= hi:
-        n = _sieve_odd(out, n, start, hi, base[base > _WHEEL_PRIMES[-1]])
+        n = _sieve_odd(out, n, start, hi, _odd_base(math.isqrt(hi)))
     # No view of out outlives _sieve_odd, so out can shrink in place.
     out.resize(n, refcheck=False)
     return PrimeTable(lo, hi, out)
@@ -193,12 +203,35 @@ def _sieve_odd(out: np.ndarray, n: int, start: int, hi: int, odd_base: np.ndarra
                 flags[0] = False
         idx = flags[:count].nonzero()[0]
         dst = out[n : n + idx.size]  # never short: size is a proven bound
-        np.multiply(idx, 2, out=dst)
+        # 2 * idx <= hi - s, so a uint32 out takes it exactly.
+        np.multiply(idx, 2, out=dst, casting="unsafe")
         dst += s
         n += idx.size
         done += count
         del idx  # before the next segment's indices are allocated
     return n
+
+
+# The base primes above the wheel, in (13, _base[0]], as int64: the strike
+# arithmetic (p * p, m * p, s + p - 1) needs int64 operands.  One table
+# serves every sieve call.  It grows on demand to the isqrt(hi) a call needs,
+# at least doubling, and never past isqrt(MAX_SIEVE_HI) = 2**20 (82 025
+# primes, 656 KB).  Each (top, table) pair is bound whole, so racing threads
+# can at worst sieve it twice.
+_base = (_WHEEL_PRIMES[-1], np.empty(0, dtype=np.int64))
+
+
+def _odd_base(x: int) -> np.ndarray:
+    """The primes in (13, x], int64, a view of the shared base table."""
+    global _base
+    top, ps = _base
+    if x > top:
+        top = min(max(x, 2 * top), math.isqrt(MAX_SIEVE_HI))
+        # Its own base primes go up to isqrt(top) < top, so the recursion ends.
+        ps = sieve_range(_WHEEL_PRIMES[-1] + 1, top).primes.astype(np.int64)
+        ps.setflags(write=False)
+        _base = (top, ps)
+    return ps[: int(ps.searchsorted(x, side="right"))]
 
 
 def primes_upto(x: int) -> PrimeTable:
@@ -272,7 +305,7 @@ def theta_progression(x: int, q: int, a: int, table: PrimeTable | None = None) -
         raise DomainError("x must be non-negative")
     table = _table_for(x, table)
     p = _primes_le(table, x)
-    # Where q > x, p % q = p, and q may not fit in int64.
+    # Where q > x, p % q = p, and q may not fit the table's dtype.
     p = p[p % q == a] if q <= x else p[p == a]
     return exact_sum(np.log(p))
 
@@ -303,7 +336,8 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
     table = _table_for(X, table)
     phi_q = _phi(q)
     p = _primes_le(table, X)  # never empty: it holds 2
-    r = p % q
+    # Where q > X, p % q = p, and q may not fit the table's dtype.
+    r = p % q if q <= X else p
     if q <= 1 << 16:
         # A stable sort has one result whatever the key dtype; numpy's is a
         # radix sort on 16-bit keys, about 4x faster here than on int64.

@@ -483,6 +483,10 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
     primes = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N).primes
     inner = np.full(N, -math.log(3 * N), dtype=np.float64)
     for a in A.shifts:
+        # From a = 2N on no n + a is <= 3N, and N + 1 + a may not fit the
+        # uint32 table.
+        if a >= 2 * N:
+            break
         # The primes n + a with n in the window, at their offsets n - (N + 1).
         p = primes[(primes >= N + 1 + a) & (primes <= 2 * N + a)]
         inner[p - (N + 1 + a)] += np.log(p.astype(np.float64))

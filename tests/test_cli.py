@@ -257,6 +257,14 @@ def test_theta_progression_past_int64_moduli(capsys):
         assert json.loads(out)["theta_progression"] == want
 
 
+def test_estar_past_uint32_moduli(capsys):
+    # p % q = p for every p <= hi < q: a q past 2**32 never meets the uint32
+    # table, where it would raise OverflowError.
+    code, out = run(["primes", "--hi", "1000", "--q", "5000000006", "--estar"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["estar"] == 6.904750371080192
+
+
 def test_non_finite_numbers_are_refused(capsys):
     # Each ends in a usage or domain error before any work, where it once
     # exited 1 with a traceback or reported a NaN or an infinity.

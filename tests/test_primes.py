@@ -131,34 +131,59 @@ def test_sieve_range_table_is_read_only_and_trimmed():
 
 
 def test_primes_upto_peak_memory_is_about_one_table():
-    # The table is allocated once, at the bound (1.17x the primes here), and
-    # a segment adds about 2 MiB of flags and indices.  Concatenating
-    # per-segment chunks held every prime twice: a peak of 2.06x.
+    # The uint32 table is allocated once, at the bound (1.17x the primes
+    # here), and a segment adds about 2 MiB of flags and indices.  An int64
+    # table peaks near twice this bound; concatenating per-segment chunks
+    # held every prime twice on top of that.
+    bound = primes.prime_count_bound(0, 2 * 10**7)
     tracemalloc.start()
     try:
         table = primes.primes_upto(2 * 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * table.primes.nbytes + 2 * 2**20
+    assert table.primes.dtype == np.uint32
+    assert peak <= 4.4 * bound + 2 * 2**20
+
+
+def test_tables_below_2_32_take_4_bytes_per_prime():
+    assert primes.primes_upto(10**7).primes.nbytes == 4 * 664579
 
 
 def test_table_guard_at_its_limit(monkeypatch):
-    # prime_count_bound(0, 1000) = 182 entries of 8 bytes.
-    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1456)
+    # prime_count_bound(0, 1000) = 182 uint32 entries of 4 bytes.  The first
+    # call also grows the shared base table, which the patched guard would
+    # refuse.
     assert len(primes.primes_upto(1000)) == 168
-    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1455)
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 728)
+    assert len(primes.primes_upto(1000)) == 168
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 727)
     with pytest.raises(CapacityError):
         primes.primes_upto(1000)
 
 
+def test_table_guard_at_its_limit_above_2_32(monkeypatch):
+    # prime_count_bound(2**32, 2**32 + 200) = 76 int64 entries of 8 bytes.
+    lo, hi = 2**32, 2**32 + 200
+    want = _sympy_window(lo, hi)
+    assert primes.sieve_range(lo, hi).primes.tolist() == want
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 608)
+    assert primes.sieve_range(lo, hi).primes.tolist() == want
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 607)
+    with pytest.raises(CapacityError):
+        primes.sieve_range(lo, hi)
+
+
 def test_table_guard_refuses_before_allocating():
-    # The largest legal tables fit (about 485 and 772 MB; computed, not run).
-    assert 8 * primes.prime_count_bound(0, 10**9) <= primes.MAX_TABLE_BYTES
-    assert 8 * primes.prime_count_bound(10**9 + 1, 2 * 10**9) <= primes.MAX_TABLE_BYTES
+    # The largest legal tables fit (about 243, 386 and 972 MB; computed, not
+    # run): every uint32 window does.  The int64 table of [0, 2**32] needs
+    # 1.9 GB.
+    assert 4 * primes.prime_count_bound(0, 10**9) <= primes.MAX_TABLE_BYTES
+    assert 4 * primes.prime_count_bound(10**9 + 1, 2 * 10**9) <= primes.MAX_TABLE_BYTES
+    assert 4 * primes.prime_count_bound(0, 2**32 - 1) <= primes.MAX_TABLE_BYTES
     tracemalloc.start()
     try:
-        for lo, hi in ((0, 3 * 10**9), (0, 10**12), (2**39, 2**40)):
+        for lo, hi in ((0, 2**32), (0, 10**12), (2**39, 2**40)):
             with pytest.raises(CapacityError):
                 primes.sieve_range(lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
@@ -192,6 +217,34 @@ def test_sieve_range_single_entry_windows_near_1e12():
     got = [n for n in points if primes.sieve_range(n, n).primes.tolist() == [n]]
     want = [n for n in points if sympy.isprime(n)]
     assert got == want and len(want) >= 2
+
+
+def test_sieve_range_width_at_2_32():
+    below = primes.sieve_range(2**32 - 10**4, 2**32 - 1).primes
+    across = primes.sieve_range(2**32 - 10**4, 2**32 + 10**4).primes
+    above = primes.sieve_range(2**32, 2**32 + 10**4).primes
+    assert below.dtype == np.uint32
+    assert across.dtype == above.dtype == np.int64
+    assert below.tolist() == _sympy_window(2**32 - 10**4, 2**32 - 1)
+    assert above.tolist() == _sympy_window(2**32, 2**32 + 10**4)
+    assert across.tolist() == below.tolist() + above.tolist()
+
+
+def test_base_table_is_shared_and_capped(monkeypatch):
+    # The first window near 10**11 grows the base table; the next ones
+    # below it slice it and sieve nothing more.
+    sieve_range = primes.sieve_range
+    assert sieve_range(10**11, 10**11 + 1000).primes.tolist() == _sympy_window(10**11, 10**11 + 1000)
+    calls = []
+    monkeypatch.setattr(primes, "sieve_range", lambda lo, hi: calls.append((lo, hi)))
+    for lo in (10**11 - 5000, 10**10, 10**6):
+        assert sieve_range(lo, lo + 1000).primes.tolist() == _sympy_window(lo, lo + 1000)
+    assert calls == []
+    monkeypatch.undo()
+    primes.sieve_range(primes.MAX_SIEVE_HI - 100, primes.MAX_SIEVE_HI)
+    top, base = primes._base
+    assert top == 2**20 and base.dtype == np.int64
+    assert base.size == 82025 - 6  # the primes <= 2**20 but 2, 3, 5, 7, 11, 13
 
 
 def test_sieve_range_rejects_bad_bounds():
@@ -405,6 +458,24 @@ def test_ap_error_star_bit_identical_to_per_residue_filter():
         small = primes.primes_upto(X)
         assert primes.ap_error_star(X, q, small) == _ap_error_star_per_residue(X, q, small)
     assert primes.ap_error_star(4, 5) == 1.0
+
+
+def test_statistics_equal_on_both_table_widths():
+    narrow = primes.primes_upto(5000)
+    wide = primes.PrimeTable(0, 5000, narrow.primes.astype(np.int64))
+    assert narrow.primes.dtype == np.uint32
+    for x, q, a in ((5000, 1, 0), (5000, 12, 7), (4999, 210, 11), (3000, 4999, 2999), (100, 10**6, 97)):
+        for f in (primes.theta_progression, primes.ap_error):
+            assert f(x, q, a, narrow) == f(x, q, a, wide)
+    for X, q in ((5000, 1), (5000, 210), (5000, 997), (2000, 10**6), (1000, 5_000_000_006)):
+        assert primes.ap_error_star(X, q, narrow) == primes.ap_error_star(X, q, wide)
+
+
+def test_moduli_and_residues_past_uint32():
+    # p % q = p for every p <= X < q: a q past 2**32 never meets the uint32
+    # table, where it would raise OverflowError.
+    assert primes.ap_error_star(1000, 5_000_000_006) == 6.904750371080192
+    assert primes.theta_progression(1000, 5_000_000_006, 2**32 + 1) == 0.0
 
 
 def test_ap_error_star_memory_does_not_grow_with_the_modulus():

@@ -508,6 +508,15 @@ def test_detector_sum_counts_prime_at_window_start():
     assert weights.detector_sum(A, params)["value"] == pytest.approx(want, rel=1e-12)
 
 
+def test_detector_sum_takes_a_shift_past_the_uint32_table():
+    # n + 2**33 is never a prime <= 3N, and N + 1 + 2**33 does not fit the
+    # uint32 table of primes <= 3N: the inner weight skips that shift.
+    A = tc.TupleH((0, 2, 2**33))
+    params = weights.WeightParams(K=2, ell=0, R=8.0, V=3, N=10)
+    want = brute_detector(A, params)
+    assert weights.detector_sum(A, params)["value"] == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     A=st.sets(st.integers(0, 12), min_size=1, max_size=5).filter(lambda a: max(a) > 0),
