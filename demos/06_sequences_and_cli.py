@@ -1,11 +1,10 @@
-"""Shift-set families, tuple files, and the command-line driver.
+"""Shift-set families and the command-line driver.
 
 The sieve machinery applies to any shift set, not just dense intervals:
 sparse sets (geometric powers, powers with structured exponents) are
 interesting as long as their counting function beats the
-sqrt(log N) (log log N)^2 threshold.  Sets round-trip through a plain
-text format, and every library operation is also reachable from the
-`gpylab` command-line driver.
+sqrt(log N) (log log N)^2 threshold.  Every library operation is also
+reachable from the `gpylab` command-line driver.
 """
 
 import json
@@ -14,7 +13,6 @@ from pathlib import Path
 
 from gpylab.cli import main as cli_main
 from gpylab.sequences import density_threshold, generate_sequence
-from gpylab.tuples import read_tuple_file, write_tuple_file, TupleH
 
 N = 10**6
 print(f"density threshold at N=10^6: {density_threshold(N):.2f}")
@@ -24,11 +22,6 @@ for kind, kw in (("interval", {"h": 8}), ("powers_k", {"k": 3}),
     print(f"  {kind:>26}: {len(vals):>3} elements, head {vals[:6]}")
 
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "tuples.txt"
-    write_tuple_file(path, [TupleH((0, 2, 6)), TupleH((0, 4, 6))], header="demo sets")
-    back = read_tuple_file(path)
-    print(f"\ntuple file round trip: {[t.shifts for t in back]}")
-
     out = Path(tmp) / "report.json"
     code = cli_main(["singular", "value", "--shifts", "0,2", "--cutoff", "1e5",
                      "--stable", "--out", str(out)])

@@ -511,10 +511,6 @@ def _cmd_seq(args) -> dict:
     }
     if not values:
         out["warning"] = "empty sequence for the given bounds"
-    elif args.out:
-        tc.write_tuple_file(args.out, [tc.TupleH(tuple(values))],
-                            header=f"{args.kind} N={args.n} k={args.k}")
-        out["file"] = args.out
     return out
 
 
@@ -568,10 +564,7 @@ def _envelope(args, payload: dict, runtime: float) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    # `seq generate --out F` writes its tuple file to F; the report then goes
-    # to standard output.
-    out = args.out if args.out and payload.get("file") != args.out else None
-    dest = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with dest as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, isqrt, log
+from math import comb, factorial, log
 from operator import mul
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .primes import primes_upto
+from .primes import squarefree_omega
 
 # Largest x of divisor_mean_check, whose sieve holds per-integer arrays of x + 1 entries.
 MAX_DIVISOR_MEAN_X = 10**7
@@ -197,30 +197,6 @@ def coeff_ratio_check(d: int, u: int, v: int) -> dict:
     }
 
 
-def _squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """For q in [1, x]: squarefree flags and omega(q), by sieving.
-
-    A prime p <= sqrt(x) marks its multiples by slicing.  The primes above
-    sqrt(x) are handled together per cofactor k <= x/(isqrt(x)+1): one
-    fancy-index add marks every k p <= x.  The k p of one add are
-    distinct, so no increment is lost to a repeated index.
-    """
-    omega = np.zeros(x + 1, dtype=np.int8)
-    squarefree = np.ones(x + 1, dtype=bool)
-    squarefree[0] = False
-    primes = primes_upto(x).primes
-    s = isqrt(x)
-    split = int(np.searchsorted(primes, s, side="right"))
-    for p in primes[:split].tolist():
-        omega[p::p] += 1
-        squarefree[p * p :: p * p] = False
-    large = primes[split:]
-    for k in range(1, x // (s + 1) + 1):
-        top = int(np.searchsorted(large, x // k, side="right"))
-        omega[k * large[:top]] += 1
-    return squarefree, omega
-
-
 def divisor_mean_check(x: int, m: int) -> dict:
     """Exact sum_{q <= x squarefree} d_m(q) against the bound x(1+log x)^ceil(m)."""
     if x < 1:
@@ -229,7 +205,7 @@ def divisor_mean_check(x: int, m: int) -> dict:
         raise CapacityError(f"x={x} exceeds guard {MAX_DIVISOR_MEAN_X}")
     if m < 1:
         raise DomainError("m must be >= 1")
-    squarefree, omega = _squarefree_omega(x)
+    squarefree, omega = squarefree_omega(x)
     counts = np.bincount(omega[squarefree].astype(np.int64))
     lhs = sum(int(c) * m**w for w, c in enumerate(counts.tolist()))
     rhs = x * (1.0 + log(x)) ** int(np.ceil(m))

@@ -131,10 +131,12 @@ def main_term_t4(p: MainTermParams, scope: str = "aggregate") -> dict:
 
     aggregate: N binom(l1+l2, l1) (log R)^(r+l1+l2) / (r+l1+l2)! * S(H);
     per_class: aggregate / |A(H)|.  density_adjusted_mid rescales by
-    |A(H)|/P so the value is directly comparable to a measured pair sum,
-    which only visits that share of the residue classes.  The reported
-    error_scale is the relative size K rbar* log2(N) / log R of the
-    neglected terms.
+    |A(H)|/P, the share of residue classes a measured pair sum visits.  It
+    is a desk-scale heuristic, not the limit: it tracks a measured sum only
+    at the small R the acceptance criteria use (R <= 31.3), while the
+    pair sum at finite R tends to the unadjusted mid as R grows.  The
+    reported error_scale is the relative size K rbar* log2(N) / log R of
+    the neglected terms.
     """
     if scope not in ("aggregate", "per_class"):
         raise DomainError(f"unknown scope {scope!r}")
@@ -143,8 +145,9 @@ def main_term_t4(p: MainTermParams, scope: str = "aggregate") -> dict:
         raise DomainError("tuples (and their union) must be admissible")
     count = tc.regular_class_count(Hu, p.V)
     # Share of residue classes mod P the empirical window actually visits.
-    # At desk scale the unadjusted main term overshoots by its reciprocal,
-    # so the adjusted value is the one to compare against measured sums.
+    # Scaling by it matches measured sums only at small R: for H1 = (0, 2),
+    # H2 = (0, 6), ell = 1, V = 5, adjusted / finite-R main term falls from
+    # 2.8 at R = 10 to 0.15 at R = 10^4.
     density = count / tc.primorial(p.V)
     out = _prediction(p, Hu, 1, count if scope == "per_class" else 1, density)
     out["scope"] = scope

@@ -15,7 +15,8 @@ its running maximum E*(X, q).  Every float sum in the library goes through
 exact_sum, the correctly rounded sum (== math.fsum) in a few numpy passes
 per block, so results are exactly rounded and independent of segmentation
 and order.  The small-integer arithmetic the other modules need lives here
-too: factorisation, which also decides primality, and Euler phi.
+too: factorisation, which also decides primality, Euler phi, and the one
+squarefree sieve, squarefree flags and omega(q) for every q <= x.
 """
 
 from __future__ import annotations
@@ -365,6 +366,30 @@ def _phi(q: int) -> int:
     for p in factorize(q):
         result -= result // p
     return result
+
+
+def squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """For q in [1, x]: squarefree flags and omega(q), by sieving.
+
+    A prime p <= sqrt(x) marks its multiples by slicing.  The primes above
+    sqrt(x) are handled together per cofactor k <= x/(isqrt(x)+1): one
+    fancy-index add marks every k p <= x.  The k p of one add are
+    distinct, so no increment is lost to a repeated index.
+    """
+    omega = np.zeros(x + 1, dtype=np.int8)
+    squarefree = np.ones(x + 1, dtype=bool)
+    squarefree[0] = False
+    primes = primes_upto(x).primes
+    s = math.isqrt(x)
+    split = int(np.searchsorted(primes, s, side="right"))
+    for p in primes[:split].tolist():
+        omega[p::p] += 1
+        squarefree[p * p :: p * p] = False
+    large = primes[split:]
+    for k in range(1, x // (s + 1) + 1):
+        top = int(np.searchsorted(large, x // k, side="right"))
+        omega[k * large[:top]] += 1
+    return squarefree, omega
 
 
 def _table_for(x: int, table: PrimeTable | None) -> PrimeTable:

@@ -226,27 +226,3 @@ def parse_tuple_line(line: str) -> TupleH:
     except ValueError as exc:
         raise DomainError(f"bad tuple entry in {line!r}") from exc
     return TupleH(tuple(shifts))
-
-
-def read_tuple_file(path) -> list[TupleH]:
-    """Tuple file: UTF-8, one tuple per line, '#' comments, blank lines ok."""
-    tuples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            body = raw.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                tuples.append(parse_tuple_line(body))
-            except DomainError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    return tuples
-
-
-def write_tuple_file(path, tuples, header: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for H in tuples:
-            fh.write(",".join(str(h) for h in H.shifts) + "\n")

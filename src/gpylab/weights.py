@@ -18,11 +18,12 @@ d = q finds its entries among the first q m candidates and holds them as
 offsets repeated every q m: it adds its term by strided slices and gathers
 indices only for a deeper d q' <= R.  lambda_R runs the same walk on a
 single n over the primes p <= R that divide P_H(n).  The direct route
-shares no class code with the divisor route, which lists those squarefree
-d once, then for each pair (d, e) counts the window n with d | P_H1(n) and
-e | P_H2(n) exactly, by residue classes.  The roots of P_H2 mod every e
-are lifted once, and the inverses of d P mod every e coprime to d come
-from one extended-Euclid pass.  For each d, the roots of P_H1 mod d are
+shares no class code with the divisor route, which reads those squarefree
+d off one squarefree sieve over [1, R], then for each pair (d, e) counts
+the window n with d | P_H1(n) and e | P_H2(n) exactly, by residue classes.
+The roots of P_H1 and of P_H2 mod every d come from one pass over the
+concatenated ranges [0, d), and the inverses of d P mod every e coprime to
+d from one extended-Euclid pass.  For each d, the roots of P_H1 mod d are
 lifted by the regular classes mod P, and those classes by the roots mod
 every e' coprime to d, giving one window count per (root of d, root of
 e').  A pair has e = g e' with g = gcd(d, e); g keeps the roots of d that
@@ -338,17 +339,49 @@ def _window_counts(classes: np.ndarray, mods: np.ndarray, N: int) -> np.ndarray:
     return (k2 - k1) * classes.shape[1] + over.sum(axis=1)
 
 
+def _rough_divisors(params: WeightParams) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree d <= R coprime to P = primorial(V), ascending, and
+    mu(d) = (-1)^omega(d), read off one squarefree sieve over [1, R]."""
+    x = int(params.R)
+    squarefree, omega = prime_engine.squarefree_omega(x)
+    d = np.flatnonzero(squarefree & (np.gcd(np.arange(x + 1), tc.primorial(params.V)) == 1))
+    return d, 1 - 2 * (omega[d] & 1)
+
+
+def _roots_mod(H: tc.TupleH, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots x in [0, d) of P_H mod every d of ds, ascending per d and
+    concatenated in the order of ds, and their number per d.
+
+    One int32 pass over the concatenated ranges [0, d): x is a root when
+    prod_h (x + h mod d) mod d is 0.  Every product of two residues mod d
+    is below d^2, which must fit in int32; pair_sum_divisor's R^2 <= 10^7
+    guard keeps it below 10^7.
+    """
+    ends = np.cumsum(ds)
+    starts = ends - ds
+    mods = np.repeat(ds.astype(np.int32), ds)
+    x = np.arange(ends[-1], dtype=np.int32) - np.repeat(starts.astype(np.int32), ds)
+    z = np.ones_like(x)
+    for h in H.shifts:
+        z *= (x + np.repeat((h % ds).astype(np.int32), ds)) % mods
+        z %= mods
+    pos = np.flatnonzero(z == 0)
+    sizes = np.diff(np.searchsorted(pos, np.concatenate(([0], ends))))
+    return pos - np.repeat(starts, sizes), sizes
+
+
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
     """Pair sum by divisor-pair expansion with exact residue counting.
 
-    Each pair (d, e) of squarefree values <= R built from the primes in (V, R]
-    contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2! times
-    the exact count of regular window n with d | P_H1(n) and e | P_H2(n).
-    The count lifts by CRT.  The roots of P_H2 mod each e are lifted once,
-    and the inverses (d P)^{-1} mod e of every coprime pair come from one
-    inverse_mod pass over the pairs d < e (Bezout gives both directions).
+    Each pair (d, e) of squarefree values <= R with no prime factor <= V
+    (from _rough_divisors) contributes mu(d) (log R/d)^a1 / a1! times mu(e)
+    (log R/e)^a2 / a2! times the exact count of regular window n with
+    d | P_H1(n) and e | P_H2(n).  The count lifts by CRT.  The roots of
+    P_H1 and P_H2 mod every d come from _roots_mod, and the inverses
+    (d P)^{-1} mod e of every coprime pair from one inverse_mod pass over
+    the pairs d < e (Bezout gives both directions).
     For each d, the roots of P_H1 mod d are lifted by the regular classes
     mod P, one row per root, and those lifted classes are crossed with the
     roots of P_H2 mod every e' > 1 coprime to d in crt_lift calls of at most
@@ -363,39 +396,24 @@ def pair_sum_divisor(
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
         raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
-    Q = _mask_primes(params)
-    # Every squarefree d <= R over Q, with the indices of its primes in Q.
-    ds = []
-    stack = [(1, ())]
-    while stack:
-        d, idx = stack.pop()
-        ds.append((d, idx))
-        for i in range(idx[-1] + 1 if idx else 0, len(Q)):
-            if d * Q[i] > params.R:
-                break
-            stack.append((d * Q[i], idx + (i,)))
     # Ascending, so that searchsorted finds every e among them.
-    ds.sort()
+    vals, mu = _rough_divisors(params)
     N = params.N
     log_R = math.log(params.R)
     w1, w2 = (
         np.array([
-            (-1.0) ** len(idx) * (log_R - math.log(d)) ** a / math.factorial(a) for d, idx in ds
+            m * (log_R - math.log(d)) ** a / math.factorial(a)
+            for d, m in zip(vals.tolist(), mu.tolist())
         ])
         for a in (H1.size + ell1, H2.size + ell2)
-    )
-    roots1, roots2 = (
-        [np.array(sorted({(-h) % q for h in H.shifts}), dtype=np.int64) for q in Q]
-        for H in (H1, H2)
     )
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V) % P
 
-    vals = np.array([d for d, _ in ds], dtype=np.int64)
-    y = [tc.crt_product([roots2[i] for i in idx], [Q[i] for i in idx]) for _, idx in ds]
-    sizes = np.array([r.size for r in y])
+    x_all, x_sizes = _roots_mod(H1, vals)
     # The roots of P_H2 mod every e, concatenated, each beside its e.
-    y_all, e_all = np.concatenate(y), np.repeat(vals, sizes)
+    y_all, sizes = _roots_mod(H2, vals)
+    e_all = np.repeat(vals, sizes)
     # Bezout s d + t e = 1 for each coprime pair d < e, in one inverse_mod
     # pass, gives d^{-1} = s mod e and e^{-1} = t mod d.  Then
     # inv[j, i] = (d P)^{-1} mod e for d = vals[j], e = vals[i] > 1 coprime.
@@ -407,8 +425,7 @@ def pair_sum_divisor(
     inv_P = tc.inverse_mod(P % vals, vals)
     inv = inv * inv_P % vals
     pair_d, pair_e, pair_count = [], [], []
-    for j, (d, idx_d) in enumerate(ds):
-        x_d = tc.crt_product([roots1[i] for i in idx_d], [Q[i] for i in idx_d])
+    for j, (d, x_d) in enumerate(zip(vals.tolist(), np.split(x_all, np.cumsum(x_sizes)[:-1]))):
         # Row i: the root x_d[i] lifted by every regular class, mod d P; d = 1
         # has the one root 0 and keeps the regular classes.
         if d == 1:

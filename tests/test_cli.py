@@ -308,20 +308,16 @@ def test_stable_output_is_deterministic(capsys):
 
 
 def test_out_flag_writes_json_file(tmp_path, capsys):
-    path = tmp_path / "res.json"
-    code, _ = run(["oracle", "jprod", "--t", "1.0", "--x", "100", "--out", str(path)], capsys)
-    assert code == cli.EXIT_OK
-    payload = json.loads(path.read_text())
-    assert payload["J"] > 1.0
-
-
-def test_report_leaves_the_tuple_file_of_seq_generate(tmp_path, capsys):
-    path = tmp_path / "seq.txt"
-    argv = ["seq", "generate", "--kind", "interval", "--n", "100", "--h", "5", "--out", str(path)]
-    code, out = run(argv, capsys)
-    assert code == cli.EXIT_OK
-    assert [H.shifts for H in tc.read_tuple_file(path)] == [(1, 2, 3, 4, 5)]
-    assert json.loads(out)["file"] == str(path)
+    for argv, check in (
+        (["oracle", "jprod", "--t", "1.0", "--x", "100"], lambda p: p["J"] > 1.0),
+        (["seq", "generate", "--kind", "interval", "--n", "100", "--h", "5"],
+         lambda p: p["values_head"] == [1, 2, 3, 4, 5] and "file" not in p),
+    ):
+        path = tmp_path / "res.json"
+        code, out = run([*argv, "--out", str(path)], capsys)
+        assert code == cli.EXIT_OK, argv
+        assert out == "", argv
+        assert check(json.loads(path.read_text())), argv
 
 
 def test_empty_sequence_warns_but_succeeds(capsys):

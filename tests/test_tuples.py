@@ -1,4 +1,4 @@
-"""Shift sets, occupancy counts, regular residue classes, and tuple files."""
+"""Shift sets, occupancy counts, regular residue classes, and tuple parsing."""
 
 import math
 
@@ -223,14 +223,6 @@ def test_tuple_normalization_and_errors():
         tc.TupleH((-1, 2))
     with pytest.raises(DomainError):
         tc.TupleH(())
-
-
-def test_tuple_file_round_trip(tmp_path):
-    path = tmp_path / "tuples.txt"
-    ts = [tc.TupleH((0, 2)), tc.TupleH((0, 4, 6))]
-    tc.write_tuple_file(path, ts, header="window shifts")
-    back = tc.read_tuple_file(path)
-    assert [t.shifts for t in back] == [t.shifts for t in ts]
 
 
 def test_parse_tuple_line_rejects_garbage():

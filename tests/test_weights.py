@@ -302,9 +302,11 @@ def test_pair_sum_strategies_agree():
 
 
 def test_expansion_budget_at_r_squared_1e7(monkeypatch):
-    # 3162.27^2 < 10^7 < 3162.28^2.  With no prime in (V, R], the passing
-    # R runs a one-d expansion (d = e = 1) instead of the full one.
+    # 3162.27^2 < 10^7 < 3162.28^2.  With no prime in (V, R] for the direct
+    # route and d = 1 alone in the divisor route's table, the passing R runs
+    # a one-d expansion (d = e = 1) instead of the full one.
     monkeypatch.setattr(weights, "_mask_primes", lambda params: [])
+    monkeypatch.setattr(weights, "_rough_divisors", lambda params: (np.array([1]), np.array([1])))
     params = weights.WeightParams(K=2, ell=1, R=3162.27, V=5, N=1000)
     direct = weights.pair_sum_direct(H1, H2, 1, 1, params)
     assert direct > 0
@@ -312,6 +314,44 @@ def test_expansion_budget_at_r_squared_1e7(monkeypatch):
     params = weights.WeightParams(K=2, ell=1, R=3162.28, V=5, N=1000)
     with pytest.raises(CapacityError, match="expansion budget"):
         weights.pair_sum_divisor(H1, H2, 1, 1, params)
+
+
+@pytest.mark.parametrize("V, R, has_1001", [(5, 1001.0, True), (5, 1000.99, False),
+                                             (7, 1001.0, False), (7, 1000.99, False)])
+def test_divisor_table_is_the_factorized_squarefree_rough_d(monkeypatch, V, R, has_1001):
+    # 1001 = 7 * 11 * 13: in at V = 5 once R reaches it, out at V = 7.
+    want = {}
+    for q in range(1, int(R) + 1):
+        f = prime_engine.factorize(q)
+        if all(e == 1 and p > V for p, e in f.items()):
+            want[q] = (-1) ** len(f)
+    assert (1001 in want) == has_1001
+    seen = []
+    table = weights._rough_divisors
+
+    def spy(params):
+        seen.append(table(params))
+        return seen[-1]
+
+    monkeypatch.setattr(weights, "_rough_divisors", spy)
+    params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=100)
+    weights.pair_sum_divisor(H1, H2, 1, 1, params)
+    (ds, mu), = seen
+    assert dict(zip(ds.tolist(), mu.tolist())) == want
+    assert ds.tolist() == sorted(want)
+
+
+@pytest.mark.parametrize("H", [H1, tc.TupleH((0, 2, 6, 8)), tc.TupleH((3, 10, 2**40 + 5))])
+def test_roots_mod_every_d_match_a_python_loop(H):
+    ds = np.arange(1, 201)
+    roots, sizes = weights._roots_mod(H, ds)
+    want = [
+        [x for x in range(d) if math.prod(x + h for h in H.shifts) % d == 0]
+        for d in ds.tolist()
+    ]
+    assert sizes.tolist() == [len(w) for w in want]
+    assert roots.tolist() == [x for w in want for x in w]
+    assert want[0] == [0]
 
 
 def test_per_class_sums_add_up_to_aggregate():
