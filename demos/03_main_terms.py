@@ -5,7 +5,9 @@ V = 5 and R = (3N)^0.2: the plain second moment over regular n in
 (N, 2N], and the theta-weighted variant that adds log(n + h0) at primes.
 Predictions come from the singular series and the residue-class counts;
 the density-adjusted value rescales to the share of classes the window
-actually visits, which is the right comparison at these modest R.
+actually visits.  That is a desk-scale heuristic, not the limit: it tracks
+a measured sum only at small R, and the pair sum at finite R tends to the
+unadjusted value as R grows.
 """
 
 import math

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, log
+from math import comb, factorial, inf, isfinite, log
 from operator import mul
 
 import numpy as np
@@ -198,17 +198,24 @@ def coeff_ratio_check(d: int, u: int, v: int) -> dict:
 
 
 def divisor_mean_check(x: int, m: int) -> dict:
-    """Exact sum_{q <= x squarefree} d_m(q) against the bound x(1+log x)^ceil(m)."""
+    """Exact sum_{q <= x squarefree} d_m(q) against the bound x(1+log x)^ceil(m),
+    which must be a finite float."""
     if x < 1:
         raise DomainError("x must be >= 1")
     if x > MAX_DIVISOR_MEAN_X:
         raise CapacityError(f"x={x} exceeds guard {MAX_DIVISOR_MEAN_X}")
     if m < 1:
         raise DomainError("m must be >= 1")
+    power = int(np.ceil(m))
+    try:
+        rhs = x * (1.0 + log(x)) ** power
+    except OverflowError:
+        rhs = inf
+    if not isfinite(rhs):
+        raise CapacityError(f"bound x(1 + log x)^{power} at x={x} overflows a float")
     squarefree, omega = squarefree_omega(x)
     counts = np.bincount(omega[squarefree].astype(np.int64))
     lhs = sum(int(c) * m**w for w, c in enumerate(counts.tolist()))
-    rhs = x * (1.0 + log(x)) ** int(np.ceil(m))
     return {
         "check": "divisor_mean",
         "grid": {"x": x, "m": m},

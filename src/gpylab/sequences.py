@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from . import primes as prime_engine
+from .errors import CapacityError, DomainError
 
 KINDS = ("interval", "powers_k", "powers_k_sum_two_squares", "custom_exponents")
 
@@ -24,12 +25,14 @@ def density_threshold(N: int, C: float = 1.0) -> float:
 
 
 def _powers(k: int, N: int, exponents) -> list:
+    """k^m for the ascending exponents m, up to the first k^m > N; k >= 2,
+    so from m = N.bit_length() on k^m >= 2^m > N, and no such power is
+    computed."""
     out = []
     for m in exponents:
-        v = k**m
-        if v > N:
+        if m >= N.bit_length() or k**m > N:
             break
-        out.append(v)
+        out.append(k**m)
     return out
 
 
@@ -42,7 +45,14 @@ def generate_sequence(kind: str, N: int, k: int = 2, h: int = 10, exponents=None
     if kind == "interval":
         if h < 1:
             raise DomainError("h must be >= 1")
-        values = list(range(1, min(h, N) + 1))
+        # A list holds 40 bytes per term: an 8-byte pointer and a 32-byte int.
+        size = min(h, N)
+        if 40 * size > prime_engine.MAX_TABLE_BYTES:
+            raise CapacityError(
+                f"interval of {size} terms needs {40 * size} bytes, "
+                f"over guard {prime_engine.MAX_TABLE_BYTES}"
+            )
+        values = list(range(1, size + 1))
     elif kind == "powers_k":
         if k < 2:
             raise DomainError("k must be >= 2")

@@ -23,12 +23,12 @@ d off one squarefree sieve over [1, R], then for each pair (d, e) counts
 the window n with d | P_H1(n) and e | P_H2(n) exactly, by residue classes.
 The roots of P_H1 and of P_H2 mod every d come from one pass over the
 concatenated ranges [0, d), and the inverses of d P mod every e coprime to
-d from one extended-Euclid pass.  For each d, the roots of P_H1 mod d are
-lifted by the regular classes mod P, and those classes by the roots mod
-every e' coprime to d, giving one window count per (root of d, root of
-e').  A pair has e = g e' with g = gcd(d, e); g keeps the roots of d that
-are also roots of P_H2 mod g, and the counts of a pair are summed over
-those roots and the roots of e'.  The divisor route calls no window code.
+d from one extended-Euclid pass.  For each d, the roots x of P_H1 mod d are
+lifted by the regular classes mod P.  A root y of P_H2 mod e meets the
+classes of x only where g = gcd(d, e) divides y - x, and then in the
+classes lifted once more by y mod e' = e / g, which is prime to d P.  So
+each pair is counted over the classes mod [d, e] P, by one gcd mask and
+one lift per root of e.  The divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -48,8 +48,9 @@ from .errors import CapacityError, DomainError
 MAX_MASK_PRIMES = 16
 
 # Lifted classes per crt_lift call of pair_sum_divisor: 512 KiB per int64
-# temporary.  A call crosses all the classes of one d with at least one
-# root of e', so it holds max(_MAX_RUN_CLASSES, classes of d) at most.
+# temporary.  A call lifts all the classes of one d by a run of at least one
+# root y of some e, each by y mod e / gcd(d, e), so it holds
+# max(_MAX_RUN_CLASSES, classes of d) at most.
 _MAX_RUN_CLASSES = 2**16
 
 # Detector subset-enumeration guard.
@@ -370,35 +371,78 @@ def _roots_mod(H: tc.TupleH, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos - np.repeat(starts, sizes), sizes
 
 
+def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
+    """The squarefree d <= R coprime to P = primorial(V) and their mu(d),
+    from _rough_divisors, and count[j, i], the number of regular n in
+    (N, 2N] with vals[j] | P_H1(n) and vals[i] | P_H2(n).
+
+    The roots of P_H1 and P_H2 mod every d come from _roots_mod.  For each
+    d, the roots x of P_H1 mod d are lifted by the regular classes mod P,
+    one row per root.  With g = gcd(d, e), e' = e / g is prime to d P, so a
+    lifted class of x meets a root y of P_H2 mod e exactly when g | y - x,
+    in the one class mod d P e' that is y mod e'.  The inverses
+    (d P)^{-1} mod e' are read off one inverse_mod pass over the coprime
+    pairs d < e (Bezout gives both directions).  The roots y of every
+    e > 1 lift the classes in crt_lift calls of at most
+    max(_MAX_RUN_CLASSES, lifted classes) classes, skipping a run of roots
+    that meets no root of d; e = 1, whose one root is 0, counts the lifted
+    classes as they are.  The R^2 <= 10^7 guard also bounds the pairs: the
+    d are distinct integers in [1, R], so there are at most 3162 of them.
+    """
+    Hu = _check_pair_inputs(H1, H2)
+    if params.R * params.R > 10**7:
+        raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
+    # Ascending, so that searchsorted finds every e' among them.
+    vals, mu = _rough_divisors(params)
+    N = params.N
+    P = tc.primorial(params.V)
+    reg = tc.regular_classes(Hu, params.V) % P
+    x_all, x_sizes = _roots_mod(H1, vals)
+    # The roots of P_H2 mod every e, concatenated; vals[0] = 1 has the root 0.
+    y_all, sizes = _roots_mod(H2, vals)
+    # Bezout s d + t e = 1 for each coprime pair d < e, in one inverse_mod
+    # pass, gives d^{-1} = s mod e and e^{-1} = t mod d.  Then
+    # inv[j, i] = (d P)^{-1} mod e for d = vals[j], e = vals[i] > 1 coprime.
+    gcd = np.gcd(vals[:, None], vals[None, :]).astype(np.int32)
+    jd, je = np.nonzero(np.triu(gcd == 1, 1))
+    s = tc.inverse_mod(vals[jd], vals[je])
+    inv = np.zeros(gcd.shape, dtype=np.int64)
+    inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
+    inv_P = tc.inverse_mod(P % vals, vals)
+    # Read at e' = e / gcd(d, e), which is prime to d: (d P)^{-1} mod e'.
+    inv = np.take_along_axis(inv * inv_P % vals, np.searchsorted(vals, vals // gcd), axis=1)
+    count = np.zeros(gcd.shape, dtype=np.int64)
+    for j, (d, x_d) in enumerate(zip(vals.tolist(), np.split(x_all, np.cumsum(x_sizes)[:-1]))):
+        # Row i: the root x_d[i] lifted by every regular class, mod d P.
+        lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
+        # Beside each root y of each e: g = gcd(d, e), e' and (d P)^{-1} mod e'.
+        g_y, e_y = np.repeat(gcd[j], sizes), np.repeat(vals // gcd[j], sizes)
+        inv_y = np.repeat(inv[j], sizes)
+        meets = (y_all - x_d[:, None]) % g_y == 0
+        # per_y[i, k]: the window n in the classes of root i and root y_all[k].
+        per_y = np.zeros(meets.shape, dtype=np.int64)
+        per_y[:, :1] = _window_counts(lifted[:, :, None], np.array([d * P]), N)
+        step = max(1, _MAX_RUN_CLASSES // lifted.size)
+        for lo in range(1, y_all.size, step):
+            k = slice(lo, lo + step)
+            if meets[:, k].any():
+                lift = tc.crt_lift(lifted.ravel(), d * P, y_all[k] % e_y[k], e_y[k], inv_y[k])
+                per_y[:, k] = _window_counts(lift.T.reshape(*lifted.shape, -1), d * P * e_y[k], N)
+        count[j] = np.add.reduceat((per_y * meets).sum(axis=0), np.cumsum(sizes) - sizes)
+    return vals, mu, count
+
+
 def pair_sum_divisor(
     H1: tc.TupleH, H2: tc.TupleH, ell1: int, ell2: int, params: WeightParams
 ) -> float:
     """Pair sum by divisor-pair expansion with exact residue counting.
 
     Each pair (d, e) of squarefree values <= R with no prime factor <= V
-    (from _rough_divisors) contributes mu(d) (log R/d)^a1 / a1! times mu(e)
-    (log R/e)^a2 / a2! times the exact count of regular window n with
-    d | P_H1(n) and e | P_H2(n).  The count lifts by CRT.  The roots of
-    P_H1 and P_H2 mod every d come from _roots_mod, and the inverses
-    (d P)^{-1} mod e of every coprime pair from one inverse_mod pass over
-    the pairs d < e (Bezout gives both directions).
-    For each d, the roots of P_H1 mod d are lifted by the regular classes
-    mod P, one row per root, and those lifted classes are crossed with the
-    roots of P_H2 mod every e' > 1 coprime to d in crt_lift calls of at most
-    max(_MAX_RUN_CLASSES, lifted classes) classes; e' = 1 counts the lifted
-    classes as they are.  That gives the window count of every (root of d,
-    root of e') over the classes mod d e' P.  A pair is written e = g e'
-    with g = gcd(d, e): the squarefree g | d keeps the roots x of d with
-    g | P_H2(x), and the count of (d, g e') for g e' <= R sums the kept rows
-    over the roots of e'.  The R^2 <= 10^7 guard also bounds the pairs: the
-    d are distinct integers in [1, R], so there are at most 3162 of them.
+    contributes mu(d) (log R/d)^a1 / a1! times mu(e) (log R/e)^a2 / a2!
+    times the exact count of regular window n with d | P_H1(n) and
+    e | P_H2(n), counted over the classes mod [d, e] P by _pair_counts.
     """
-    Hu = _check_pair_inputs(H1, H2)
-    if params.R * params.R > 10**7:
-        raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
-    # Ascending, so that searchsorted finds every e among them.
-    vals, mu = _rough_divisors(params)
-    N = params.N
+    vals, mu, count = _pair_counts(H1, H2, params)
     log_R = math.log(params.R)
     w1, w2 = (
         np.array([
@@ -407,61 +451,8 @@ def pair_sum_divisor(
         ])
         for a in (H1.size + ell1, H2.size + ell2)
     )
-    P = tc.primorial(params.V)
-    reg = tc.regular_classes(Hu, params.V) % P
-
-    x_all, x_sizes = _roots_mod(H1, vals)
-    # The roots of P_H2 mod every e, concatenated, each beside its e.
-    y_all, sizes = _roots_mod(H2, vals)
-    e_all = np.repeat(vals, sizes)
-    # Bezout s d + t e = 1 for each coprime pair d < e, in one inverse_mod
-    # pass, gives d^{-1} = s mod e and e^{-1} = t mod d.  Then
-    # inv[j, i] = (d P)^{-1} mod e for d = vals[j], e = vals[i] > 1 coprime.
-    coprime = (np.gcd(vals[:, None], vals[None, :]) == 1) & (vals > 1)
-    jd, je = np.nonzero(np.triu(coprime, 1))
-    s = tc.inverse_mod(vals[jd], vals[je])
-    inv = np.zeros(coprime.shape, dtype=np.int64)
-    inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
-    inv_P = tc.inverse_mod(P % vals, vals)
-    inv = inv * inv_P % vals
-    pair_d, pair_e, pair_count = [], [], []
-    for j, (d, x_d) in enumerate(zip(vals.tolist(), np.split(x_all, np.cumsum(x_sizes)[:-1]))):
-        # Row i: the root x_d[i] lifted by every regular class, mod d P; d = 1
-        # has the one root 0 and keeps the regular classes.
-        if d == 1:
-            lifted = reg[None, :]
-        else:
-            lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
-        # count[i, k]: the window n in the classes of root i and e'-root k.
-        # The first e' is 1, whose classes are the lifted ones, mod d P.
-        count = [_window_counts(lifted[:, :, None], np.array([d * P]), N)]
-        # Then the roots of every e' > 1 coprime to d.
-        co = coprime[j]
-        keep_y = np.repeat(co, sizes)
-        ys, qs = y_all[keep_y], e_all[keep_y]
-        inv_y = np.repeat(inv[j, co], sizes[co])
-        step = max(1, _MAX_RUN_CLASSES // lifted.size)
-        for lo in range(0, ys.size, step):
-            hi = min(lo + step, ys.size)
-            lift = tc.crt_lift(lifted.ravel(), d * P, ys[lo:hi], qs[lo:hi], inv_y[lo:hi])
-            count.append(_window_counts(lift.T.reshape(*lifted.shape, hi - lo), d * P * qs[lo:hi], N))
-        count = np.hstack(count)
-        # Root x of d serves g | d when g | P_H2(x), i.e. g | gcd(P_H2(x) mod d, d).
-        z = np.ones_like(x_d)
-        for h in H2.shifts:
-            z = z * ((x_d + h) % d) % d
-        gs = vals[d % vals == 0]
-        keep = (np.gcd(z, d) % gs[:, None] == 0).astype(np.int64)
-        # Summed over the roots each g keeps, then over the roots of each e'.
-        es, seg = np.concatenate(([1], vals[co])), np.concatenate(([1], sizes[co]))
-        per_e = np.add.reduceat(keep @ count, np.cumsum(seg) - seg, axis=1)
-        ge = gs[:, None] * es
-        ok = (ge <= params.R) & (per_e != 0)
-        pair_d.append(np.full(np.count_nonzero(ok), j))
-        pair_e.append(np.searchsorted(vals, ge[ok]))
-        pair_count.append(per_e[ok])
-    pair_d, pair_e, pair_count = (np.concatenate(v) for v in (pair_d, pair_e, pair_count))
-    return prime_engine.exact_sum(w1[pair_d] * w2[pair_e] * pair_count)
+    jd, je = np.nonzero(count)
+    return prime_engine.exact_sum(w1[jd] * w2[je] * count[jd, je])
 
 
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:

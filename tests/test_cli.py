@@ -239,6 +239,9 @@ def test_capacity_error_exit_code(capsys):
         ["tuple", "check", "--shifts", "0,2", "--p", "1000000000039"],
         # S*(7) on [1, 100] needs 2 C(49, 6) = 28 M estimate rows.
         ["singular", "monotone", "--shifts", ",".join(map(str, range(1, 101))), "--kmax", "7"],
+        # A list of 10^9 terms, about 40 GB; under a 2 GB address-space cap
+        # it exited 1 with a MemoryError.
+        ["seq", "generate", "--kind", "interval", "--n", "1e9", "--h", "1e9"],
     ):
         start = time.perf_counter()
         assert cli.main(argv) == cli.EXIT_CAPACITY, argv
@@ -318,6 +321,27 @@ def test_out_flag_writes_json_file(tmp_path, capsys):
         assert code == cli.EXIT_OK, argv
         assert out == "", argv
         assert check(json.loads(path.read_text())), argv
+
+
+def test_custom_exponents_stop_before_a_huge_power(capsys):
+    # 2^100000000000 is never computed: past 2^7 > 100 no power is.  This
+    # once ran past 20 s.
+    argv = ["seq", "generate", "--kind", "custom_exponents", "--n", "100", "--k", "2",
+            "--exponents", "3,100000000000"]
+    start = time.perf_counter()
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(out)["values_head"] == [8]
+
+
+def test_divisor_mean_refuses_a_bound_past_float_range(capsys):
+    # x (1 + log x)^m at x = 100 is finite at m = 409 and overflows from
+    # m = 410, where the check once exited 1 with an OverflowError.
+    for m, want in (("409", cli.EXIT_OK), ("410", cli.EXIT_CAPACITY), ("412", cli.EXIT_CAPACITY)):
+        code, out = run(["combi", "divisor-mean", "--x", "100", "--m", m], capsys)
+        assert code == want, m
+        assert "Infinity" not in out, m
 
 
 def test_empty_sequence_warns_but_succeeds(capsys):

@@ -165,11 +165,11 @@ def test_crt_lift_capacity_at_int64_boundary():
 
 
 def test_crt_lift_by_array_moduli_matches_python_ints():
-    # Each residue with its own modulus, as pair_sum_divisor crosses the
-    # classes mod d P with the roots of every e'.  2^63 - 1 = 49 * m with
-    # coprime factors, so the residues mod 49 lift to the largest modulus
-    # that fits; a q of 1 keeps the classes as they are.  With more
-    # residues than classes, the lift is computed transposed.
+    # Each residue with its own modulus, as pair_sum_divisor lifts the
+    # classes mod d P by each root y of every e, taken mod e / gcd(d, e).
+    # 2^63 - 1 = 49 * m with coprime factors, so the residues mod 49 lift
+    # to the largest modulus that fits; a q of 1 keeps the classes as they
+    # are.  With more residues than classes, the lift is computed transposed.
     m = 188232082384791343
     x = np.array([0, 5, m - 1], dtype=np.int64)
     res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)

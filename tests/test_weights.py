@@ -424,7 +424,7 @@ def test_pair_sum_routes_at_v29():
 
 def test_divisor_route_value_at_r1000():
     # 252 squarefree d <= 1000 coprime to 30, each root of d crossed with
-    # the roots of every e' coprime to it; exact counts and one correctly
+    # the roots of every e it meets; exact counts and one correctly
     # rounded sum fix the value.
     Ha, Hb = tc.TupleH((152, 390)), tc.TupleH((152, 306))
     params = weights.WeightParams(K=2, ell=2, R=1000.0, V=5, N=10**5)
@@ -447,6 +447,39 @@ def test_direct_routes_use_no_class_code(monkeypatch):
     assert math.isfinite(weights.detector_sum(tc.TupleH((0, 2, 6)), params)["value"])
 
 
+def brute_pair_counts(Ha, Hb, ds, params):
+    """count[j][i]: the n in (N, 2N] with gcd(P_Hu(n), P) = 1, ds[j] | P_Ha(n)
+    and ds[i] | P_Hb(n), in Python ints."""
+    P = tc.primorial(params.V)
+    count = [[0] * len(ds) for _ in ds]
+    for n in range(params.N + 1, 2 * params.N + 1):
+        if math.gcd(weights.polynomial_value(n, Ha.union(Hb)), P) != 1:
+            continue
+        va, vb = weights.polynomial_value(n, Ha), weights.polynomial_value(n, Hb)
+        for j in (j for j, d in enumerate(ds) if va % d == 0):
+            for i in (i for i, e in enumerate(ds) if vb % e == 0):
+                count[j][i] += 1
+    return count
+
+
+@pytest.mark.parametrize("Ha, Hb, V, N, shared", [
+    # The shared shift 0: pairs (d, e) with gcd(d, e) > 1 meet.
+    (H1, H2, 5, 3000, True),
+    # The roots of (0, 2) and (6, 8) are disjoint mod every p > 3, mod 7
+    # and mod 11 among them: no pair with gcd(d, e) > 1 meets.
+    (H1, tc.TupleH((6, 8)), 5, 3000, False),
+    # 21 regular classes mod P = 2310 > N, and the shared shifts 2 and 6.
+    (tc.TupleH((0, 2, 6)), tc.TupleH((2, 6, 8)), 11, 2000, True),
+])
+def test_pair_counts_match_brute_force_pair_by_pair(Ha, Hb, V, N, shared):
+    # Each count on its own: in the weighted sum, errors could cancel.
+    params = weights.WeightParams(K=Ha.size, ell=1, R=120.0, V=V, N=N)
+    ds, _, count = weights._pair_counts(Ha, Hb, params)
+    assert count.tolist() == brute_pair_counts(Ha, Hb, ds.tolist(), params)
+    common = np.gcd(ds[:, None], ds[None, :]) > 1
+    assert count[common].any() == shared
+
+
 def test_divisor_route_uses_no_window_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("window code called")
@@ -464,9 +497,9 @@ def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
     want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
     assert want > 0
     # A crt_lift call crosses every lifted class of one d with a run of
-    # roots of e'.  64: at V = 5 (two regular classes, at most four roots
+    # roots of the e.  64: at V = 5 (two regular classes, at most four roots
     # of d) a run of at least 8 roots; at V = 13 (640 classes) one root per
-    # call.  2^40: every root of every e' coprime to d in one call.
+    # call.  2^40: every root of every e > 1 in one call.
     for bound in (64, 2**40):
         monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
         assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
