@@ -22,6 +22,7 @@ squarefree sieve, squarefree flags and omega(q) for every q <= x.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
@@ -239,9 +240,11 @@ def primes_upto(x: int) -> PrimeTable:
     return sieve_range(0, max(x, 0))
 
 
-def exact_sum(*arrays: np.ndarray | list[float]) -> float:
+def exact_sum(*arrays: np.ndarray | list[float] | Iterator) -> float:
     """The correctly rounded sum of every entry of every array, == to
-    math.fsum(itertools.chain(*arrays)).
+    math.fsum over all their entries.  An argument may also be an iterator
+    of arrays, such as a generator of a window's chunks: its arrays are
+    summed as they come, and none is held once its blocks are done.
 
     Error-free extraction (Rump, Ogita and Oishi, Accurate floating-point
     summation, part I, SIAM J. Sci. Comput. 31, 2008), one block of
@@ -253,15 +256,21 @@ def exact_sum(*arrays: np.ndarray | list[float]) -> float:
     until they are all zero.  A round cap or a subnormal sigma leaves the
     nonzero ones as they are.  One math.fsum over the level sums and those
     remainders rounds the exact total once.  A non-finite entry, or a sigma
-    that would overflow, sends the whole sum to math.fsum, so its value or
-    exception stays the same.  A block costs about 20 us of numpy calls
-    whatever its size, so many small arrays are best concatenated first.
+    that would overflow, sends the rest of the sum to math.fsum, after the
+    parts so far, which are exactly the sum of the blocks before it: its
+    value or exception stays the same.  A block costs about 20 us of numpy
+    calls whatever its size, so many small arrays are best concatenated
+    first.
     """
-    flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+    flat = map(
+        lambda a: np.asarray(a, dtype=np.float64).ravel(),
+        chain.from_iterable(a if isinstance(a, Iterator) else (a,) for a in arrays),
+    )
     parts = []
-    q = np.empty(min(SUM_BLOCK, max((a.size for a in flat), default=0)))
-    r = np.empty_like(q)
+    q = r = np.empty(0)
     for a in flat:
+        if q.size < min(a.size, SUM_BLOCK):
+            q, r = np.empty(min(a.size, SUM_BLOCK)), np.empty(min(a.size, SUM_BLOCK))
         for lo in range(0, a.size, SUM_BLOCK):
             x = a[lo : lo + SUM_BLOCK]
             n = x.size
@@ -270,7 +279,7 @@ def exact_sum(*arrays: np.ndarray | list[float]) -> float:
             top = float(np.abs(x, out=qb).max())
             e = math.frexp(top)[1]  # top < 2**e
             if not top < math.inf or e + s > 1023:
-                return math.fsum(chain(*flat))
+                return math.fsum(chain(parts, a[lo:], chain.from_iterable(flat)))
             # Each round takes at least 53 - s bits off the largest remainder.
             # The sums of a gpy-moments and a progressions pass take 2 rounds
             # in 121 of their 125 blocks and at most 5; the cap bounds the
@@ -288,6 +297,7 @@ def exact_sum(*arrays: np.ndarray | list[float]) -> float:
                     break
             if top != 0.0:
                 parts.extend(rb[rb != 0.0].tolist())
+        del a  # before the next array is made
     return math.fsum(parts)
 
 

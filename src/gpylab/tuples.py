@@ -208,8 +208,9 @@ def regular_classes(H: TupleH, V: int) -> np.ndarray:
         allowed.append(np.array([r for r in range(p) if r not in banned], dtype=np.int64))
     classes = crt_product(allowed, ps)
     assert classes.size == expected
-    # Map representative 0 to P so members sit in [1, P].
-    classes = np.where(classes == 0, P, classes)
+    # Map representative 0 to P so members sit in [1, P], in place: a copy
+    # would double the peak.
+    classes[classes == 0] = P
     classes.sort()
     classes.setflags(write=False)
     return classes

@@ -6,21 +6,30 @@ Three window statistics are built on it: the plain pair sum, the
 theta-weighted pair sum (each weight pair multiplied by log(n + h0) when
 n + h0 is prime), and the prime-pair detector.
 
+The window (N, 2N] is read in chunks, and every array is sized by one:
+n-ranges of whole periods P = primorial(V), or pieces of one period where
+P is the longer, that hold about _CHUNK candidates.  The pair sums return
+one exact_sum over the chunks' terms, taken as they come.  Every entry gets
+the same terms in the same order however the window is cut, so no value
+depends on the cut.
+
 The pair sum has two independent evaluation routes that must agree.  The
-direct route finds the regular n of the window (N, 2N] from one sieved
-period: regularity depends on n mod P, P = primorial(V), so the first
-min(P, N) offsets are sieved by the primes p <= V and their regular offsets
-tiled by P.  It then evaluates every weight of the window in one
-depth-first walk over the squarefree d <= R built from the primes in
-(V, R], carrying at each d the window entries n with d | P_H(n).  With m
-candidates per period, entry j + q m is entry j plus q P, so a top-level
-d = q finds its entries among the first q m candidates and holds them as
-offsets repeated every q m: it adds its term by strided slices and gathers
-indices only for a deeper d q' <= R.  lambda_R runs the same walk on a
-single n over the primes p <= R that divide P_H(n).  The direct route
-shares no class code with the divisor route, which reads those squarefree
-d off one squarefree sieve over [1, R], then for each pair (d, e) counts
-the window n with d | P_H1(n) and e | P_H2(n) exactly, by residue classes.
+direct route finds the regular n of each chunk from one sieved period:
+regularity depends on n mod P, so the first min(P, |range|) offsets are
+sieved by the primes p <= V and their regular offsets tiled by P.  It then
+evaluates every weight of the chunk in one depth-first walk over the
+squarefree d <= R built from the primes in (V, R], carrying at each d the
+entries n with d | P_H(n).  With m candidates per period, entry j + q m is
+entry j plus q P, so a top-level d = q finds its entries among the first
+q m candidates and holds them as offsets repeated every q m: it adds its
+term by strided slices and gathers indices only for a deeper d q' <= R.
+The theta sum flags n + h0 prime by one sieve per chunk, and the detector
+builds psi and inner over ranges of _CHUNK n that every K-subset shares.
+lambda_R runs the same walk on a single n over the primes p <= R that
+divide P_H(n).  The direct route shares no class code with the divisor
+route, which reads those squarefree d off one squarefree sieve over [1, R],
+then for each pair (d, e) counts the window n with d | P_H1(n) and
+e | P_H2(n) exactly, by residue classes.
 The roots of P_H1 and of P_H2 mod every d come from one pass over the
 concatenated ranges [0, d), and the inverses of d P mod every e coprime to
 d from one extended-Euclid pass.  For each d, the roots x of P_H1 mod d are
@@ -53,6 +62,10 @@ MAX_MASK_PRIMES = 16
 # max(_MAX_RUN_CLASSES, classes of d) at most.
 _MAX_RUN_CLASSES = 2**16
 
+# Window entries per chunk array: the pair sums walk about _CHUNK candidates
+# at a time, and detector_sum holds psi and inner over _CHUNK n.
+_CHUNK = 2**16
+
 # Detector subset-enumeration guard.
 MAX_DETECTOR_SUBSETS = 5000
 
@@ -78,8 +91,10 @@ class WeightParams:
             raise DomainError("V must be >= 2")
         if self.N < 1:
             raise DomainError("N must be >= 1")
-        # The window's largest arrays, detector_sum's float64 psi and inner,
-        # hold 8 bytes per n in (N, 2N]; the candidates are a fraction of that.
+        # The routes hold their arrays per chunk (see _CHUNK), so this ceiling
+        # of 8 bytes per n bounds only the one-chunk window of
+        # _window_candidates, whose candidates take at most 8N bytes, and the
+        # sieve flags of a range shorter than P, 1 byte per n.
         if 8 * self.N > prime_engine.MAX_TABLE_BYTES:
             raise CapacityError(
                 f"window N={self.N} needs {8 * self.N}-byte arrays, "
@@ -213,32 +228,61 @@ def lambda_R(n: int, H: tc.TupleH, ell: int, R: float) -> float:
     return float(_lambda_walk(np.array([n]), 1, H, primes, H.size + ell, R)[0])
 
 
-def _window_candidates(
-    Hu: tc.TupleH, params: WeightParams, per_class: int | None
-) -> tuple[np.ndarray, int]:
-    """The n in (N, 2N] with gcd(P_Hu(n), P) = 1 (or in one given regular
-    class mod P), ascending, and m, their number per period P.
+def _window_ranges(params: WeightParams, span: int):
+    """The window (N, 2N] as consecutive n-ranges of one width, the last
+    one cut at 2N: N / max(1, N // span), rounded up to whole periods
+    P = primorial(V) where it reaches P.  So a range is at least span wide,
+    unless it is the whole window, and at most 2 span + P."""
+    P, N = tc.primorial(params.V), params.N
+    step = -(-N // max(1, N // span))
+    if step >= P:
+        step = P * -(-step // P)
+    return (range(lo, min(lo + step, 2 * N + 1)) for lo in range(N + 1, 2 * N + 1, step))
 
-    Regularity depends on n mod P only: one strided write per (p <= V, h)
-    sieves the first min(P, N) offsets, and their regular offsets are tiled
-    by P and cut at 2N.  Where P >= N that is the whole window, and m is
-    its size.
+
+def _window_chunks(Hu: tc.TupleH, params: WeightParams, per_class: int | None, span: int):
+    """The n in (N, 2N] with gcd(P_Hu(n), P) = 1 (or in one given regular
+    class mod P), over the ranges of _window_ranges: yields (ns, cands, m),
+    with ns the range, cands its candidates ascending and m their number
+    per period P.
+
+    Regularity depends on n mod P only, and every range of whole periods
+    starts in the class of N + 1: one strided write per (p <= V, h) sieves
+    the first P offsets of the first range, and the regular offsets are
+    tiled by P over every range and cut at its end.  A range shorter than P
+    is sieved by itself, and m is its size.
     """
     P = tc.primorial(params.V)
-    N = params.N
     if per_class is not None:
         a = per_class % P
         if any(math.gcd(a + h, P) != 1 for h in Hu.shifts):
             raise DomainError(f"{per_class} is not a regular class mod {P}")
-        return np.arange((a - (N + 1)) % P, N, P) + (N + 1), 1
-    M = min(P, N)
-    ok = np.ones(M, dtype=bool)
-    for p in prime_engine.primes_upto(params.V).primes.tolist():
-        for h in Hu.shifts:
-            ok[(-(N + 1 + h)) % p :: p] = False
-    base = np.flatnonzero(ok)
-    cands = (np.arange(N + 1, 2 * N + 1, M)[:, None] + base).ravel()
-    return cands[: np.searchsorted(cands, 2 * N, side="right")], base.size
+    ps = prime_engine.primes_upto(params.V).primes.tolist()
+    base = None
+    for ns in _window_ranges(params, span):
+        lo = ns.start
+        if per_class is not None:
+            yield ns, np.arange(lo + (a - lo) % P, ns.stop, P), 1
+            continue
+        if base is None or len(ns) < P:
+            width = min(P, len(ns))
+            ok = np.ones(width, dtype=bool)
+            for p in ps:
+                for h in Hu.shifts:
+                    ok[(-(lo + h)) % p :: p] = False
+            base = np.flatnonzero(ok)
+        cands = (np.arange(lo, ns.stop, width)[:, None] + base).ravel()
+        yield ns, cands[: np.searchsorted(cands, ns.stop)], base.size
+
+
+def _window_candidates(
+    Hu: tc.TupleH, params: WeightParams, per_class: int | None
+) -> tuple[np.ndarray, int]:
+    """The candidates of the whole window, the one chunk of _window_chunks
+    at span 2N, and m, their number per period P (their number where
+    P > N)."""
+    _, cands, m = next(_window_chunks(Hu, params, per_class, 2 * params.N))
+    return cands, m
 
 
 def _mask_primes(params: WeightParams) -> list:
@@ -256,8 +300,8 @@ def lambda_window(
     The candidates are regular n in the window (N, 2N] of `params`, so only
     the primes in (V, R] can divide P_H(n); one divisor walk over them
     evaluates the whole array.  Every m entries they advance by P =
-    primorial(V), as `_window_candidates` returns them; m = cands.size
-    claims no period.
+    primorial(V), as `_window_chunks` yields them; m = cands.size claims no
+    period.
     """
     assert (cands[m:] - cands[: cands.size - m] == tc.primorial(params.V)).all()
     return _lambda_walk(cands, m, H, _mask_primes(params), H.size + ell, params.R)
@@ -271,6 +315,36 @@ def _check_pair_inputs(H1: tc.TupleH, H2: tc.TupleH) -> tc.TupleH:
     return Hu
 
 
+def _pair_terms(
+    cands: np.ndarray,
+    m: int,
+    ns: range,
+    H1: tc.TupleH,
+    H2: tc.TupleH,
+    ell1: int,
+    ell2: int,
+    params: WeightParams,
+    h0: int | None,
+) -> np.ndarray:
+    """Lambda_R(n;H1,ell1) Lambda_R(n;H2,ell2) over the candidates n of one
+    chunk, the n-range ns; with h0 given, only over n with n + h0 prime,
+    each product times log(n + h0)."""
+    if h0 is not None:
+        # Flag, at each offset of the range, whether n + h0 is prime.
+        lo = ns.start + h0
+        prime = np.zeros(len(ns), dtype=bool)
+        prime[prime_engine.sieve_range(lo, ns.stop - 1 + h0).primes - lo] = True
+        # The n kept follow no period, but walking them alone costs less than
+        # a tiled walk over every candidate.
+        cands = cands[prime[cands - ns.start]]
+        m = cands.size
+    terms = lambda_window(cands, m, H1, ell1, params)
+    terms *= lambda_window(cands, m, H2, ell2, params)
+    if h0 is not None:
+        terms *= np.log((cands + h0).astype(np.float64))
+    return terms
+
+
 def _pair_sum(
     H1: tc.TupleH,
     H2: tc.TupleH,
@@ -281,24 +355,19 @@ def _pair_sum(
     h0: int | None,
 ) -> float:
     """Sum of Lambda_R(n;H1,ell1) Lambda_R(n;H2,ell2) over regular n in (N, 2N];
-    with h0 given, only over n with n + h0 prime, each product times log(n + h0)."""
+    with h0 given, only over n with n + h0 prime, each product times log(n + h0).
+
+    The window is walked in chunks of about _CHUNK candidates, of which
+    there are |A(Hu)| in every P n (one in one class).  exact_sum takes each
+    chunk's terms as they come, so every array is sized by a chunk.
+    """
     Hu = _check_pair_inputs(H1, H2)
-    N = params.N
-    cands, m = _window_candidates(Hu, params, per_class)
-    if h0 is not None:
-        # Flag, at each window offset, whether n + h0 is prime.
-        prime = np.zeros(N, dtype=bool)
-        prime[prime_engine.sieve_range(N + 1 + h0, 2 * N + h0).primes - (N + 1 + h0)] = True
-        # The n kept follow no period, but walking them alone costs less than
-        # a tiled walk over every candidate.
-        cands = cands[prime[cands - (N + 1)]]
-        m = cands.size
-    if cands.size == 0:
-        return 0.0
-    terms = lambda_window(cands, m, H1, ell1, params) * lambda_window(cands, m, H2, ell2, params)
-    if h0 is not None:
-        terms = terms * np.log((cands + h0).astype(np.float64))
-    return prime_engine.exact_sum(terms)
+    P = tc.primorial(params.V)
+    per_period = 1 if per_class is not None else tc.regular_class_count(Hu, params.V)
+    chunks = _window_chunks(Hu, params, per_class, _CHUNK * P // per_period)
+    return prime_engine.exact_sum(
+        _pair_terms(cands, m, ns, H1, H2, ell1, ell2, params, h0) for ns, cands, m in chunks
+    )
 
 
 def pair_sum_direct(
@@ -418,7 +487,11 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
         # Beside each root y of each e: g = gcd(d, e), e' and (d P)^{-1} mod e'.
         g_y, e_y = np.repeat(gcd[j], sizes), np.repeat(vals // gcd[j], sizes)
         inv_y = np.repeat(inv[j], sizes)
-        meets = (y_all - x_d[:, None]) % g_y == 0
+        # (y - x) mod g, taken only where g > 1: elsewhere it is 0, and the
+        # root y meets every class of x.
+        rem = np.zeros((x_d.size, y_all.size), dtype=np.int64)
+        np.remainder(y_all - x_d[:, None], g_y, out=rem, where=g_y > 1)
+        meets = rem == 0
         # per_y[i, k]: the window n in the classes of root i and root y_all[k].
         per_y = np.zeros(meets.shape, dtype=np.int64)
         per_y[:, :1] = _window_counts(lifted[:, :, None], np.array([d * P]), N)
@@ -455,6 +528,40 @@ def pair_sum_divisor(
     return prime_engine.exact_sum(w1[jd] * w2[je] * count[jd, je])
 
 
+def _detector_terms(
+    ns: range, A: tc.TupleH, subsets: list, chunks: list, params: WeightParams
+) -> np.ndarray:
+    """inner(n) psi(n)^2 over the n-range ns, given each subset's chunk there."""
+    N = params.N
+    psi = np.zeros(len(ns), dtype=np.float64)
+    for H, (_, cands, m) in zip(subsets, chunks):
+        psi[cands - ns.start] += lambda_window(cands, m, H, params.ell, params)
+    # The primes n + a <= 3N, one sieve per run of shifts whose ranges ns + a
+    # overlap or touch.  n + a runs from N + 1 + min(A): a shift 0 reaches
+    # n = N + 1 itself.
+    runs = []
+    for a in A.shifts:
+        # Past 3N no n + a counts, and ns.start + a may not fit the uint32
+        # table.
+        if ns.start + a > 3 * N:
+            break
+        if runs and a - runs[-1][-1] <= len(ns):
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    inner = np.full(len(ns), -math.log(3 * N), dtype=np.float64)
+    for run in runs:
+        hi = min(ns.stop - 1 + run[-1], 3 * N)
+        table = prime_engine.sieve_range(ns.start + run[0], hi).primes
+        for a in run:
+            i, j = np.searchsorted(table, [ns.start + a, ns.stop + a])
+            p = table[i:j]
+            inner[p - (ns.start + a)] += np.log(p.astype(np.float64))
+    inner *= psi
+    inner *= psi
+    return inner
+
+
 def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
     """Prime-pair detector S'_R over the window, report form.
 
@@ -479,27 +586,16 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
             f"{n_subsets} K-subsets of A (budget {MAX_DETECTOR_SUBSETS})"
         )
     N = params.N
-    psi = np.zeros(N, dtype=np.float64)
-    for combo in combinations(A.shifts, K):
-        H = tc.TupleH(combo)
-        if not tc.is_admissible(H):
-            continue
-        cands, m = _window_candidates(H, params, None)
-        psi[cands - (N + 1)] += lambda_window(cands, m, H, ell, params)
-
-    # n + a runs from N + 1 + min(A): a shift 0 reaches n = N + 1 itself.
-    primes = prime_engine.sieve_range(min(N + 1 + A.shifts[0], 3 * N), 3 * N).primes
-    inner = np.full(N, -math.log(3 * N), dtype=np.float64)
-    for a in A.shifts:
-        # From a = 2N on no n + a is <= 3N, and N + 1 + a may not fit the
-        # uint32 table.
-        if a >= 2 * N:
-            break
-        # The primes n + a with n in the window, at their offsets n - (N + 1).
-        p = primes[(primes >= N + 1 + a) & (primes <= 2 * N + a)]
-        inner[p - (N + 1 + a)] += np.log(p.astype(np.float64))
-
-    value = prime_engine.exact_sum(inner * psi * psi) / (N * float(h) ** (2 * K + 1))
+    subsets = [H for H in map(tc.TupleH, combinations(A.shifts, K)) if tc.is_admissible(H)]
+    # Every subset's candidates over the same ranges of _CHUNK n.
+    chunks = zip(
+        _window_ranges(params, _CHUNK),
+        *(_window_chunks(H, params, None, _CHUNK) for H in subsets),
+    )
+    total = prime_engine.exact_sum(
+        _detector_terms(ns, A, subsets, per_H, params) for ns, *per_H in chunks
+    )
+    value = total / (N * float(h) ** (2 * K + 1))
     return {
         "value": value,
         "K": K,

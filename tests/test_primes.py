@@ -4,6 +4,7 @@ which also decides primality."""
 import ast
 import math
 import tracemalloc
+import weakref
 from itertools import chain
 from pathlib import Path
 
@@ -348,6 +349,78 @@ def test_exact_sum_special_cases():
     assert primes.exact_sum(np.array([1.0]), np.array([math.inf])) == math.inf
     for x in ([1e308, 1e308], [math.inf, -math.inf], [math.nan], [1.0, math.inf]):
         _assert_as_fsum(np.array(x))
+
+
+def _assert_chunks_as_fsum(chunks):
+    """exact_sum over an iterator of the chunks gives what math.fsum over
+    their concatenation gives, as _assert_as_fsum checks."""
+    try:
+        want = math.fsum(chain(*chunks))
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            primes.exact_sum(iter(chunks))
+        return
+    got = primes.exact_sum(iter(chunks))
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want, (got, want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=st.lists(st.lists(st.floats(), max_size=30), max_size=6))
+def test_exact_sum_of_chunks_is_fsum_on_any_floats(lists):
+    _assert_chunks_as_fsum([np.array(x, dtype=np.float64) for x in lists])
+
+
+def test_exact_sum_of_chunks_at_the_block_size():
+    rng = np.random.default_rng(3)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, 3 * primes.SUM_BLOCK + 5), rng.integers(-60, 60, 3 * primes.SUM_BLOCK + 5))
+    want = math.fsum(x)
+    for cuts in ([], [1], [primes.SUM_BLOCK], [7, primes.SUM_BLOCK + 3, 2 * primes.SUM_BLOCK]):
+        chunks = np.split(x, cuts)
+        assert primes.exact_sum(iter(chunks)) == want
+        # Mixed with arrays given whole, in argument order.
+        assert primes.exact_sum(chunks[0], iter(chunks[1:])) == want
+
+
+def test_exact_sum_of_chunks_with_special_values_in_different_chunks():
+    inf, nan = math.inf, math.nan
+    cases = [
+        [[1.0, inf], [2.0], [-inf]],  # ValueError
+        [[1e308], [1e308]],  # OverflowError
+        [[1.0, 1e308], [-1.0], [1e308, 3.0]],  # OverflowError
+        [[1.0], [nan], [2.0]],
+        [[1.0], [2.0], [inf]],
+        [[-inf], [], [5.0, -inf]],
+        [[2.0**-1074], [0.0], [-0.0]],
+    ]
+    for chunks in cases:
+        _assert_chunks_as_fsum([np.array(c, dtype=np.float64) for c in chunks])
+    with pytest.raises(ValueError):
+        primes.exact_sum(iter([np.array([inf]), np.array([-inf])]))
+    with pytest.raises(OverflowError):
+        primes.exact_sum(iter([np.array([1e308]), np.array([1e308])]))
+    assert math.isnan(primes.exact_sum(iter([np.array([1.0]), np.array([nan])])))
+
+
+def test_exact_sum_drops_each_chunk_before_the_next():
+    # A chunk made while the one before it is still held would double the
+    # memory of a sum over a window's chunks.
+    held = []
+
+    def chunks():
+        for k in range(4):
+            held.append(any(ref() is not None for ref in refs))
+            chunk = np.full(1000, float(k))
+            refs.append(weakref.ref(chunk))
+            yield chunk
+            del chunk
+
+    refs = []
+    assert primes.exact_sum(chunks()) == 6000.0
+    assert held == [False] * 4
 
 
 def test_math_fsum_is_called_only_inside_exact_sum():

@@ -1,6 +1,7 @@
 """Shift sets, occupancy counts, regular residue classes, and tuple parsing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ def test_regular_classes_are_the_coprime_residues_ascending(shifts, V):
     assert not classes.flags.writeable
     with pytest.raises(ValueError):
         classes[:1] = 0
+
+
+def test_regular_classes_memory_is_the_result_and_little_more():
+    # The seed-7 cross item's union at V = 19: 259 200 classes, 2.07 MB.
+    # Mapping 0 to P in place leaves the lifted classes as the one big array.
+    H = tc.TupleH((152, 306, 390))
+    tracemalloc.start()
+    try:
+        classes = tc.regular_classes(H, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes.size == tc.regular_class_count(H, 19) == 259200
+    assert classes.dtype == np.int64 and not classes.flags.writeable
+    assert peak <= 1.3 * classes.nbytes + 64 * 1024
 
 
 def python_crt(x, m, res, q):

@@ -281,6 +281,69 @@ def test_lambda_window_memory_on_a_mask_window():
     assert vals[:50].tolist() == lambda_R_of(cands[:50], H, params)
 
 
+def test_pair_sum_direct_memory_on_a_mask_window():
+    # 333 334 candidates, walked in chunks of about _CHUNK: no array spans
+    # the window, whose candidates alone take 2.7 MB.
+    Ha, Hb = tc.TupleH((0, 2, 6)), tc.TupleH((2, 6, 8))
+    params = weights.WeightParams(K=3, ell=1, R=31.3, V=5, N=10**7)
+    tracemalloc.start()
+    try:
+        got = weights.pair_sum_direct(Ha, Hb, 1, 1, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert got == pytest.approx(weights.pair_sum_divisor(Ha, Hb, 1, 1, params), rel=1e-12)
+
+
+@pytest.mark.parametrize("V, N, span", [
+    (5, 1000, 1), (5, 1000, 29), (5, 1000, 30), (5, 1000, 211), (5, 1000, 10**9),
+    (7, 4999, 1000), (7, 4999, 2499), (7, 4999, 2500), (31, 2000, 97),
+])
+def test_window_ranges_tile_the_window(V, N, span):
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=V, N=N)
+    P = tc.primorial(V)
+    ranges = list(weights._window_ranges(params, span))
+    assert ranges[0].start == N + 1 and ranges[-1].stop == 2 * N + 1
+    assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+    assert len(ranges) <= max(1, N // span)
+    # One width, of whole periods where it reaches P, from span to
+    # 2 span + P; only the last range may be shorter.
+    width = len(ranges[0])
+    assert all(len(ns) == width for ns in ranges[:-1])
+    if len(ranges) > 1:
+        assert width % P == 0 or width < P
+        assert span <= width <= 2 * span + P
+
+
+@pytest.mark.parametrize("V, N", [(5, 600), (7, 1000), (31, 600)])
+def test_window_chunks_do_not_change_the_sums(monkeypatch, V, N):
+    # At these N one default chunk holds the whole window.  The pair sums
+    # ask for about _CHUNK candidates, m of every P n (one in one class);
+    # the detector for _CHUNK n.  So _CHUNK = 1 cuts pieces of a period (of
+    # one n in the detector), m and P one period, 7 m and 7 P seven, and
+    # 2^40 the whole window.  At V = 31, P > N: every chunk is a piece.
+    P = tc.primorial(V)
+    m = tc.regular_class_count(H1.union(H2), V)
+    A = tc.TupleH((0, 2, 6, 8))
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=V, N=N)
+    cls = int(weights._window_candidates(H1.union(H2), params, None)[0][0])
+
+    def sums():
+        return (
+            weights.pair_sum_direct(H1, H2, 1, 1, params),
+            weights.pair_sum_direct(H1, H2, 1, 1, params, per_class=cls),
+            weights.pair_sum_theta(H1, H2, 1, 1, 8, params),
+            weights.detector_sum(A, params)["value"],
+        )
+
+    want = sums()
+    assert all(want)
+    for chunk in (1, m, 7 * m, P, 7 * P, 2**40):
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
+        assert sums() == want
+
+
 def test_pair_sum_direct_matches_brute_force():
     params = weights.WeightParams(K=2, ell=1, R=20.0, V=3, N=400)
     # The roots of (0,2) and (6,8) are disjoint mod 5 and mod 7: a shared
@@ -484,7 +547,7 @@ def test_divisor_route_uses_no_window_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("window code called")
 
-    for name in ("_lambda_walk", "lambda_window", "_window_candidates"):
+    for name in ("_lambda_walk", "lambda_window", "_window_candidates", "_window_chunks", "_window_ranges"):
         monkeypatch.setattr(weights, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
@@ -538,7 +601,8 @@ def test_lambda_R_refuses_a_non_finite_level():
 
 
 def test_weight_params_window_guard_at_its_limit():
-    # The window's largest arrays take 8N bytes; nothing is allocated here.
+    # At most 8 bytes per n, in _window_candidates' one chunk; nothing is
+    # allocated here.
     limit = prime_engine.MAX_TABLE_BYTES // 8
     weights.WeightParams(K=2, ell=1, R=10.0, V=3, N=limit)
     with pytest.raises(CapacityError, match="window"):
