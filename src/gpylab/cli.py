@@ -56,8 +56,8 @@ OPERATION_MAP = {
     "pair_sum_divisor": "gpy moment1",
     "pair_sum_theta": "gpy moment2",
     "detector_sum": "gpy detector",
-    "Z_sum": "combi lemma2",
-    "Z_closed": "combi lemma2",
+    "Z_identity_scan": "combi lemma2",
+    "coeff_identity_scan": "combi coeffs",
     "coeff_ratio_check": "combi coeffs",
     "divisor_mean_check": "combi divisor-mean",
     "main_term_t4": "oracle t4",

@@ -70,6 +70,11 @@ MAX_FACTOR_N = 10**12
 # no longer fit in L2.
 SUM_BLOCK = 1 << 16
 
+# Indices per fancy-index add of squarefree_omega, which marks the primes
+# above sqrt(x) in runs of whole primes; a run holds a few int64 arrays of
+# this length.
+_OMEGA_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class PrimeTable:
@@ -381,10 +386,10 @@ def _phi(q: int) -> int:
 def squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:
     """For q in [1, x]: squarefree flags and omega(q), by sieving.
 
-    A prime p <= sqrt(x) marks its multiples by slicing.  The primes above
-    sqrt(x) are handled together per cofactor k <= x/(isqrt(x)+1): one
-    fancy-index add marks every k p <= x.  The k p of one add are
-    distinct, so no increment is lost to a repeated index.
+    A prime p <= sqrt(x) marks its multiples by slicing.  A prime p above
+    sqrt(x) marks k p for k <= x // p.  Two such primes share no multiple
+    up to x (p q > x), so every k p is a distinct index, and the primes are
+    taken in runs of about _OMEGA_BLOCK indices, one fancy-index add each.
     """
     omega = np.zeros(x + 1, dtype=np.int8)
     squarefree = np.ones(x + 1, dtype=bool)
@@ -396,9 +401,17 @@ def squarefree_omega(x: int) -> tuple[np.ndarray, np.ndarray]:
         omega[p::p] += 1
         squarefree[p * p :: p * p] = False
     large = primes[split:]
-    for k in range(1, x // (s + 1) + 1):
-        top = int(np.searchsorted(large, x // k, side="right"))
-        omega[k * large[:top]] += 1
+    counts = x // large
+    ends = np.cumsum(counts, dtype=np.intp)
+    # A run starts at the first prime whose multiples end past a multiple
+    # of the block, so it holds at most _OMEGA_BLOCK + isqrt(x) indices.
+    total = int(ends[-1]) if ends.size else 0
+    edges = np.searchsorted(ends, np.arange(0, total, _OMEGA_BLOCK), side="right").tolist()
+    for lo, hi in zip(edges, [*edges[1:], large.size]):
+        c = counts[lo:hi]
+        # k runs 1..x // p beside each p of the run.
+        k = np.arange(1, int(c.sum()) + 1) - np.repeat(np.cumsum(c, dtype=np.intp) - c, c)
+        omega[k * np.repeat(large[lo:hi], c)] += 1
     return squarefree, omega
 
 

@@ -482,8 +482,12 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     inv = np.take_along_axis(inv * inv_P % vals, np.searchsorted(vals, vals // gcd), axis=1)
     count = np.zeros(gcd.shape, dtype=np.int64)
     for j, (d, x_d) in enumerate(zip(vals.tolist(), np.split(x_all, np.cumsum(x_sizes)[:-1]))):
-        # Row i: the root x_d[i] lifted by every regular class, mod d P.
-        lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
+        # Row i: the root x_d[i] lifted by every regular class, mod d P;
+        # d = 1 has the one root 0, which leaves the classes as they are.
+        if d == 1:
+            lifted = reg[None, :]
+        else:
+            lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
         # Beside each root y of each e: g = gcd(d, e), e' and (d P)^{-1} mod e'.
         g_y, e_y = np.repeat(gcd[j], sizes), np.repeat(vals // gcd[j], sizes)
         inv_y = np.repeat(inv[j], sizes)

@@ -42,6 +42,14 @@ def reference_coeff_A_sum(j, nu, d, u, v):
     return total * Fraction(factorial(j) * factorial(nu), factorial(u))
 
 
+def reference_closed(c, u):
+    """The product (c+1)(c+2)...(c+u), one factor at a time."""
+    out = 1
+    for i in range(1, u + 1):
+        out *= c + i
+    return out
+
+
 @st.composite
 def coeff_points(draw):
     d, u, v = (draw(st.integers(0, 15)) for _ in range(3))
@@ -124,6 +132,27 @@ def test_Z_recursion_step(d, u, y):
     assert lhs == rhs
 
 
+# Each branch of the perm-based product: c >= 0, a zero factor (-u <= c <= -1)
+# and every factor negative (c <= -u - 1), on both sides of each boundary.
+@pytest.mark.parametrize("u", [0, 1, 2, 5, 9])
+def test_closed_product_at_its_branch_boundaries(u):
+    for c in sorted({-1, 0, 1, -u, -u + 1, -u - 1, -u - 2, 10**6}):
+        assert combinat._closed_num(c, u) == reference_closed(c, u), (c, u)
+
+
+def test_closed_forms_equal_the_loop_product():
+    for d in range(6):
+        for u in range(6):
+            for y in range(-u, 6):
+                den = factorial(u) * factorial(y + u)
+                t = combinat.SuitableTriplet(d, u, y)
+                assert combinat.Z_closed(t) == Fraction(reference_closed(y - d, u), den)
+    for j, nu, d, u, v in [(0, 0, 0, 0, 0), (1, 8, 2, 6, 3), (0, 12, 3, 5, 4), (2, 0, 1, 7, 30)]:
+        top = v + d - nu + u - j
+        expected = Fraction(reference_closed(v - nu, u - j), factorial(u - j) * factorial(top))
+        assert combinat.coeff_A_closed(j, nu, d, u, v) == expected
+
+
 def test_coeff_A_routes_agree_small_grid():
     for d in range(5):
         for u in range(5):
@@ -175,6 +204,114 @@ def test_identity_scans_are_refused_past_their_points_guard(monkeypatch, scan):
         monkeypatch.setattr(combinat, "MAX_SCAN_POINTS", limit - 1)
         with pytest.raises(CapacityError, match="grid points"):
             scan(bound)
+
+
+def z_grid(bound):
+    return [(d, u, y) for d in range(bound + 1) for u in range(bound + 1) for y in range(-u, bound + 1)]
+
+
+def coeff_grid(bound):
+    return [
+        (j, nu, d, u, v)
+        for d in range(bound + 1) for u in range(bound + 1) for v in range(bound + 1)
+        for j in range(u + 1) for nu in range(v + d + u - j + 1)
+    ]
+
+
+def fraction_scans(bound):
+    """Both identity scans as a point-by-point comparison of the public Fractions."""
+    triplets = [combinat.SuitableTriplet(*p) for p in z_grid(bound)]
+    z_bad = [(t.d, t.u, t.y) for t in triplets if combinat.Z_sum(t) != combinat.Z_closed(t)]
+    coeff_bad = [p for p in coeff_grid(bound) if combinat.coeff_A_sum(*p) != combinat.coeff_A_closed(*p)]
+    return (len(triplets), z_bad), coeff_bad
+
+
+def _off_by_one_where(kernel, hit):
+    return lambda *args: kernel(*args) + hit(*args)
+
+
+# A kernel off by one wherever `hit` says so, which spoils many points of
+# each grid; the numerators disagree exactly where the Fractions do.
+SPOILERS = {
+    "none": None,
+    "closed": ("_closed_num", lambda c, u: (c + 2 * u) % 3 == 0),
+    "z_sum": ("_z_sum_num", lambda d, u, y: (d + u + y) % 4 == 1),
+    "coeff_sum": ("_coeff_sum_num", lambda j, d, u, y: (j + d + y) % 3 == 2),
+}
+
+
+@pytest.mark.parametrize("spoiler", SPOILERS)
+@pytest.mark.parametrize("bound", range(5))
+def test_integer_scans_agree_with_a_fraction_comparison(monkeypatch, bound, spoiler):
+    if SPOILERS[spoiler]:
+        name, hit = SPOILERS[spoiler]
+        monkeypatch.setattr(combinat, name, _off_by_one_where(getattr(combinat, name), hit))
+    z_expected, coeff_expected = fraction_scans(bound)
+    assert combinat.Z_identity_scan(bound) == z_expected
+    assert combinat.coeff_identity_scan(bound) == coeff_expected
+    if spoiler in ("closed", "z_sum") and bound > 0:
+        assert z_expected[1]
+    if spoiler in ("closed", "coeff_sum") and bound > 0:
+        assert coeff_expected
+
+
+def _z_summand(d, u, y, m):
+    """Term m of the Z_sum numerator over (y+u)!."""
+    return comb(u, m) * (-1) ** m * _rising(d, m) * factorial(y + u) // factorial(y + m)
+
+
+def _coeff_summand(j, d, u, y, m):
+    """Term m of the coeff_A_sum numerator over top!, top = y + u - j."""
+    return (comb(u, m + j) * (-1) ** m * comb(m + j, j) * _rising(d, m)
+            * factorial(y + u - j) // factorial(y + m))
+
+
+def _wrong_once(kernel, at, delta):
+    """The kernel, except that its first call with arguments `at` is off by delta(*at)."""
+    spoiled = []
+
+    def wrong(*args):
+        out = kernel(*args)
+        if args == at and not spoiled:
+            spoiled.append(args)
+            out += delta(*args)
+        return out
+
+    return wrong
+
+
+# The arguments each scan hands each kernel at a grid point.
+KERNEL_ARGS = {
+    ("Z", "_closed_num"): lambda d, u, y: (y - d, u),
+    ("Z", "_z_sum_num"): lambda d, u, y: (d, u, y),
+    ("A", "_closed_num"): lambda j, nu, d, u, v: (v - nu, u - j),
+    ("A", "_coeff_sum_num"): lambda j, nu, d, u, v: (j, d, u, v + d - nu),
+}
+
+# (scan, kernel, kernel arguments, error): closed + 1, or one summand of a
+# defining sum with its sign flipped, at the first grid point that calls the
+# kernel with those arguments.
+MUTANTS = [
+    ("Z", "_closed_num", (4, 3), lambda c, u: 1),
+    ("Z", "_closed_num", (-6, 2), lambda c, u: 1),
+    ("Z", "_z_sum_num", (2, 4, -1), lambda d, u, y: -2 * _z_summand(d, u, y, 3)),
+    ("Z", "_z_sum_num", (3, 3, 4), lambda d, u, y: -2 * _z_summand(d, u, y, 0)),
+    ("A", "_closed_num", (-2, 3), lambda c, u: 1),
+    ("A", "_coeff_sum_num", (1, 3, 4, 7), lambda j, d, u, y: -2 * _coeff_summand(j, d, u, y, 2)),
+    ("A", "_coeff_sum_num", (0, 3, 4, -4), lambda j, d, u, y: -2 * _coeff_summand(j, d, u, y, 4)),
+]
+
+
+@pytest.mark.parametrize("scan, kernel, at, delta", MUTANTS)
+def test_identity_scans_report_a_kernel_wrong_at_one_point(monkeypatch, scan, kernel, at, delta):
+    assert delta(*at) != 0
+    grid = z_grid(4) if scan == "Z" else coeff_grid(4)
+    point = next(p for p in grid if KERNEL_ARGS[scan, kernel](*p) == at)
+    monkeypatch.setattr(combinat, kernel, _wrong_once(getattr(combinat, kernel), at, delta))
+    if scan == "Z":
+        assert combinat.Z_identity_scan(4) == (len(grid), [point])
+    else:
+        assert combinat.coeff_identity_scan(4) == [point]
 
 
 def test_divisor_mean_bound_holds():

@@ -580,6 +580,35 @@ def test_factorize_makes_no_sieve_call(monkeypatch):
         assert primes.factorize(n) == sympy.factorint(n)
 
 
+# Blocks of 1 and 7 indices split every run; 64 splits some primes' runs
+# and not others; the default takes x = 5000 in one run.
+@pytest.mark.parametrize("block", [1, 7, 64, primes._OMEGA_BLOCK])
+def test_squarefree_omega_matches_sympy_in_any_block(monkeypatch, block):
+    monkeypatch.setattr(primes, "_OMEGA_BLOCK", block)
+    for x in (1, 2, 3, 4, 48, 49, 50, 5000):
+        squarefree, omega = primes.squarefree_omega(x)
+        factors = [sympy.factorint(q) for q in range(1, x + 1)]
+        assert not squarefree[0] and omega[0] == 0
+        assert squarefree[1:].tolist() == [all(e == 1 for e in f.values()) for f in factors]
+        assert omega[1:].tolist() == [len(f) for f in factors]
+
+
+def test_squarefree_omega_memory_is_bounded_by_its_blocks():
+    # Two x-byte arrays, the prime table with the counts and ends of the
+    # primes above sqrt(x) (at most three tables' worth), and a few int64
+    # arrays of one run; one array of every k p marked would take 8 x.
+    x = 10**6 - 500
+    primes.primes_upto(x)
+    tracemalloc.start()
+    try:
+        primes.squarefree_omega(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = primes.primes_upto(x).primes.nbytes
+    assert peak < 2 * (x + 1) + 4 * table + 64 * primes._OMEGA_BLOCK
+
+
 def test_phi_matches_sympy_totient():
     for n in [*range(1, 3001), *(2**32 + d for d in range(-5, 6))]:
         assert primes._phi(n) == sympy.totient(n), n
