@@ -38,6 +38,12 @@ _EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, s
 # though never less than one row.
 _W_ENTRIES = 1 << 16
 
+# The libm tables of _w_values, (inv_n, log_n) with inv_n[j] = (j + 1) ** -1.0
+# and log_n[j] = log(j + 1), read-only.  They grow on demand to the largest
+# n a call needs, at most 10^4 as |t| <= 1000, and are kept.  The pair is
+# bound whole, so racing threads can at worst build some entries again.
+_w_tables = (np.empty(0), np.empty(0))
+
 # Grid points of verify_w_bounds: 10^6 points hold about 50 MB of per-point arrays.
 MAX_W_POINTS = 10**6
 # Largest X of j_product, whose prime table and per-prime arrays grow with pi(X).
@@ -216,9 +222,7 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     # Column j holds n = j + 1.  n^{-1} and log n come from libm, as in
     # CPython's complex power: numpy's n ** -1.0 is 1 / n and its log has
     # its own rounding, and each differs from libm at a few n.
-    n_top = int(m_rows[-1]) if ts.size else 1
-    inv_n = np.array([float(k) ** -1.0 for k in range(1, n_top)])
-    log_n = np.array([math.log(k) for k in range(1, n_top)])
+    inv_n, log_n = _libm_tables(int(m_rows[-1]) - 1 if ts.size else 0)
     re, im = np.empty(ts.size), np.empty(ts.size)
     widths = (m_rows - 1).tolist()
     r1 = 0
@@ -252,6 +256,21 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     out = np.empty(ts.size, dtype=complex)
     out[order] = w
     return out
+
+
+def _libm_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shared tables of n^{-1} and log n for n = 1, 2, ..., at least
+    size entries each, first extended where they are shorter."""
+    global _w_tables
+    inv_n, log_n = _w_tables
+    if inv_n.size < size:
+        new = range(inv_n.size + 1, size + 1)
+        inv_n = np.concatenate((inv_n, [float(k) ** -1.0 for k in new]))
+        log_n = np.concatenate((log_n, [math.log(k) for k in new]))
+        inv_n.setflags(write=False)
+        log_n.setflags(write=False)
+        _w_tables = (inv_n, log_n)
+    return inv_n, log_n
 
 
 def w_function(t: float) -> complex:

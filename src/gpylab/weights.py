@@ -30,14 +30,15 @@ divide P_H(n).  The direct route shares no class code with the divisor
 route, which reads those squarefree d off one squarefree sieve over [1, R],
 then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.
-The roots of P_H1 and of P_H2 mod every d come from one pass over the
-concatenated ranges [0, d), and the inverses of d P mod every e coprime to
-d from one extended-Euclid pass.  For each d, the roots x of P_H1 mod d are
-lifted by the regular classes mod P.  A root y of P_H2 mod e meets the
-classes of x only where g = gcd(d, e) divides y - x, and then in the
-classes lifted once more by y mod e' = e / g, which is prime to d P.  So
-each pair is counted over the classes mod [d, e] P, by one gcd mask and
-one lift per root of e.  The divisor route calls no window code.
+The roots of P_H1 and of P_H2 mod every d come from passes over the
+concatenated ranges [0, d), in runs of at most _CHUNK residues, and the
+inverses of d P mod every e coprime to d from one extended-Euclid pass.
+For each d, the roots x of P_H1 mod d are lifted by the regular classes
+mod P.  A root y of P_H2 mod e meets the classes of x only where
+g = gcd(d, e) divides y - x, and then in the classes lifted once more by
+y mod e' = e / g, which is prime to d P.  So each pair is counted over the
+classes mod [d, e] P, by one gcd mask and one lift per root of e.  The
+divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -63,7 +64,8 @@ MAX_MASK_PRIMES = 16
 _MAX_RUN_CLASSES = 2**16
 
 # Window entries per chunk array: the pair sums walk about _CHUNK candidates
-# at a time, and detector_sum holds psi and inner over _CHUNK n.
+# at a time, and detector_sum holds psi and inner over _CHUNK n.  _roots_mod
+# takes its d in runs of at most _CHUNK residues.
 _CHUNK = 2**16
 
 # Detector subset-enumeration guard.
@@ -411,33 +413,43 @@ def _window_counts(classes: np.ndarray, mods: np.ndarray, N: int) -> np.ndarray:
 
 def _rough_divisors(params: WeightParams) -> tuple[np.ndarray, np.ndarray]:
     """The squarefree d <= R coprime to P = primorial(V), ascending, and
-    mu(d) = (-1)^omega(d), read off one squarefree sieve over [1, R]."""
-    x = int(params.R)
-    squarefree, omega = prime_engine.squarefree_omega(x)
-    d = np.flatnonzero(squarefree & (np.gcd(np.arange(x + 1), tc.primorial(params.V)) == 1))
-    return d, 1 - 2 * (omega[d] & 1)
+    mu(d) = (-1)^omega(d), read off the blocks of one squarefree sieve over
+    [1, R]."""
+    q, omega = map(np.concatenate, zip(*prime_engine.squarefree_omega(int(params.R))))
+    rough = np.gcd(q, tc.primorial(params.V)) == 1
+    return q[rough], 1 - 2 * (omega[rough] & 1)
 
 
 def _roots_mod(H: tc.TupleH, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The roots x in [0, d) of P_H mod every d of ds, ascending per d and
     concatenated in the order of ds, and their number per d.
 
-    One int32 pass over the concatenated ranges [0, d): x is a root when
-    prod_h (x + h mod d) mod d is 0.  Every product of two residues mod d
-    is below d^2, which must fit in int32; pair_sum_divisor's R^2 <= 10^7
-    guard keeps it below 10^7.
+    One int32 pass over the concatenated ranges [0, d) of each run of
+    consecutive d that together cover at most _CHUNK entries (or of one d
+    alone): x is a root when prod_h (x + h mod d) mod d is 0.  Every
+    product of two residues mod d is below d^2, which must fit in int32;
+    pair_sum_divisor's R^2 <= 10^7 guard keeps it below 10^7.
     """
+    roots, counts = [], []
     ends = np.cumsum(ds)
-    starts = ends - ds
-    mods = np.repeat(ds.astype(np.int32), ds)
-    x = np.arange(ends[-1], dtype=np.int32) - np.repeat(starts.astype(np.int32), ds)
-    z = np.ones_like(x)
-    for h in H.shifts:
-        z *= (x + np.repeat((h % ds).astype(np.int32), ds)) % mods
-        z %= mods
-    pos = np.flatnonzero(z == 0)
-    sizes = np.diff(np.searchsorted(pos, np.concatenate(([0], ends))))
-    return pos - np.repeat(starts, sizes), sizes
+    lo = 0
+    while lo < ds.size:
+        hi = max(lo + 1, int(ends.searchsorted(ends[lo] - ds[lo] + _CHUNK, side="right")))
+        run = ds[lo:hi]
+        ends_run = np.cumsum(run)
+        starts = ends_run - run
+        mods = np.repeat(run.astype(np.int32), run)
+        x = np.arange(ends_run[-1], dtype=np.int32) - np.repeat(starts.astype(np.int32), run)
+        z = np.ones_like(x)
+        for h in H.shifts:
+            z *= (x + np.repeat((h % run).astype(np.int32), run)) % mods
+            z %= mods
+        pos = np.flatnonzero(z == 0)
+        sizes = np.diff(np.searchsorted(pos, np.concatenate(([0], ends_run))))
+        roots.append(pos - np.repeat(starts, sizes))
+        counts.append(sizes)
+        lo = hi
+    return np.concatenate(roots), np.concatenate(counts)
 
 
 def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:

@@ -1,6 +1,7 @@
 """Exact rational kernels: the Z identity, the A coefficients, divisor means."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpylab import combinat
+from gpylab import combinat, primes
 from gpylab.errors import CapacityError, DomainError
 
 
@@ -342,7 +343,8 @@ def brute_divisor_sum(x, m):
 
 
 # Either side of the prime squares 4, 49 and 121, where sqrt(x) changes
-# which primes the sieve slices and which it adds per cofactor.
+# which primes the sieve slices and which it counts where the product of the
+# sliced ones falls short of q.
 @pytest.mark.parametrize("x", [1, 2, 3, 4, 48, 49, 50, 120, 121, 122, 2000])
 def test_divisor_mean_lhs_at_sieve_boundaries(x):
     for m in (2, 3):
@@ -354,3 +356,33 @@ def test_divisor_mean_rejects_x_above_ceiling(monkeypatch):
     assert combinat.divisor_mean_check(50, 2)["lhs"] == brute_divisor_sum(50, 2)
     with pytest.raises(CapacityError):
         combinat.divisor_mean_check(51, 2)
+
+
+def test_divisor_mean_guard_at_its_limit_and_one_past(monkeypatch):
+    # The sieve at the limit takes about 3 s, so a stub stands in for it:
+    # the guard passes x = MAX_DIVISOR_MEAN_X to it and refuses one more
+    # before it is called.
+    seen = []
+    monkeypatch.setattr(combinat, "squarefree_omega", lambda x: seen.append(x) or iter(()))
+    limit = combinat.MAX_DIVISOR_MEAN_X
+    assert combinat.divisor_mean_check(limit, 2)["lhs"] == 0
+    with pytest.raises(CapacityError):
+        combinat.divisor_mean_check(limit + 1, 2)
+    assert seen == [limit]
+
+
+def test_divisor_mean_memory_does_not_grow_with_x():
+    # One block of primes._OMEGA_BLOCK integers at a time: 2 * 10^6 takes
+    # 16 blocks and 10^5 one shorter block, against 14.3 MiB for arrays
+    # over every q <= 2 * 10^6 in one piece.
+    peaks = []
+    for x in (10**5, 2 * 10**6):
+        primes.primes_upto(math.isqrt(x))
+        tracemalloc.start()
+        try:
+            combinat.divisor_mean_check(x, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+    assert peaks[1] < 24 * primes._OMEGA_BLOCK

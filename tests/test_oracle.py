@@ -221,6 +221,21 @@ def test_w_values_rows_in_chunks_bound_memory_not_values(monkeypatch):
     assert peak < 200 * 299 * 8 // 4
 
 
+def test_w_values_build_their_tables_once(monkeypatch):
+    monkeypatch.setattr(oracle, "_w_tables", (np.empty(0), np.empty(0)))
+    small = oracle.w_function(5.0)
+    assert oracle._w_tables[0].size == 49
+    big = oracle.w_function(-999.0)
+    tables = inv_n, log_n = oracle._w_tables
+    # Grown to M - 1 = 9989 entries, each as a fresh build makes it.
+    assert inv_n.tolist() == [float(k) ** -1.0 for k in range(1, 9990)]
+    assert log_n.tolist() == [math.log(k) for k in range(1, 9990)]
+    assert oracle.w_function(-999.0) == big == _w_scalar(-999.0)
+    assert oracle.w_function(5.0) == small == _w_scalar(5.0)
+    oracle.verify_w_bounds(10.0, 0.5)
+    assert oracle._w_tables is tables
+
+
 def test_verify_w_bounds_pinned_report():
     rep = oracle.verify_w_bounds(100.0, 0.01)
     assert rep["t0"] is None

@@ -580,33 +580,56 @@ def test_factorize_makes_no_sieve_call(monkeypatch):
         assert primes.factorize(n) == sympy.factorint(n)
 
 
-# Blocks of 1 and 7 indices split every run; 64 splits some primes' runs
-# and not others; the default takes x = 5000 in one run.
+def _squarefree_factors(x):
+    """{q: omega(q)} over the squarefree q in [1, x], by sympy."""
+    factors = {q: sympy.factorint(q) for q in range(1, x + 1)}
+    return {q: len(f) for q, f in factors.items() if all(e == 1 for e in f.values())}
+
+
+# Blocks of 1 and 7 integers cut between the prime squares 4, 49 and 121,
+# where sqrt(x) gains a prime; 64 takes x = 122 in two blocks and the default
+# takes every x here in one.
 @pytest.mark.parametrize("block", [1, 7, 64, primes._OMEGA_BLOCK])
 def test_squarefree_omega_matches_sympy_in_any_block(monkeypatch, block):
     monkeypatch.setattr(primes, "_OMEGA_BLOCK", block)
-    for x in (1, 2, 3, 4, 48, 49, 50, 5000):
-        squarefree, omega = primes.squarefree_omega(x)
-        factors = [sympy.factorint(q) for q in range(1, x + 1)]
-        assert not squarefree[0] and omega[0] == 0
-        assert squarefree[1:].tolist() == [all(e == 1 for e in f.values()) for f in factors]
-        assert omega[1:].tolist() == [len(f) for f in factors]
+    want = _squarefree_factors(5000)
+    for x in (1, 2, 3, 4, 5, 48, 49, 50, 120, 121, 122, 5000):
+        blocks = list(primes.squarefree_omega(x))
+        assert len(blocks) == -(-x // block)
+        for i, (q, omega) in enumerate(blocks):
+            lo = 1 + i * block
+            assert q.tolist() == [n for n in range(lo, min(lo + block, x + 1)) if n in want]
+            assert omega.tolist() == [want[n] for n in q.tolist()]
 
 
-def test_squarefree_omega_memory_is_bounded_by_its_blocks():
-    # Two x-byte arrays, the prime table with the counts and ends of the
-    # primes above sqrt(x) (at most three tables' worth), and a few int64
-    # arrays of one run; one array of every k p marked would take 8 x.
-    x = 10**6 - 500
-    primes.primes_upto(x)
+def test_squarefree_omega_lists_no_prime_past_sqrt_x(monkeypatch):
+    upto = primes.primes_upto
+    for x in (1, 3, 4, 48, 49, 120, 121, 10**5 - 1, 10**5):
+        def refuse(y, x=x):
+            assert y <= math.isqrt(x), f"a prime table to {y} for x = {x}"
+            return upto(y)
+
+        monkeypatch.setattr(primes, "primes_upto", refuse)
+        for _ in primes.squarefree_omega(x):
+            pass
+
+
+def test_squarefree_omega_memory_is_bounded_by_its_blocks(monkeypatch):
+    # A block's product, omega, flags and indices, with the last block's q
+    # and omega still held by the loop, take about 20 bytes per integer of
+    # one block; one flag per q <= x alone would take 122 blocks' worth.
+    x, block = 5 * 10**5, 1 << 12
+    monkeypatch.setattr(primes, "_OMEGA_BLOCK", block)
+    primes.primes_upto(math.isqrt(x))
     tracemalloc.start()
     try:
-        primes.squarefree_omega(x)
+        count = sum(q.size for q, _ in primes.squarefree_omega(x))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = primes.primes_upto(x).primes.nbytes
-    assert peak < 2 * (x + 1) + 4 * table + 64 * primes._OMEGA_BLOCK
+    # Q(x) = sum over d <= sqrt(x) of mu(d) floor(x / d^2).
+    assert count == 303958
+    assert peak < 32 * block
 
 
 def test_phi_matches_sympy_totient():

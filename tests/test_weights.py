@@ -417,6 +417,20 @@ def test_roots_mod_every_d_match_a_python_loop(H):
     assert want[0] == [0]
 
 
+@pytest.mark.parametrize("run", [1, weights._CHUNK])
+def test_roots_mod_in_runs_equals_one_pass(monkeypatch, run):
+    # At R = 3162.27 the d cover 1.27 M residues: about 20 runs of _CHUNK,
+    # or one run per d at 1.
+    params = weights.WeightParams(K=2, ell=1, R=3162.27, V=5, N=1000)
+    ds, _ = weights._rough_divisors(params)
+    H = tc.TupleH((0, 2, 6, 8))
+    monkeypatch.setattr(weights, "_CHUNK", int(ds.sum()))
+    whole = weights._roots_mod(H, ds)
+    monkeypatch.setattr(weights, "_CHUNK", run)
+    for a, b in zip(weights._roots_mod(H, ds), whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_per_class_sums_add_up_to_aggregate():
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     Hu = H1.union(H2)
