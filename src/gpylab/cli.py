@@ -5,6 +5,10 @@ library operation it lists, the one subcommand that calls it; the coverage
 test wraps every listed function and checks that a call of its subcommand
 reaches it.  Each call writes one JSON report to --out or stdout.  Exit
 codes: 0 success, 2 domain error, 3 capacity error, 64 usage.
+
+A call imports only the library modules its subcommand uses: each handler
+imports its own, and the handler reads every library function as a module
+attribute at call time.
 """
 
 from __future__ import annotations
@@ -13,16 +17,10 @@ import argparse
 import contextlib
 import json
 import math
-import random
 import sys
 import time
 
 from . import __version__
-from . import bv as bv_mod
-from . import combinat, oracle, sequences, singular
-from . import primes as prime_engine
-from . import tuples as tc
-from . import weights
 from .errors import CapacityError, DomainError
 
 SCHEMA_VERSION = 2
@@ -105,8 +103,14 @@ def _nums(text: str) -> list[int]:
     return [_num(x) for x in text.split(",")]
 
 
-def _shifts(text: str) -> tc.TupleH:
-    return tc.parse_tuple_line(text)
+def _shifts(text: str):
+    """Shift-list flag; a refused tuple is a usage error that says why."""
+    from . import tuples as tc
+
+    try:
+        return tc.parse_tuple_line(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -126,6 +130,8 @@ def _add_pair(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import sequences
+
     top = _Parser(prog="gpylab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -295,8 +301,11 @@ def _level(args) -> float:
         return math.inf
 
 
-def _pair_params(args) -> oracle.MainTermParams:
-    """The inputs added by _add_pair, with ell2 and R resolved."""
+def _pair_params(args):
+    """The oracle.MainTermParams of the inputs added by _add_pair, with ell2
+    and R resolved."""
+    from . import oracle
+
     ell2 = args.ell if args.ell2 is None else args.ell2
     h0 = getattr(args, "h0", None)
     return oracle.MainTermParams(
@@ -305,6 +314,8 @@ def _pair_params(args) -> oracle.MainTermParams:
 
 
 def _cmd_primes(args) -> dict:
+    from . import primes as prime_engine
+
     table = prime_engine.sieve_range(args.lo, args.hi)
     out = {"lo": args.lo, "hi": args.hi, "count": len(table)}
     t = table if args.lo == 0 else None  # a table from lo > 0 misses the small primes
@@ -320,6 +331,9 @@ def _cmd_primes(args) -> dict:
 
 
 def _cmd_tuple(args) -> dict:
+    from . import primes as prime_engine
+    from . import tuples as tc
+
     H = args.shifts
     if args.action == "check":
         out = {
@@ -347,6 +361,8 @@ def _cmd_tuple(args) -> dict:
 
 
 def _cmd_singular(args) -> dict:
+    from . import singular
+
     H = args.shifts
     if args.action == "value":
         if args.h0 is not None:
@@ -381,6 +397,8 @@ def _cmd_singular(args) -> dict:
 
 
 def _cmd_gpy(args) -> dict:
+    from . import weights
+
     if args.action == "lambda":
         val = weights.lambda_R(args.n, args.shifts, args.ell, args.r)
         return {
@@ -394,6 +412,8 @@ def _cmd_gpy(args) -> dict:
     if args.action == "detector":
         params = weights.WeightParams(K=args.k, ell=args.ell, R=_level(args), V=args.v, N=args.n)
         return weights.detector_sum(args.shifts, params)
+
+    from . import oracle  # only the pair sums compare with a prediction
 
     mp = _pair_params(args)
     H1, H2, ell2 = mp.H1, mp.H2, mp.ell2
@@ -438,6 +458,8 @@ def _cmd_gpy(args) -> dict:
 
 
 def _cmd_combi(args) -> dict:
+    from . import combinat
+
     if args.action == "lemma2":
         checked, bad = combinat.Z_identity_scan(args.max)
         violations = [{"d": d, "u": u, "y": y} for d, u, y in bad]
@@ -456,6 +478,8 @@ def _cmd_combi(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import oracle
+
     if args.action == "g00":
         val = oracle.g00(args.shifts, args.v, args.cutoff)
         return {
@@ -489,10 +513,14 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_bv(args) -> dict:
+    from . import bv as bv_mod
+
     use_estar = False
     if args.action == "classic":
         M, run = 1, bv_mod.bv_sum
     elif args.action == "restricted":
+        from . import tuples as tc
+
         M, run = tc.primorial(args.v), bv_mod.bv_sum_restricted
     else:
         M, run, use_estar = args.m, bv_mod.estar_aggregate, not args.endpoint_only
@@ -501,6 +529,8 @@ def _cmd_bv(args) -> dict:
 
 
 def _cmd_seq(args) -> dict:
+    from . import sequences
+
     values = sequences.generate_sequence(args.kind, args.n, args.k, args.h, args.exponents)
     out = {
         "kind": args.kind,
@@ -515,6 +545,11 @@ def _cmd_seq(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    import random
+
+    from . import combinat
+    from . import tuples as tc
+
     bad = len(combinat.Z_identity_scan(10 if args.fast else 25)[1])
     checks = {
         "seed": args.seed,
@@ -563,10 +598,16 @@ def _envelope(args, payload: dict, runtime: float) -> dict:
     return out
 
 
-def _emit(payload: dict, args) -> None:
-    dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+def _emit(payload: dict, args) -> int:
+    """Write the report; an --out path that cannot be opened is a usage error."""
+    try:
+        dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     with dest as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -584,8 +625,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    _emit(_envelope(args, payload, time.monotonic() - start), args)
-    return EXIT_OK
+    return _emit(_envelope(args, payload, time.monotonic() - start), args)
 
 
 if __name__ == "__main__":

@@ -117,7 +117,11 @@ def Z_closed(t: SuitableTriplet) -> Fraction:
     return Fraction(_closed_num(t.y - t.d, t.u), _fact(t.u) * _fact(t.y + t.u))
 
 
-def _check_scan(points: int) -> None:
+def _check_scan(bound: int, points: int) -> None:
+    """Refuse a negative grid bound, whose empty grid would pass vacuously,
+    and a grid of more than MAX_SCAN_POINTS points."""
+    if bound < 0:
+        raise DomainError(f"grid bound {bound} is negative")
     if points > MAX_SCAN_POINTS:
         raise CapacityError(f"{points} grid points exceed guard {MAX_SCAN_POINTS}")
 
@@ -130,7 +134,7 @@ def Z_identity_scan(bound: int) -> tuple[int, list]:
     mismatching (d, u, y).  The (b+1)^2 (3b+2)/2 triplets of bound b are
     counted before any work.
     """
-    _check_scan((bound + 1) ** 2 * (3 * bound + 2) // 2)
+    _check_scan(bound, (bound + 1) ** 2 * (3 * bound + 2) // 2)
     checked, bad = 0, []
     for d in range(bound + 1):
         for u in range(bound + 1):
@@ -184,7 +188,7 @@ def coeff_identity_scan(bound: int) -> list:
     (S1 + n)(2 n S1 + n^2) + n^2 (S1 + S2)/2, counted before any work.
     """
     n, s1, s2 = bound + 1, bound * (bound + 1) // 2, bound * (bound + 1) * (2 * bound + 1) // 6
-    _check_scan((s1 + n) * (2 * n * s1 + n * n) + n * n * (s1 + s2) // 2)
+    _check_scan(bound, (s1 + n) * (2 * n * s1 + n * n) + n * n * (s1 + s2) // 2)
     bad = []
     for d in range(bound + 1):
         for u in range(bound + 1):

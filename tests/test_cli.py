@@ -140,6 +140,43 @@ def test_removed_flags_are_usage_errors(capsys):
                      "--seed", "1"]) == cli.EXIT_USAGE
 
 
+def test_unopenable_out_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(["primes", "--hi", "10", "--out", str(path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert not path.parent.exists()
+
+
+def test_negative_identity_grid_bound_is_a_domain_error(capsys):
+    assert cli.main(["combi", "lemma2", "--max", "-1"]) == cli.EXIT_DOMAIN
+    assert cli.main(["combi", "coeffs", "--max", "-1"]) == cli.EXIT_DOMAIN
+    assert "bound -1" in capsys.readouterr().err
+    code, out = run(["combi", "lemma2", "--max", "0"], capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["checked"] == 1
+    code, out = run(["combi", "coeffs", "--max", "0"], capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["identity_mismatches"] == []
+
+
+def test_refused_shift_lists_say_why(capsys):
+    for argv, why in (
+        (["tuple", "check", "--shifts", "2,2"], "argument --shifts: duplicate shifts in (2, 2)"),
+        (["tuple", "check", "--shifts", "0,-1"], "argument --shifts: negative shift in (0, -1)"),
+        (["oracle", "t5", "--h1", "0,2", "--h2", "2,2", "--n", "1e5", "--h0", "8"],
+         "argument --h2: duplicate shifts in (2, 2)"),
+    ):
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        assert f"error: {why}\n" in capsys.readouterr().err, argv
+
+
+def test_help_of_every_parser_exits_zero(capsys):
+    names = [tuple(name.split()) for name in INVOCATIONS]
+    for command in sorted({()} | {name[:1] for name in names} | set(names)):
+        assert cli.main([*command, "--help"]) == cli.EXIT_OK, command
+        assert "usage: gpylab" in capsys.readouterr().out, command
+
+
 def test_cli_import_leaves_sympy_out():
     src = os.path.dirname(os.path.dirname(gpylab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -147,6 +184,40 @@ def test_cli_import_leaves_sympy_out():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# The gpylab modules one call of each subcommand loads, on top of the cli,
+# errors, and sequences and primes for the parser's --kind choices.
+_FOOTPRINT = {
+    "primes": set(),
+    "tuple check": {"tuples"},
+    "singular value": {"singular", "tuples"},
+    "gpy lambda": {"weights", "tuples"},
+    "combi lemma2": {"combinat"},
+    "oracle t4": {"oracle", "singular", "tuples"},
+    "bv classic": {"bv"},
+    "seq generate": set(),
+    "verify all": {"combinat", "tuples"},
+}
+
+_FOOTPRINT_PROBE = """
+import os, sys
+from gpylab import cli
+code = cli.main([*sys.argv[1:], "--out", os.devnull])
+print(*sorted(m for m in sys.modules if m.startswith("gpylab.")))
+sys.exit(code)
+"""
+
+
+def test_each_call_loads_only_its_subcommands_modules():
+    assert {name.split()[0] for name in _FOOTPRINT} == {name.split()[0] for name in INVOCATIONS}
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpylab.__file__)))
+    for name, extra in _FOOTPRINT.items():
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *INVOCATIONS[name]],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m.removeprefix("gpylab.") for m in proc.stdout.split()}
+        assert loaded == {"cli", "errors", "sequences", "primes"} | extra, name
 
 
 def test_domain_error_exit_code(capsys):

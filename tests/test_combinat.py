@@ -207,6 +207,16 @@ def test_identity_scans_are_refused_past_their_points_guard(monkeypatch, scan):
             scan(bound)
 
 
+def test_identity_scans_refuse_a_negative_bound():
+    # An empty grid would report no mismatch; bound 0 still checks (0, 0, 0).
+    for scan in (combinat.Z_identity_scan, combinat.coeff_identity_scan):
+        with pytest.raises(DomainError, match="bound -1"):
+            scan(-1)
+    assert combinat.Z_identity_scan(0) == (1, [])
+    assert combinat.coeff_identity_scan(0) == []
+    assert grid_points(combinat.coeff_identity_scan, 0) == 1
+
+
 def z_grid(bound):
     return [(d, u, y) for d in range(bound + 1) for u in range(bound + 1) for y in range(-u, bound + 1)]
 

@@ -1,9 +1,16 @@
 """Static checks on the package source: no module imports a name it leaves
-unread, and every module-level constant is read somewhere in the package."""
+unread, and every module-level constant is read somewhere in the package.
+Then the lazy package namespace: `import gpylab` loads only `errors`, and
+every public name resolves on first use to the object its module defines."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gpylab
 
@@ -88,3 +95,33 @@ def test_an_unread_constant_is_found():
     )
     b = ast.parse("from . import a\nprint(a.KINDS)\n")
     assert _unread_constants({"a": a, "b": b}) == {"a.LIMIT"}
+
+
+SUBMODULES = {"primes", "singular", "tuples", "weights"}
+
+
+def test_import_gpylab_loads_errors_only_and_submodules_on_first_use():
+    probe = (
+        "import sys, gpylab\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('gpylab.')))\n"
+        "print(gpylab.weights is sys.modules['gpylab.weights'], gpylab.TupleH.__module__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["gpylab.errors", "True gpylab.tuples"]
+
+
+def test_every_public_name_resolves_to_the_object_its_module_defines():
+    for name in gpylab.__all__:
+        obj = getattr(gpylab, name)
+        assert obj.__module__.startswith("gpylab."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    for name in SUBMODULES:
+        assert getattr(gpylab, name) is sys.modules[f"gpylab.{name}"]
+    star = {}
+    exec("from gpylab import *", star)
+    assert all(star[name] is getattr(gpylab, name) for name in gpylab.__all__)
+    assert set(gpylab.__all__) | SUBMODULES <= set(dir(gpylab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gpylab.no_such_name
