@@ -37,9 +37,9 @@ MAX_N = 10**9
 MAX_BV_WORK = 10**9
 
 # Largest fold base.  On a 2-core Xeon VM, bv_sum at N = 1e7, Q = 300 took
-# 0.34 s with bases up to 2**12 or 2**14 (83 or 76 bincounts) and 0.23-0.27 s
-# with 2**16 (49) or 2**18 (40); the cover's hits table has FOLD_BASE + 1
-# entries, so take the smaller of the two.
+# 0.16-0.18 s with bases up to 2**12 or 2**14 (83 or 76 bincounts), 0.13-0.15 s
+# with 2**16 (49) and 0.14-0.16 s with 2**18 (40) (best and median of 5); the
+# cover's hits table has FOLD_BASE + 1 entries, so take 2**16.
 FOLD_BASE = 1 << 16
 
 
@@ -150,10 +150,12 @@ def _folded_tables(p: np.ndarray, moduli: list[int]) -> Iterator[np.ndarray]:
     per-modulus bincount in its last bits.
     """
     logs = np.log(p.astype(np.float64))
-    # p <= 2N <= 2 * MAX_N < 2**32, so the sieve's table is already uint32,
-    # whose remainders are cheaper than int64 ones.
+    # p <= 2N <= 2 * MAX_N < 2**32, so the sieve's table is uint32.  Its
+    # remainders by each base divide by an invariant integer (residues) and
+    # land in one intp buffer, which bincount reads without a cast copy.
+    index = np.empty(p.size, dtype=np.intp)
     for base, covered in _fold_cover(moduli):
-        table = np.bincount(p % base, weights=logs, minlength=base)
+        table = np.bincount(prime_engine.residues(p, base, index), weights=logs, minlength=base)
         for m in covered:
             yield table.reshape(-1, m).sum(axis=0)
 
@@ -199,5 +201,10 @@ def estar_aggregate(cfg: BVConfig) -> float:
     if not cfg.use_estar:
         p = table.primes
         logs = np.log(p.astype(np.float64))
-        return _deviation_sum((np.bincount(p % m, weights=logs, minlength=m) for m in moduli), X)
+        index = np.empty(p.size, dtype=np.intp)
+        tables = (
+            np.bincount(prime_engine.residues(p, m, index), weights=logs, minlength=m)
+            for m in moduli
+        )
+        return _deviation_sum(tables, X)
     return prime_engine.exact_sum([prime_engine.ap_error_star(X, m, table) for m in moduli])

@@ -209,9 +209,11 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     Each term is n^{-1} (cos, sin)(-t log n), formed as CPython's complex
     power forms n ** -s, and np.cumsum along n adds each row's terms in
     increasing n; the row's partial sum is its running total at n = M - 1.
-    So every value is bit for bit the scalar sum
-    sum(n ** -s for n in range(1, M)) plus the same tail, whatever other t
-    share the call.
+    The tail is float64 array arithmetic over all rows at once (_w_tail),
+    each operation one that CPython's complex arithmetic performs.  So every
+    value is bit for bit the scalar sum sum(n ** -s for n in range(1, M))
+    plus the tail in Python complex arithmetic, whatever other t share the
+    call.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.abs(ts) <= 1e3):
@@ -239,23 +241,61 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
             terms *= inv_n[:width]
             total[r0:r1] = np.cumsum(terms, axis=1, out=terms)[last]
 
-    w = []
-    for t, M, a, b in zip(t_rows.tolist(), m_rows.tolist(), re.tolist(), im.tolist()):
-        if t == 0.0:
-            w.append(1.0 + 0.0j)
-            continue
-        s = 1.0 + 1j * t
-        total = complex(a, b)
-        total += M ** (1 - s) / (s - 1)
-        total += 0.5 * M ** (-s)
-        poch = s
-        for k, c in enumerate(_EM_COEFFS, start=1):
-            total += c * poch * M ** (-s - (2 * k - 1))
-            poch *= (s + 2 * k - 1) * (s + 2 * k)
-        w.append(1j * t * total)
-    out = np.empty(ts.size, dtype=complex)
-    out[order] = w
+    out = np.ones(ts.size, dtype=complex)  # W(0) = 1
+    rows = t_rows != 0.0
+    # Python's complex arithmetic warns of nothing, so neither does the tail
+    # where a subnormal t overflows it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_re, w_im = _w_tail(t_rows[rows], m_rows[rows], re[rows], im[rows])
+    out.real[order[rows]] = w_re
+    out.imag[order[rows]] = w_im
     return out
+
+
+def _w_tail(
+    t: np.ndarray, m: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of W(it) = it (S + T) at each row: t != 0,
+    its M in the ascending m, S = re + i im the partial sum over n < M and T
+    the Euler-Maclaurin tail at M.
+
+    Each operation is a float64 one of CPython's complex arithmetic on
+    s = (1, t), so every value is bit for bit
+    1j * t * (complex(re, im) + M ** (1 - s) / (s - 1) + 0.5 * M ** (-s) + ...).
+    For an int M and an exponent (e, -t), M ** z is pow(M, e) (cos, sin)(phi)
+    with phi = -t log M, the same for every tail term; log M and pow(M, e) come
+    from libm once per distinct M.  The quotient by s - 1 = (0, t) takes
+    _Py_c_quot's |b.imag| >= |b.real| branch, (a.imag / t, -a.real / t); a
+    float times a complex scales both parts.  Each complex product is two
+    float64 expressions, as numpy's complex multiply may fuse operations.
+    """
+    ms, inv = np.unique(m, return_inverse=True)
+    ms = ms.tolist()
+    log_m = np.array([math.log(M) for M in ms])[inv]
+    phase = -t * log_m
+    cos, sin = np.cos(phase), np.sin(phase)
+    # M ** (1 - s) = (cos, sin), as pow(M, 0.0) = 1, then over s - 1.
+    tr = re + sin / t
+    ti = im + -cos / t
+    pw = np.array([math.pow(M, -1.0) for M in ms])[inv]
+    tr += 0.5 * (pw * cos)
+    ti += 0.5 * (pw * sin)
+    # poch = s (s + 1) ... (s + 2k - 2) before term k, with c = B_2k / (2k)!.
+    pr, pi = np.ones_like(t), t.copy()
+    for k, c in enumerate(_EM_COEFFS, start=1):
+        pw = np.array([math.pow(M, -2.0 * k) for M in ms])[inv]
+        ar, ai = c * pr, c * pi
+        br, bi = pw * cos, pw * sin
+        tr += ar * br - ai * bi
+        ti += ar * bi + ai * br
+        # poch *= (s + 2k - 1)(s + 2k) = (2k, t)(2k + 1, t)
+        fr = 2 * k * (2 * k + 1) - t * t
+        fi = 2 * k * t + t * (2 * k + 1)
+        pr, pi = pr * fr - pi * fi, pr * fi + pi * fr
+    # 1j * t = (0.0 * t - 0.0, t), a signed zero that turns an infinite part
+    # of the sum (at a subnormal t) into a nan, times (tr, ti).
+    z = 0.0 * t - 0.0
+    return z * tr - t * ti, z * ti + t * tr
 
 
 def _libm_tables(size: int) -> tuple[np.ndarray, np.ndarray]:

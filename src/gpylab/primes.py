@@ -10,8 +10,9 @@ its window (prime_count_bound) and trimmed in place; a bound over
 MAX_TABLE_BYTES is refused before any work.  One flag buffer serves every
 segment: it is filled from a wheel pattern for 3*5*7*11*13, then struck by
 the base primes above 13, slices of one shared int64 table.  On top of the
-tables sit theta(x), theta(x; q, a), the progression error E(x; q, a) and
-its running maximum E*(X, q).  Every float sum in the library goes through
+tables sit theta(x), theta(x; q, a), the progression error E(x; q, a), its
+running maximum E*(X, q) and residues, the remainders of a table mod q by
+division by an invariant integer.  Every float sum in the library goes through
 exact_sum, the correctly rounded sum (== math.fsum) in a few numpy passes
 per block, so results are exactly rounded and independent of segmentation
 and order.  The small-integer arithmetic the other modules need lives here
@@ -327,7 +328,7 @@ def theta_progression(x: int, q: int, a: int, table: PrimeTable | None = None) -
     table = _table_for(x, table)
     p = _primes_le(table, x)
     # Where q > x, p % q = p, and q may not fit the table's dtype.
-    p = p[p % q == a] if q <= x else p[p == a]
+    p = p[residues(p, q) == a] if q <= x else p[p == a]
     return exact_sum(np.log(p))
 
 
@@ -358,7 +359,7 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
     phi_q = _phi(q)
     p = _primes_le(table, X)  # never empty: it holds 2
     # Where q > X, p % q = p, and q may not fit the table's dtype.
-    r = p % q if q <= X else p
+    r = residues(p, q) if q <= X else p
     if q <= 1 << 16:
         # A stable sort has one result whatever the key dtype; numpy's is a
         # radix sort on 16-bit keys, about 4x faster here than on int64.
@@ -376,7 +377,7 @@ def ap_error_star(X: int, q: int, table: PrimeTable | None = None) -> float:
         cum = np.cumsum(logs)
         after = np.abs(cum - pa / phi_q)
         before = np.abs((cum - logs) - pa / phi_q)
-        endpoint = abs(cum[-1] - X / phi_q)
+        endpoint = abs(float(cum[-1]) - X / phi_q)
         best = max(best, float(after.max()), float(before.max()), endpoint)
     return best
 
@@ -431,6 +432,21 @@ def _table_for(x: int, table: PrimeTable | None) -> PrimeTable:
 
 def _primes_le(table: PrimeTable, x: int) -> np.ndarray:
     return table.primes[: int(np.searchsorted(table.primes, x, side="right"))]
+
+
+def residues(p: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """p % q for a non-negative integer array p and 1 <= q that fits p's
+    dtype, in p's dtype or written into out (say an np.intp buffer of
+    p.size, which np.bincount reads without a cast copy).
+
+    numpy's floor_divide by a scalar divides by an invariant integer with a
+    multiply and a shift (Granlund and Montgomery, PLDI 1994), where its %
+    divides in hardware per entry; p - (p // q) * q is the same remainder.
+    """
+    q = p.dtype.type(q)
+    t = np.floor_divide(p, q)
+    t *= q
+    return np.subtract(p, t, out=t if out is None else out)
 
 
 def factorize(n: int) -> dict[int, int]:

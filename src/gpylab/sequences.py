@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-from . import primes as prime_engine
 from .errors import CapacityError, DomainError
 
 KINDS = ("interval", "powers_k", "powers_k_sum_two_squares", "custom_exponents")
@@ -43,6 +42,10 @@ def generate_sequence(kind: str, N: int, k: int = 2, h: int = 10, exponents=None
     if N < 1:
         raise DomainError("N must be >= 1")
     if kind == "interval":
+        # Only this branch needs primes, and with it numpy: the CLI parser
+        # reads KINDS, and --help or a usage error should load neither.
+        from . import primes as prime_engine
+
         if h < 1:
             raise DomainError("h must be >= 1")
         # A list holds 40 bytes per term: an 8-byte pointer and a 32-byte int.

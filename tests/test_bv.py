@@ -124,6 +124,25 @@ def test_folded_terms_match_per_modulus_bincount(monkeypatch):
         assert total == math.fsum(got.values())
 
 
+def test_folded_tables_equal_a_fold_of_remainders(monkeypatch):
+    # The class tables take their remainders by divide-multiply-subtract;
+    # a fold of bincounts of p % base is the same table entry for entry.
+    N = 20000
+    for M, Q, fold_base in FOLD_CASES:
+        monkeypatch.setattr(bv, "FOLD_BASE", fold_base)
+        moduli = coprime_moduli(M, Q)
+        p = prime_engine.primes_upto(N).primes if M == 1 else prime_engine.sieve_range(N + 1, 2 * N).primes
+        logs = np.log(p.astype(np.float64))
+        want = []
+        for base, covered in bv._fold_cover(moduli):
+            table = np.bincount(p % base, weights=logs, minlength=base)
+            want += [table.reshape(-1, m).sum(axis=0) for m in covered]
+        got = list(bv._folded_tables(p, moduli))
+        assert len(got) == len(want) == len(moduli)
+        for g, w in zip(got, want):
+            assert g.size == w.size and np.array_equal(g, w), (M, Q, fold_base, w.size)
+
+
 def test_fold_cover_covers_each_modulus_once(monkeypatch):
     for M, Q, fold_base in FOLD_CASES:
         monkeypatch.setattr(bv, "FOLD_BASE", fold_base)

@@ -186,18 +186,33 @@ def test_cli_import_leaves_sympy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_help_and_usage_errors_leave_numpy_out():
+    # The parser reads sequences.KINDS; only an interval sequence needs primes.
+    src = os.path.dirname(os.path.dirname(gpylab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, gpylab.cli\n"
+        "code = gpylab.cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules, 'gpylab.primes' in sys.modules)"
+    )
+    for argv, code in ((["--help"], cli.EXIT_OK), (["bv", "classic", "--n", "x"], cli.EXIT_USAGE)):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-3:] == [str(code), "False", "False"], argv
+
+
 # The gpylab modules one call of each subcommand loads, on top of the cli,
-# errors, and sequences and primes for the parser's --kind choices.
+# errors, and sequences for the parser's --kind choices.
 _FOOTPRINT = {
-    "primes": set(),
-    "tuple check": {"tuples"},
-    "singular value": {"singular", "tuples"},
-    "gpy lambda": {"weights", "tuples"},
-    "combi lemma2": {"combinat"},
-    "oracle t4": {"oracle", "singular", "tuples"},
-    "bv classic": {"bv"},
+    "primes": {"primes"},
+    "tuple check": {"tuples", "primes"},
+    "singular value": {"singular", "tuples", "primes"},
+    "gpy lambda": {"weights", "tuples", "primes"},
+    "combi lemma2": {"combinat", "primes"},
+    "oracle t4": {"oracle", "singular", "tuples", "primes"},
+    "bv classic": {"bv", "primes"},
     "seq generate": set(),
-    "verify all": {"combinat", "tuples"},
+    "verify all": {"combinat", "tuples", "primes"},
 }
 
 _FOOTPRINT_PROBE = """
@@ -217,7 +232,7 @@ def test_each_call_loads_only_its_subcommands_modules():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         loaded = {m.removeprefix("gpylab.") for m in proc.stdout.split()}
-        assert loaded == {"cli", "errors", "sequences", "primes"} | extra, name
+        assert loaded == {"cli", "errors", "sequences"} | extra, name
 
 
 def test_domain_error_exit_code(capsys):

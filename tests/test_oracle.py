@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -186,6 +187,13 @@ def _edge_ts():
     return [t if i % 3 else -t for i, t in enumerate(ts[::-1])]
 
 
+# A batch for the tail: rows that share M = 50 (|t| < 5.1) or M = 123
+# (t = 12.34 and -12.35), rows with an M of their own, negative t, t = 0
+# and the ends t = +-1000.  At t = +-1 the Pochhammer product s(s+1)(s+2)
+# is (0, +-10), a real part that is exactly zero.
+_TAIL_TS = [0.0, 0.3, -4.9, 1.0, -1.0, 12.34, -12.35, 77.7, -250.05, 1000.0, -1000.0, -0.0, 3.0]
+
+
 def test_w_values_batch_equals_each_point_alone(monkeypatch):
     ts = _edge_ts()
     for entries in (oracle._W_ENTRIES, _EDGE_ENTRIES):
@@ -193,6 +201,17 @@ def test_w_values_batch_equals_each_point_alone(monkeypatch):
         batch = oracle._w_values(np.array(ts)).tolist()
         for t, w in zip(ts, batch):
             assert w == oracle.w_function(t) == _w_scalar(t)
+    batch = oracle._w_values(np.array(_TAIL_TS)).tolist()
+    for t, w in zip(_TAIL_TS, batch):
+        want = 1.0 + 0.0j if t == 0.0 else _w_scalar(t)
+        assert w.real == want.real and w.imag == want.imag, t
+    # Below about 1e-308 the tail's 1/t overflows: inf + nanj, bit for bit
+    # and without a warning, as in Python's complex arithmetic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5e-324, -1e-310, -2e-308):
+            bits = np.array([oracle.w_function(t), _w_scalar(t)]).view(np.uint64)
+            assert bits[:2].tolist() == bits[2:].tolist(), t
 
 
 def test_w_values_against_mpmath_at_chunk_edges(monkeypatch):

@@ -551,6 +551,35 @@ def test_moduli_and_residues_past_uint32():
     assert primes.theta_progression(1000, 5_000_000_006, 2**32 + 1) == 0.0
 
 
+def test_ap_error_star_returns_a_float():
+    # At (3000, 6) the endpoint term wins the max, at (10**4, 10) a jump.
+    for X, q, best in ((3000, 6, 83.0276931685462), (10**4, 10, 92.54562489556247)):
+        got = primes.ap_error_star(X, q)
+        assert type(got) is float
+        assert got == best
+
+
+def test_residues_equal_remainders_at_the_dtype_edges():
+    largest = 2**32 - 5  # the largest prime below 2**32
+    narrow = np.concatenate([
+        primes.primes_upto(10**4).primes,
+        primes.sieve_range(2**32 - 10**4, 2**32 - 1).primes,
+        np.array([0, 1, 2**16, 2**31, 2**31 + 1, 2**32 - 1], dtype=np.uint32),
+    ])
+    assert narrow.dtype == np.uint32 and narrow[-7] == largest
+    wide = primes.sieve_range(2**32 - 1000, 2**32 + 1000).primes
+    assert wide.dtype == np.int64 and wide[0] < 2**32 < wide[-1]
+    cases = [(narrow, q) for q in (1, 2, 2**16, 2**16 + 1, 2**31 + 1, largest)]
+    cases += [(wide, q) for q in (1, 3, 2**31 + 1, 2**32 - 17, 2**32 + 15, 2**33 + 7)]
+    for p, q in cases:
+        want = p % q
+        got = primes.residues(p, q)
+        assert got.dtype == p.dtype and np.array_equal(got, want), q
+        index = np.empty(p.size, dtype=np.intp)
+        assert primes.residues(p, q, index) is index
+        assert np.array_equal(index, want), q
+
+
 def test_ap_error_star_memory_does_not_grow_with_the_modulus():
     # 168 primes against 10^6 classes: only the classes holding a prime are
     # visited, so nothing of length q is allocated.
