@@ -88,11 +88,15 @@ def _real(text: str) -> float:
 
 
 def _num(text: str) -> int:
-    """Integer flag accepting scientific notation (1e7 -> 10000000)."""
+    """Integer flag accepting scientific notation, read exactly (1e23 -> 10**23);
+    what a float reads as inf or nan stays a usage error."""
     try:
         return int(text)
     except ValueError:
-        v = _real(text)
+        _real(text)
+        from decimal import Decimal
+
+        v = Decimal(text)
         if v != int(v):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return int(v)

@@ -78,6 +78,10 @@ def generate_sequence(kind: str, N: int, k: int = 2, h: int = 10, exponents=None
             raise DomainError("custom_exponents requires a non-empty exponent list")
         if k < 2:
             raise DomainError("k must be >= 2")
-        values = _powers(k, N, sorted(set(int(e) for e in exponents)))
+        es = sorted(set(int(e) for e in exponents))
+        # k^-m is not an integer; k^0 = 1 lies in [1, N].
+        if es[0] < 0:
+            raise DomainError(f"exponents must be >= 0, got {es[0]}")
+        values = _powers(k, N, es)
     return values
 

@@ -93,15 +93,6 @@ class WeightParams:
             raise DomainError("V must be >= 2")
         if self.N < 1:
             raise DomainError("N must be >= 1")
-        # The routes hold their arrays per chunk (see _CHUNK), so this ceiling
-        # of 8 bytes per n bounds only the one-chunk window of
-        # _window_candidates, whose candidates take at most 8N bytes, and the
-        # sieve flags of a range shorter than P, 1 byte per n.
-        if 8 * self.N > prime_engine.MAX_TABLE_BYTES:
-            raise CapacityError(
-                f"window N={self.N} needs {8 * self.N}-byte arrays, "
-                f"over guard {prime_engine.MAX_TABLE_BYTES}"
-            )
 
 
 def polynomial_value(n: int, H: tc.TupleH) -> int:
@@ -234,8 +225,20 @@ def _window_ranges(params: WeightParams, span: int):
     """The window (N, 2N] as consecutive n-ranges of one width, the last
     one cut at 2N: N / max(1, N // span), rounded up to whole periods
     P = primorial(V) where it reaches P.  So a range is at least span wide,
-    unless it is the whole window, and at most 2 span + P."""
+    unless it is the whole window, and at most 2 span + P.
+
+    Every window route reads the window here, so its ceiling is checked
+    when this is called, before any range exists: 8N <= MAX_TABLE_BYTES.
+    A range shorter than P is flagged one byte per n, and at large V with
+    a sparse union one range is the whole window; the theta route flags
+    n + h0 one byte per n; and the time of every window route grows with N.
+    """
     P, N = tc.primorial(params.V), params.N
+    if 8 * N > prime_engine.MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"window N={N} is past the window routes' ceiling "
+            f"N <= {prime_engine.MAX_TABLE_BYTES // 8}: their time and per-n flags grow with N"
+        )
     step = -(-N // max(1, N // span))
     if step >= P:
         step = P * -(-step // P)
@@ -275,16 +278,6 @@ def _window_chunks(Hu: tc.TupleH, params: WeightParams, per_class: int | None, s
             base = np.flatnonzero(ok)
         cands = (np.arange(lo, ns.stop, width)[:, None] + base).ravel()
         yield ns, cands[: np.searchsorted(cands, ns.stop)], base.size
-
-
-def _window_candidates(
-    Hu: tc.TupleH, params: WeightParams, per_class: int | None
-) -> tuple[np.ndarray, int]:
-    """The candidates of the whole window, the one chunk of _window_chunks
-    at span 2N, and m, their number per period P (their number where
-    P > N)."""
-    _, cands, m = next(_window_chunks(Hu, params, per_class, 2 * params.N))
-    return cands, m
 
 
 def _mask_primes(params: WeightParams) -> list:
@@ -395,6 +388,10 @@ def pair_sum_theta(
     """Theta-weighted pair sum: the same product times log(n + h0) at primes."""
     if h0 < 1:
         raise DomainError("h0 must be >= 1")
+    if 2 * params.N + h0 > prime_engine.MAX_SIEVE_HI:
+        raise CapacityError(
+            f"2N + h0 = {2 * params.N + h0} exceeds the sieve ceiling {prime_engine.MAX_SIEVE_HI}"
+        )
     return _pair_sum(H1, H2, ell1, ell2, params, None, h0)
 
 
@@ -473,9 +470,11 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
         raise CapacityError(f"R^2 = {params.R**2:.3g} exceeds expansion budget 10^7")
+    N = params.N
+    if N >= 2**62:
+        raise CapacityError(f"N = {N} reaches 2^62: the window counts take 2N as int64")
     # Ascending, so that searchsorted finds every e' among them.
     vals, mu = _rough_divisors(params)
-    N = params.N
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V) % P
     x_all, x_sizes = _roots_mod(H1, vals)
@@ -544,11 +543,9 @@ def pair_sum_divisor(
     return prime_engine.exact_sum(w1[jd] * w2[je] * count[jd, je])
 
 
-def _detector_terms(
-    ns: range, A: tc.TupleH, subsets: list, chunks: list, params: WeightParams
-) -> np.ndarray:
-    """inner(n) psi(n)^2 over the n-range ns, given each subset's chunk there."""
-    N = params.N
+def _detector_terms(A: tc.TupleH, subsets: list, chunks: tuple, params: WeightParams) -> np.ndarray:
+    """inner(n) psi(n)^2 over the n-range ns that each subset's chunk covers."""
+    N, ns = params.N, chunks[0][0]
     psi = np.zeros(len(ns), dtype=np.float64)
     for H, (_, cands, m) in zip(subsets, chunks):
         psi[cands - ns.start] += lambda_window(cands, m, H, params.ell, params)
@@ -604,13 +601,8 @@ def detector_sum(A: tc.TupleH, params: WeightParams) -> dict:
     N = params.N
     subsets = [H for H in map(tc.TupleH, combinations(A.shifts, K)) if tc.is_admissible(H)]
     # Every subset's candidates over the same ranges of _CHUNK n.
-    chunks = zip(
-        _window_ranges(params, _CHUNK),
-        *(_window_chunks(H, params, None, _CHUNK) for H in subsets),
-    )
-    total = prime_engine.exact_sum(
-        _detector_terms(ns, A, subsets, per_H, params) for ns, *per_H in chunks
-    )
+    chunks = zip(*(_window_chunks(H, params, None, _CHUNK) for H in subsets))
+    total = prime_engine.exact_sum(_detector_terms(A, subsets, per_H, params) for per_H in chunks)
     value = total / (N * float(h) ** (2 * K + 1))
     return {
         "value": value,

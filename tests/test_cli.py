@@ -1,6 +1,7 @@
 """End-to-end driver checks: coverage of every exposed operation, exit codes,
 the JSON report's envelope, and deterministic --stable output."""
 
+import argparse
 import functools
 import json
 import math
@@ -310,6 +311,13 @@ def test_capacity_error_exit_code(capsys):
         # Unguarded, these two exit 1 with a MemoryError.
         ["bv", "restricted", "--n", "3e8", "--qmax", "1", "--v", "23"],
         ["gpy", "moment1", "--h1", "0,2", "--h2", "0,6", "--n", "1e12"],
+        # The window routes refuse N > 2^27 before any chunk; the divisor
+        # route runs to N < 2^62, as it counts 2N in int64.
+        ["gpy", "moment1", "--h1", "0,2", "--h2", "2,6", "--n", "1e17", "--strategy", "both"],
+        ["gpy", "moment2", "--h1", "0,2", "--h2", "2,6", "--n", str(2**27 + 1), "--h0", "8"],
+        ["gpy", "detector", "--shifts", "0,2,6", "--k", "2", "--n", str(2**27 + 1)],
+        ["gpy", "moment1", "--h1", "0,2", "--h2", "2,6", "--n", str(2**62), "--theta", "0.05",
+         "--strategy", "divisor"],
         ["bv", "classic", "--n", "1e9", "--qmax", "1e8"],
         ["bv", "classic", "--n", "1e8", "--qmax", "2e4"],
         ["singular", "value", "--shifts", "0,2", "--cutoff", "1e12"],
@@ -442,6 +450,36 @@ def test_scientific_notation_integers(capsys):
     code, out = run(["primes", "--hi", "1e3"], capsys)
     assert code == cli.EXIT_OK
     assert json.loads(out)["count"] == 168
+
+
+def test_scientific_notation_is_read_exactly(capsys):
+    # Through a float, 1e23 became 99999999999999991611392 and lost 10^23.
+    assert cli._num("1e23") == 10**23
+    assert cli._num("2.5e20") == 25 * 10**19
+    assert cli._num("1.2345678901234567e20") == 123456789012345670000
+    for text in ("1.5", "1e-3", "inf", "nan", "1e400"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._num(text)
+    powers = ["seq", "generate", "--kind", "powers_k", "--k", "10", "--n"]
+    for digits in ("1e23", str(10**23)):
+        code, out = run([*powers, digits], capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["count"] == 23, digits
+
+
+def test_negative_custom_exponent_is_a_domain_error(capsys):
+    # Once it printed values_head [0.5, 4].
+    argv = ["seq", "generate", "--kind", "custom_exponents", "--n", "1000", "--exponents=-1,2"]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+
+
+def test_divisor_route_runs_past_the_window_ceiling(capsys):
+    # Its work depends on R and V, not on N; the window routes stop at
+    # N = 2^27 (test_capacity_error_exit_code).
+    argv = ["gpy", "moment1", "--h1", "0,2", "--h2", "2,6", "--n", "1e17", "--strategy", "divisor"]
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["R"] == pytest.approx(3129.13, rel=1e-5)
 
 
 def test_moment1_reports_comparison_against_adjusted_prediction(capsys):

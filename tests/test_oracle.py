@@ -4,10 +4,12 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from gpylab import oracle
 from gpylab import tuples as tc
@@ -151,6 +153,19 @@ def test_w_at_zero_is_one():
     assert oracle.w_function(0.0) == 1.0 + 0.0j
 
 
+# B_2, B_4, ..., B_16, exactly: the oracle's own, not the library's.
+_BERNOULLI = tuple(
+    Fraction(*nd)
+    for nd in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+)
+
+
+def test_bernoulli_tables():
+    want = (sympy.bernoulli(k) for k in range(2, 17, 2))
+    assert _BERNOULLI == tuple(Fraction(int(b.p), int(b.q)) for b in want)
+    assert oracle._BERNOULLI == tuple(map(float, _BERNOULLI))
+
+
 def _w_scalar(t):
     """W(it) by the one-point Euler-Maclaurin sum that _w_values must equal."""
     s = 1.0 + 1j * t
@@ -160,9 +175,9 @@ def _w_scalar(t):
     total += 0.5 * M ** (-s)
     poch = s
     fact = 1.0
-    for k, b in enumerate(oracle._BERNOULLI, start=1):
+    for k, b in enumerate(_BERNOULLI, start=1):
         fact *= (2 * k - 1) * (2 * k)
-        total += b / fact * poch * M ** (-s - (2 * k - 1))
+        total += float(b) / fact * poch * M ** (-s - (2 * k - 1))
         poch *= (s + 2 * k - 1) * (s + 2 * k)
     return 1j * t * total
 

@@ -47,6 +47,10 @@ def test_sequence_errors():
         sequences.generate_sequence("nope", 100)
     with pytest.raises(DomainError):
         sequences.generate_sequence("custom_exponents", 100, exponents=[])
+    # 2^-1 = 0.5 is not an integer; 2^0 = 1 is.
+    with pytest.raises(DomainError, match="exponents"):
+        sequences.generate_sequence("custom_exponents", 1000, k=2, exponents=[-1, 2])
+    assert sequences.generate_sequence("custom_exponents", 1000, k=2, exponents=[0, 2]) == [1, 4]
 
 
 def test_density_threshold_monotone():

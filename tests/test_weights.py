@@ -120,13 +120,16 @@ def test_lambda_R_is_exactly_zero_where_its_mobius_sum_cancels():
     assert not weights._cancels(4, H, [3], 0, 23.0)
 
 
-def regular_candidates(H, params):
-    # lambda_window assumes candidates free of prime factors up to V.
-    return weights._window_candidates(H, params, None)
+def window_candidates(H, params, per_class=None):
+    """The candidates of the whole window and m, their number per period P
+    (their number where P > N): the one chunk of _window_chunks at span 2N.
+    lambda_window assumes candidates free of prime factors up to V."""
+    _, cands, m = next(weights._window_chunks(H, params, per_class, 2 * params.N))
+    return cands, m
 
 
 def check_window_against_brute_force(H, ell, params):
-    cands, m = regular_candidates(H, params)
+    cands, m = window_candidates(H, params)
     vals = weights.lambda_window(cands, m, H, ell, params).tolist()
     want = [brute_lambda(int(n), H, ell, params.R) for n in cands]
     assert vals == pytest.approx(want, rel=1e-12, abs=1e-9)
@@ -171,7 +174,7 @@ def test_lambda_walk_leaves_no_reference_cycle():
     # Index arrays held by a reference cycle outlive the call until the
     # cyclic collector runs.
     params = weights.WeightParams(K=2, ell=1, R=200.0, V=5, N=3000)
-    cands, m = regular_candidates(H1.union(H2), params)
+    cands, m = window_candidates(H1.union(H2), params)
     gc.collect()
     gc.disable()
     try:
@@ -192,7 +195,7 @@ def test_window_is_the_gcd_filter_at_v29():
     regular = np.ones(N, dtype=bool)
     for h in Hu.shifts:
         regular &= np.gcd(n + h, P) == 1
-    cands, m = weights._window_candidates(Hu, params, None)
+    cands, m = window_candidates(Hu, params)
     assert np.array_equal(cands, n[regular])
     assert m == cands.size
 
@@ -208,7 +211,7 @@ def test_window_is_the_gcd_filter_from_one_period(V, N):
         for h in Hu.shifts:
             regular &= np.gcd(n + h, P) == 1
         params = weights.WeightParams(K=3, ell=0, R=60.0, V=V, N=N)
-        cands, m = weights._window_candidates(Hu, params, None)
+        cands, m = window_candidates(Hu, params)
         assert np.array_equal(cands, n[regular])
         assert m == (tc.regular_class_count(Hu, V) if N >= P else cands.size)
         assert (cands[m:] - cands[:-m] == P).all()
@@ -224,7 +227,7 @@ def test_lambda_window_tiles_the_root_flags_every_q_periods():
     # candidate for the primes in (67, 100].
     params = weights.WeightParams(K=3, ell=1, R=100.0, V=5, N=2019)
     for H, m_want, size in ((H1, 3, 203), (tc.TupleH((1, 7, 13)), 4, 270)):
-        cands, m = weights._window_candidates(H, params, None)
+        cands, m = window_candidates(H, params)
         assert (m, cands.size) == (m_want, size)
         tiled = weights.lambda_window(cands, m, H, 1, params).tolist()
         assert tiled == weights.lambda_window(cands, cands.size, H, 1, params).tolist()
@@ -233,11 +236,11 @@ def test_lambda_window_tiles_the_root_flags_every_q_periods():
 
 def test_lambda_window_on_one_class_and_after_the_prime_filter():
     params = weights.WeightParams(K=2, ell=1, R=100.0, V=5, N=3001)
-    cands, m = weights._window_candidates(H1, params, 11)
+    cands, m = window_candidates(H1, params, 11)
     assert m == 1 and cands.size == 100
     assert weights.lambda_window(cands, m, H1, 1, params).tolist() == lambda_R_of(cands, H1, params)
     # The theta sum's n + 6 prime: no period, so m is the size.
-    cands, m = weights._window_candidates(H1, params, None)
+    cands, m = window_candidates(H1, params)
     cands = cands[[sympy.isprime(int(n) + 6) for n in cands]]
     assert cands.size == 86
     with pytest.raises(AssertionError):
@@ -254,7 +257,7 @@ def test_window_memory_at_v31_is_a_few_bytes_per_n():
     params = weights.WeightParams(K=14, ell=0, R=60.0, V=31, N=N)
     tracemalloc.start()
     try:
-        cands, _ = weights._window_candidates(H14, params, None)
+        cands, _ = window_candidates(H14, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,7 +272,7 @@ def test_lambda_window_memory_on_a_mask_window():
     # by strided slices: the walk allocates the output and little else.
     H = tc.TupleH((0, 2, 6, 8))
     params = weights.WeightParams(K=4, ell=1, R=31.3, V=5, N=10**6)
-    cands, m = regular_candidates(H, params)
+    cands, m = window_candidates(H, params)
     assert (cands.size, m) == (33334, 1)
     tracemalloc.start()
     try:
@@ -327,7 +330,7 @@ def test_window_chunks_do_not_change_the_sums(monkeypatch, V, N):
     m = tc.regular_class_count(H1.union(H2), V)
     A = tc.TupleH((0, 2, 6, 8))
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=V, N=N)
-    cls = int(weights._window_candidates(H1.union(H2), params, None)[0][0])
+    cls = int(window_candidates(H1.union(H2), params)[0][0])
 
     def sums():
         return (
@@ -561,7 +564,7 @@ def test_divisor_route_uses_no_window_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("window code called")
 
-    for name in ("_lambda_walk", "lambda_window", "_window_candidates", "_window_chunks", "_window_ranges"):
+    for name in ("_lambda_walk", "lambda_window", "_window_chunks", "_window_ranges"):
         monkeypatch.setattr(weights, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_divisor(H1, H2, 1, 1, params) > 0
@@ -614,13 +617,80 @@ def test_lambda_R_refuses_a_non_finite_level():
             weights.lambda_R(101, H1, 0, R)
 
 
-def test_weight_params_window_guard_at_its_limit():
-    # At most 8 bytes per n, in _window_candidates' one chunk; nothing is
-    # allocated here.
-    limit = prime_engine.MAX_TABLE_BYTES // 8
-    weights.WeightParams(K=2, ell=1, R=10.0, V=3, N=limit)
-    with pytest.raises(CapacityError, match="window"):
-        weights.WeightParams(K=2, ell=1, R=10.0, V=3, N=limit + 1)
+def test_window_routes_refuse_past_the_window_ceiling(monkeypatch):
+    # 8N <= MAX_TABLE_BYTES bounds the window routes, checked before any
+    # range is walked; the divisor route, whose work does not grow with N,
+    # still answers past it.
+    monkeypatch.setattr(prime_engine, "MAX_TABLE_BYTES", 8 * 1000)
+    A = tc.TupleH((0, 2, 6))
+    routes = (
+        lambda params: weights.pair_sum_direct(H1, H2, 1, 1, params),
+        lambda params: weights.pair_sum_theta(H1, H2, 1, 1, 8, params),
+        lambda params: weights.detector_sum(A, params)["value"],
+    )
+    at, past = (weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=N) for N in (1000, 1001))
+    assert all(route(at) for route in routes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window walked")
+
+    monkeypatch.setattr(weights, "_lambda_walk", refuse)
+    for route in routes:
+        with pytest.raises(CapacityError, match="window N=1001"):
+            route(past)
+    assert weights.pair_sum_divisor(H1, H2, 1, 1, past) > 0
+
+
+def test_theta_route_refuses_a_sieve_past_its_ceiling_before_the_window(monkeypatch):
+    params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
+    h0 = prime_engine.MAX_SIEVE_HI - 2 * params.N
+    assert weights.pair_sum_theta(H1, H2, 1, 1, h0, params) >= 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("window read")
+
+    monkeypatch.setattr(weights, "_window_chunks", refuse)
+    with pytest.raises(CapacityError, match="sieve ceiling"):
+        weights.pair_sum_theta(H1, H2, 1, 1, h0 + 1, params)
+
+
+def class_pair_counts(Ha, Hb, ds, params):
+    """count[j][i]: the n in (N, 2N] with gcd(P_Hu(n), P) = 1, ds[j] | P_Ha(n)
+    and ds[i] | P_Hb(n), in Python ints, by enumerating the classes x mod
+    M = [d, e] P: each holds (2N - x) // M - (N - x) // M of the window n."""
+    N, P = params.N, tc.primorial(params.V)
+    Hu = Ha.union(Hb)
+    count = [[0] * len(ds) for _ in ds]
+    for j, d in enumerate(ds):
+        for i, e in enumerate(ds):
+            M = math.lcm(d, e) * P
+            for x in range(M):
+                if (
+                    math.gcd(weights.polynomial_value(x + P, Hu), P) == 1
+                    and weights.polynomial_value(x + M, Ha) % d == 0
+                    and weights.polynomial_value(x + M, Hb) % e == 0
+                ):
+                    count[j][i] += (2 * N - x) // M - (N - x) // M
+    return count
+
+
+def test_class_oracle_matches_brute_force_pair_counts():
+    params = weights.WeightParams(K=2, ell=1, R=12.5, V=5, N=3000)
+    ds = [1, 7, 11, 13]
+    Hb = tc.TupleH((2, 6))
+    assert class_pair_counts(H1, Hb, ds, params) == brute_pair_counts(H1, Hb, ds, params)
+
+
+@pytest.mark.parametrize("N", [2**27 + 1, 10**17, 2**62 - 1])
+def test_pair_counts_past_the_window_ceiling(N):
+    # R = 12.5, V = 5: d in {1, 7, 11}.  The window routes refuse every N
+    # here; the divisor route counts each pair exactly, up to int64's 2N.
+    Hb = tc.TupleH((2, 6))
+    params = weights.WeightParams(K=2, ell=1, R=12.5, V=5, N=N)
+    ds, _, count = weights._pair_counts(H1, Hb, params)
+    assert ds.tolist() == [1, 7, 11]
+    assert count.tolist() == class_pair_counts(H1, Hb, ds.tolist(), params)
+    assert weights.pair_sum_divisor(H1, Hb, 1, 1, params) > 0
 
 
 def test_detector_sum_reports_negative_at_desk_scale():
