@@ -7,7 +7,9 @@ cast before they form x - p or p * p, which would wrap, and keep Python ints
 of 2**32 or more out of its arithmetic, where numpy raises OverflowError.
 A table is allocated once at a proven upper bound on the number of primes in
 its window (prime_count_bound) and trimmed in place; a bound over
-MAX_TABLE_BYTES is refused before any work.  One flag buffer serves every
+MAX_TABLE_BYTES is refused before any work.  A window ending below 2**8 is
+copied from a tuple of the primes there, made once at import by trial
+division, without a sieve.  Otherwise one flag buffer serves every
 segment: it is filled from a wheel pattern for 3*5*7*11*13, then struck by
 the base primes above 13, slices of one shared int64 table.  On top of the
 tables sit theta(x), theta(x; q, a), the progression error E(x; q, a), its
@@ -24,6 +26,7 @@ of _OMEGA_BLOCK integers and lists no prime past sqrt(x).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -80,6 +83,18 @@ SUM_BLOCK = 1 << 16
 # 2**15, 14 ms with 2**16, 11.5 ms with 2**17 and 10.6 ms with 2**18, which
 # holds twice the memory; each block makes 3 numpy calls per prime <= sqrt(x).
 _OMEGA_BLOCK = 1 << 17
+
+
+# Windows ending below _TINY_HI are read off _TINY_PRIMES, the primes below
+# it by trial division, made once at import: sieving one costs 14-25 us of
+# numpy calls, and a gpy-moments pass asks for about 580 of them (primorial,
+# is_admissible, the mask primes at R = 9-108).  2**8 covers every V <=
+# tuples.MAX_V and |H| <= 43.  The tuple never grows, and each call copies
+# its slice into a new array.
+_TINY_HI = 1 << 8
+_TINY_PRIMES = tuple(
+    n for n in range(2, _TINY_HI) if all(n % p for p in range(2, math.isqrt(n) + 1))
+)
 
 
 @dataclass(frozen=True)
@@ -147,6 +162,9 @@ def sieve_range(lo: int, hi: int) -> PrimeTable:
             f"[{lo}, {hi}] may hold {size} primes, {dtype.itemsize * size} bytes "
             f"over guard {MAX_TABLE_BYTES}"
         )
+    if hi < _TINY_HI:
+        i, j = bisect_left(_TINY_PRIMES, lo), bisect_right(_TINY_PRIMES, hi)
+        return PrimeTable(lo, hi, np.array(_TINY_PRIMES[i:j], dtype=dtype))
     out = np.empty(size, dtype=dtype)
     n = 0
     if lo <= 2 <= hi:

@@ -115,84 +115,107 @@ def regular_class_count(H: TupleH, V: int) -> int:
     return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
 
 
+def bezout(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = gcd(a, u) and s in [0, u) with s a = g (mod u), elementwise, as
+    int64 arrays, for integer arrays a >= 0 and 1 <= u < 2^52 (s is 0
+    where u = 1 or u | a).
+
+    One extended Euclidean pass over the whole array, in floats of p
+    significant bits: float32 (p = 24) where u < 2^22, float64 (p = 53)
+    where u < 2^52, so the float32 pass, which holds half the bytes, serves
+    every divisor pair of pair_sum_divisor.  The remainders stay in [0, u)
+    and the coefficients of a within [-u, u], so every value and product
+    is an integer of magnitude at most 2u < 2^(p - 1), and the quotient
+    floor(r0 / r1) of r0 < 2^p is exact.  No step branches per pair: a
+    pair that is done has r1 = 0, is divided by 2^60 instead and so only
+    swaps its two rows.  A pair that takes n steps has u >= F(n + 2), F
+    the Fibonacci numbers (Lame), so the steps stop at that bound for the
+    largest u, O(log u).
+    """
+    u = np.asarray(u, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64) % u
+    u_max = int(u.max(initial=1))
+    if u_max >= 2**52:
+        raise CapacityError(f"modulus {u_max} reaches 2^52: float64 Euclid is exact below it")
+    steps, fib, nxt = 0, 2, 3
+    while fib <= u_max:
+        steps, fib, nxt = steps + 1, nxt, fib + nxt
+    dtype = np.float32 if u_max < 2**22 else np.float64
+    # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
+    r0, r1 = u.astype(dtype), a.astype(dtype)
+    del a
+    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
+    quot, tmp = np.empty_like(r1), np.empty_like(r1)
+    for _ in range(steps):
+        np.multiply(r1 == 0, dtype(2.0**60), out=quot)
+        quot += r1
+        np.divide(r0, quot, out=quot)
+        np.floor(quot, out=quot)
+        r0 -= np.multiply(quot, r1, out=tmp)
+        s0 -= np.multiply(quot, s1, out=tmp)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    # One remainder of each pair is 0 and the other g, with its coefficient.
+    r0 += r1
+    s1 = np.where(r1 == 0, s0, s1).astype(np.int64)
+    s1 %= u
+    return r0.astype(np.int64), s1
+
+
 def inverse_mod(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """a^{-1} mod u elementwise, in [0, u), for int64 arrays with every
-    gcd(a, u) = 1 (an inverse mod 1 is 0).
-
-    One extended Euclidean pass over the whole array: each step divides
-    the pairs not yet done, so the number of steps is that of the slowest
-    pair, O(log u).  The remainders stay in [0, u) and the coefficients
-    of a within (-u, u], so nothing leaves int64; the check a inv = 1
-    (mod u) needs u^2 < 2^63.
+    gcd(a, u) = 1 (an inverse mod 1 is 0): the coefficient of bezout,
+    checked a inv = 1 (mod u), which needs u^2 < 2^63.
     """
     u = np.asarray(u, dtype=np.int64)
     u_max = int(u.max(initial=1))
     if u_max * u_max >= 2**63:
         raise CapacityError(f"modulus {u_max} squared does not fit in int64")
     a = np.asarray(a, dtype=np.int64) % u
-    # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
-    r0, r1 = u, a
-    s0, s1 = np.zeros_like(a), np.ones_like(a)
-    while r1.any():
-        live = r1 != 0
-        quot = r0 // np.where(live, r1, 1)
-        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - quot * r1, 0)
-        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - quot * s1, 0)
-    inv = s0 % u
+    inv = bezout(a, u)[1]
     assert (a * inv % u == 1 % u).all(), "inverse_mod needs gcd(a, u) = 1"
     return inv
 
 
-def crt_lift(x: np.ndarray, m: int, res: np.ndarray, q: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Classes x mod m crossed with each residue res[j] mod q[j], gcd(m, q[j]) = 1,
-    given inv[j] = m^{-1} mod q[j] in [0, q[j]).
+def crt_lift(a: np.ndarray, m, r: np.ndarray, q, inv) -> np.ndarray:
+    """The classes a mod m crossed with the residues r mod q, gcd(m, q) = 1,
+    given inv = m^{-1} mod q in [0, q): a + m ((r - a) inv mod q), the class
+    mod m q that is a mod m and r mod q, elementwise over the broadcast of
+    the int64 arrays or ints a, m, r, q and inv.
 
-    x = a (mod m), x = r (mod q) -> x = a + m * ((r - a) * inv mod q);
-    returns the (len(res), len(x)) array whose row j holds x lifted by
-    res[j] mod m*q[j].  Classes lie in [0, m) and residues in [0, q[j]), so
-    |r - a| < max(m, q) and inv < q: every int64 product stays below
-    max(m, q) * q, which must fit.  That bound is smallest when m is the
-    larger modulus, so a caller passes its larger modulus as m.  The caller
-    brings the inverses, as one pow for a single modulus or one inverse_mod
-    pass for many.  numpy runs fastest along the inner axis, so where res is
-    the longer the lift is computed as (len(x), len(res)) and returned
-    transposed.
+    a lies in [0, m) and r in [0, q), so |r - a| < max(m, q) and inv < q:
+    every int64 product stays below max(m, q) q, which must fit for each
+    pair (m, q) broadcast together; a lift is refused whole if one does not.
+    That bound is smallest when m is the larger modulus, so a caller passes
+    its larger modulus as m.  The caller brings the inverses, as one pow
+    for a single modulus or one inverse_mod pass for many.
     """
-    # An empty res lifts to no classes.
-    q_max = int(q.max(initial=1))
-    if max(m, q_max) * q_max >= 2**63:
-        raise CapacityError(f"lifted modulus {m}*{q_max} does not fit in int64")
-    outer = res.size > x.size
-    if outer:
-        a, b = x[:, None], res
-    else:
-        a, b, inv, q = x, res[:, None], inv[:, None], q[:, None]
-    lift = np.subtract(b, a, dtype=np.int64)
+    m, q = np.asarray(m, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    over = np.maximum(m, q) > (2**63 - 1) // q
+    if over.any():
+        i = np.unravel_index(np.argmax(over), over.shape)
+        m, q = np.broadcast_to(m, over.shape)[i], np.broadcast_to(q, over.shape)[i]
+        raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
+    lift = np.subtract(r, a, dtype=np.int64)
     lift *= inv
     lift %= q
     lift *= m
     lift += a
-    return lift.T if outer else lift
-
-
-def crt_product(residues: list, moduli: list) -> np.ndarray:
-    """The classes c in [0, prod(moduli)) with c mod moduli[i] in residues[i]
-    for every i, the moduli pairwise coprime: one crt_lift per modulus, each
-    based on the product of the moduli before it, with one pow for its
-    inverse."""
-    x, m = np.zeros(1, dtype=np.int64), 1
-    for r, q in zip(residues, moduli):
-        x = crt_lift(x, m, r, np.full(r.size, q), np.full(r.size, pow(m % q, -1, q))).ravel()
-        m *= q
-    return x
+    return lift
 
 
 def regular_classes(H: TupleH, V: int) -> np.ndarray:
     """A(H) = {a in [1, P] : gcd(P, P_H(a)) = 1}, P = primorial(V), as an
     ascending read-only int64 array.
 
-    Built per prime then combined by CRT lifting, so the cost is
-    O(|A(H)|) rather than O(P).
+    Built as the classes b = a - 1 in [0, P), one prime at a time in mixed
+    radix, so the cost is O(|A(H)|) rather than O(P): the classes mod m p are
+    b = x + m t for the classes x mod m and t in [0, p), kept where b + 1 + h
+    is prime to p for every h.  One % per class x gives x mod p, and row t
+    bans the x whose residue is one of nu_p(H) residues: a uint8 comparison
+    each, with no % per class b.  With t outer and x ascending the classes
+    come out ascending, with no sort.  Every prime but the last is crossed
+    in one pass; the last writes its rows t one by one into the result, so
+    nothing else as large is held.
     """
     P = primorial(V)
     expected = regular_class_count(H, V)
@@ -201,19 +224,37 @@ def regular_classes(H: TupleH, V: int) -> np.ndarray:
             f"|A(H)| = {expected} exceeds materialization cap {MAX_CLASS_MEMBERS}"
         )
     ps = prime_engine.primes_upto(V).primes.tolist()
-    # Residues allowed mod p: those avoiding every -h mod p.
-    allowed = []
+    # The classes before the last prime lie below P / ps[-1]: int32 where
+    # that fits, which halves what the last prime's rows hold.
+    x, m = np.zeros(1, dtype=np.int32 if P // ps[-1] < 2**31 else np.int64), 1
     for p in ps:
-        banned = {(-h) % p for h in H.shifts}
-        allowed.append(np.array([r for r in range(p) if r not in banned], dtype=np.int64))
-    classes = crt_product(allowed, ps)
-    assert classes.size == expected
-    # Map representative 0 to P so members sit in [1, P], in place: a copy
-    # would double the peak.
-    classes[classes == 0] = P
-    classes.sort()
-    classes.setflags(write=False)
-    return classes
+        # Row t: b = x + m t is banned mod p where x = r - m t (mod p) for a
+        # banned residue r = -1 - h of b.
+        banned = np.array(sorted({(-1 - h) % p for h in H.shifts}))
+        moved = ((banned[:, None] - (m % p) * np.arange(p)) % p).astype(np.uint8)
+        x_mod = prime_engine.residues(x, p).astype(np.uint8)
+        if p < ps[-1]:
+            keep = np.ones((p, x.size), dtype=bool)
+            for r in moved:
+                keep &= x_mod != r[:, None]
+            x = (x + np.arange(p, dtype=x.dtype)[:, None] * m)[keep]
+        else:
+            out = np.empty(expected, dtype=np.int64)
+            n = 0
+            for t, rs in enumerate(moved.T):
+                keep = x_mod != rs[0]
+                for r in rs[1:]:
+                    keep &= x_mod != r
+                row = out[n : n + np.count_nonzero(keep)]
+                row[:] = x[keep]
+                row += m * t
+                n += row.size
+            assert n == expected
+            x = out
+        m *= p
+    x += 1
+    x.setflags(write=False)
+    return x
 
 
 def parse_tuple_line(line: str) -> TupleH:

@@ -31,14 +31,17 @@ route, which reads those squarefree d off one squarefree sieve over [1, R],
 then for each pair (d, e) counts the window n with d | P_H1(n) and
 e | P_H2(n) exactly, by residue classes.
 The roots of P_H1 and of P_H2 mod every d come from passes over the
-concatenated ranges [0, d), in runs of at most _CHUNK residues, and the
-inverses of d P mod every e coprime to d from one extended-Euclid pass.
-For each d, the roots x of P_H1 mod d are lifted by the regular classes
-mod P.  A root y of P_H2 mod e meets the classes of x only where
-g = gcd(d, e) divides y - x, and then in the classes lifted once more by
-y mod e' = e / g, which is prime to d P.  So each pair is counted over the
-classes mod [d, e] P, by one gcd mask and one lift per root of e.  The
-divisor route calls no window code.
+concatenated ranges [0, d), in runs of at most _CHUNK residues, and
+gcd(d, e) with the inverses of d mod every e coprime to it from one
+extended-Euclid pass over the pairs d < e.  The roots x of P_H1 mod d are
+lifted by the regular classes mod P.  A root y of P_H2 mod e meets the
+classes of x only where g = gcd(d, e) divides y - x, and then in the
+classes lifted once more by y mod e' = e / g, which is prime to d P.  So
+each pair is counted over the classes mod [d, e] P, by one gcd mask and
+one lift per root of e.  The lifts, masks and counts run as arrays over
+blocks of d with the same number of roots x, with no Python pass per d,
+and a block holds at most _BLOCK_CLASSES lifted classes (or those of one
+d).  The divisor route calls no window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -57,11 +60,15 @@ from .errors import CapacityError, DomainError
 # Selects nothing: the benchmark alone reads it, to label its walk items.
 MAX_MASK_PRIMES = 16
 
-# Lifted classes per crt_lift call of pair_sum_divisor: 512 KiB per int64
-# temporary.  A call lifts all the classes of one d by a run of at least one
-# root y of some e, each by y mod e / gcd(d, e), so it holds
-# max(_MAX_RUN_CLASSES, classes of d) at most.
-_MAX_RUN_CLASSES = 2**16
+# Lifted classes per block of pair_sum_divisor: 256 KiB per int64
+# temporary.  A block lifts the classes of some d with the same number of
+# roots by every root y of every e, or those of one d by a run of at least
+# one y, each by y mod e / gcd(d, e), so it holds
+# max(_BLOCK_CLASSES, lifted classes of one d) at most.  On a 2-core Xeon
+# VM the seed-7 cross item's counts (R = 1000, V = 5) took 23.8 / 22.1 /
+# 21.0 / 24.4 ms at 2**14 / 2**15 / 2**16 / 2**17 (best of 15) and peaked
+# at 2.19 / 2.19 / 2.69 / 4.34 MiB.
+_BLOCK_CLASSES = 2**15
 
 # Window entries per chunk array: the pair sums walk about _CHUNK candidates
 # at a time, and detector_sum holds psi and inner over _CHUNK n.  _roots_mod
@@ -395,19 +402,6 @@ def pair_sum_theta(
     return _pair_sum(H1, H2, ell1, ell2, params, None, h0)
 
 
-def _window_counts(classes: np.ndarray, mods: np.ndarray, N: int) -> np.ndarray:
-    """The number of n in (N, 2N] in the classes classes[i, :, k] mod
-    mods[k], which lie in [0, mods[k]), as an array over (i, k).
-
-    The count of a class c mod M is (2N - c) // M - (N - c) // M, and
-    (kN - c) // M is kN // M, less 1 where c > kN % M: one division per
-    modulus, then one comparison per class.
-    """
-    (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
-    over = (classes > r1).view(np.int8) - (classes > r2).view(np.int8)
-    return (k2 - k1) * classes.shape[1] + over.sum(axis=1)
-
-
 def _rough_divisors(params: WeightParams) -> tuple[np.ndarray, np.ndarray]:
     """The squarefree d <= R coprime to P = primorial(V), ascending, and
     mu(d) = (-1)^omega(d), read off the blocks of one squarefree sieve over
@@ -454,18 +448,16 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     from _rough_divisors, and count[j, i], the number of regular n in
     (N, 2N] with vals[j] | P_H1(n) and vals[i] | P_H2(n).
 
-    The roots of P_H1 and P_H2 mod every d come from _roots_mod.  For each
-    d, the roots x of P_H1 mod d are lifted by the regular classes mod P,
-    one row per root.  With g = gcd(d, e), e' = e / g is prime to d P, so a
-    lifted class of x meets a root y of P_H2 mod e exactly when g | y - x,
-    in the one class mod d P e' that is y mod e'.  The inverses
-    (d P)^{-1} mod e' are read off one inverse_mod pass over the coprime
-    pairs d < e (Bezout gives both directions).  The roots y of every
-    e > 1 lift the classes in crt_lift calls of at most
-    max(_MAX_RUN_CLASSES, lifted classes) classes, skipping a run of roots
-    that meets no root of d; e = 1, whose one root is 0, counts the lifted
-    classes as they are.  The R^2 <= 10^7 guard also bounds the pairs: the
-    d are distinct integers in [1, R], so there are at most 3162 of them.
+    The roots of P_H1 and P_H2 mod every d come from _roots_mod.  One
+    bezout pass over the pairs d < e gives g = gcd(d, e) and, where g = 1,
+    d^{-1} mod e and e^{-1} mod d; e' = e / g is prime to d, so
+    (d P)^{-1} mod e' is read at (d, e').  The d are then taken in blocks
+    of rows that have the same number of roots x of P_H1, each block by
+    _block_counts over every root y of P_H2 mod every e, or one d over a
+    run of those roots, so that a block lifts at most
+    max(_BLOCK_CLASSES, lifted classes of one d) classes.  The
+    R^2 <= 10^7 guard also bounds the pairs: the d are distinct integers in
+    [1, R], so there are at most 3162 of them.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -478,46 +470,90 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     P = tc.primorial(params.V)
     reg = tc.regular_classes(Hu, params.V) % P
     x_all, x_sizes = _roots_mod(H1, vals)
-    # The roots of P_H2 mod every e, concatenated; vals[0] = 1 has the root 0.
-    y_all, sizes = _roots_mod(H2, vals)
-    # Bezout s d + t e = 1 for each coprime pair d < e, in one inverse_mod
-    # pass, gives d^{-1} = s mod e and e^{-1} = t mod d.  Then
-    # inv[j, i] = (d P)^{-1} mod e for d = vals[j], e = vals[i] > 1 coprime.
-    gcd = np.gcd(vals[:, None], vals[None, :]).astype(np.int32)
-    jd, je = np.nonzero(np.triu(gcd == 1, 1))
-    s = tc.inverse_mod(vals[jd], vals[je])
-    inv = np.zeros(gcd.shape, dtype=np.int64)
+    # The roots of P_H2 mod every e, concatenated, and the index of their e.
+    y_all, y_sizes = _roots_mod(H2, vals)
+    # int32, as the gcd table, for the gcd masks (y - x) % g.
+    x_all, y_all = x_all.astype(np.int32), y_all.astype(np.int32)
+    e_of_y = np.repeat(np.arange(vals.size), y_sizes)
+    # gcd[j, i] = gcd(d, e) and inv[j, i] = (d P)^{-1} mod e' for
+    # (d, e) = (vals[j], vals[i]); the table is first d^{-1} mod e where
+    # g = 1, by Bezout s d + t e = 1 for d < e.
+    jd, je = np.triu_indices(vals.size, 1)
+    g, s = tc.bezout(vals[jd], vals[je])
+    gcd = np.empty((vals.size, vals.size), dtype=np.int32)
+    gcd[jd, je] = gcd[je, jd] = g
+    np.fill_diagonal(gcd, vals)
+    inv = np.zeros(gcd.shape, dtype=np.int32)
     inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
+    del jd, je, g, s
     inv_P = tc.inverse_mod(P % vals, vals)
-    # Read at e' = e / gcd(d, e), which is prime to d: (d P)^{-1} mod e'.
-    inv = np.take_along_axis(inv * inv_P % vals, np.searchsorted(vals, vals // gcd), axis=1)
+    # Every product below R^2 <= 10^7 fits int32.
+    inv *= inv_P.astype(np.int32)
+    inv %= vals.astype(np.int32)
+    j, i = np.nonzero(gcd > 1)
+    inv[j, i] = inv[j, np.searchsorted(vals, vals[i] // gcd[j, i])]
     count = np.zeros(gcd.shape, dtype=np.int64)
-    for j, (d, x_d) in enumerate(zip(vals.tolist(), np.split(x_all, np.cumsum(x_sizes)[:-1]))):
-        # Row i: the root x_d[i] lifted by every regular class, mod d P;
-        # d = 1 has the one root 0, which leaves the classes as they are.
-        if d == 1:
-            lifted = reg[None, :]
-        else:
-            lifted = tc.crt_lift(reg, P, x_d, np.full(x_d.size, d), np.full(x_d.size, inv_P[j]))
-        # Beside each root y of each e: g = gcd(d, e), e' and (d P)^{-1} mod e'.
-        g_y, e_y = np.repeat(gcd[j], sizes), np.repeat(vals // gcd[j], sizes)
-        inv_y = np.repeat(inv[j], sizes)
-        # (y - x) mod g, taken only where g > 1: elsewhere it is 0, and the
-        # root y meets every class of x.
-        rem = np.zeros((x_d.size, y_all.size), dtype=np.int64)
-        np.remainder(y_all - x_d[:, None], g_y, out=rem, where=g_y > 1)
-        meets = rem == 0
-        # per_y[i, k]: the window n in the classes of root i and root y_all[k].
-        per_y = np.zeros(meets.shape, dtype=np.int64)
-        per_y[:, :1] = _window_counts(lifted[:, :, None], np.array([d * P]), N)
-        step = max(1, _MAX_RUN_CLASSES // lifted.size)
-        for lo in range(1, y_all.size, step):
-            k = slice(lo, lo + step)
-            if meets[:, k].any():
-                lift = tc.crt_lift(lifted.ravel(), d * P, y_all[k] % e_y[k], e_y[k], inv_y[k])
-                per_y[:, k] = _window_counts(lift.T.reshape(*lifted.shape, -1), d * P * e_y[k], N)
-        count[j] = np.add.reduceat((per_y * meets).sum(axis=0), np.cumsum(sizes) - sizes)
+    x_starts = np.cumsum(x_sizes) - x_sizes
+    for nx in sorted(set(x_sizes.tolist()) - {0}):
+        rows = np.flatnonzero(x_sizes == nx)
+        step = max(1, _BLOCK_CLASSES // (nx * reg.size * y_all.size))
+        for lo in range(0, rows.size, step):
+            j = rows[lo : lo + step]
+            x = x_all[x_starts[j, None] + np.arange(nx)]
+            # (b, i, class): the root x[b, i] lifted by every regular class, mod d P.
+            lifted = tc.crt_lift(reg, P, x[:, :, None], vals[j, None, None], inv_P[j, None, None])
+            # d P fits int64, as the lift's guard found.
+            dP = vals[j] * P
+            per_y = np.zeros((j.size, y_all.size), dtype=np.int64)
+            run = max(1, _BLOCK_CLASSES // lifted.size)
+            for k in range(0, y_all.size, run):
+                e = e_of_y[k : k + run]
+                per_y[:, k : k + run] = _block_counts(
+                    lifted, dP, x, y_all[k : k + run], vals[e], gcd[j][:, e], inv[j][:, e], N
+                )
+            count[j] = np.add.reduceat(per_y, np.cumsum(y_sizes) - y_sizes, axis=1)
     return vals, mu, count
+
+
+def _block_counts(
+    lifted: np.ndarray, dP: np.ndarray, x: np.ndarray, y: np.ndarray, e: np.ndarray,
+    g: np.ndarray, inv: np.ndarray, N: int,
+) -> np.ndarray:
+    """per_y[b, k]: the number of n in (N, 2N] in the classes lifted[b, i]
+    mod dP[b] with n = y[k] (mod e[k]), summed over the roots x[b, i] whose
+    classes they are.
+
+    g[b, k] = gcd(d, e) and inv[b, k] = (d P)^{-1} mod e' = e / g, which is
+    prime to d P: a lifted class of x meets y exactly when g | y - x, in
+    the one class mod d P e' that is y mod e'.  The count of a class c mod
+    M is (2N - c) // M - (N - c) // M, and (kN - c) // M is kN // M, less 1
+    where c > kN % M: one division per pair (b, k), then two comparisons
+    per class.
+    """
+    e_red = e // g
+    # numpy runs fastest along the last axis: the lift is (b, i, k, class)
+    # where the classes outnumber the roots y, else (b, i, class, k); a
+    # table over the pairs (b, k) is read at [pair].
+    if lifted.shape[2] > y.size:
+        c, a, pair = 3, lifted[:, :, None, :], np.s_[:, None, :, None]
+    else:
+        c, a, pair = 2, lifted[..., None], np.s_[:, None, None, :]
+    lift = tc.crt_lift(a, dP[:, None, None, None], (y % e_red)[pair], e_red[pair], inv[pair])
+    mods = dP[:, None] * e_red
+    (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
+    over = (lift > r1[pair]).view(np.int8)
+    over -= (lift > r2[pair]).view(np.int8)
+    del lift
+    # (b, i, k): whether g | y - x, as every root does where g = 1.
+    meets = (y - x[:, :, None]) % g[:, None, :] == 0
+    # |over summed over the classes| <= |reg| <= MAX_CLASS_MEMBERS.
+    per_x = over.sum(axis=c, dtype=np.int32)
+    per_x *= meets
+    k2 -= k1
+    k2 *= lifted.shape[2]
+    k2 *= meets.sum(axis=1)
+    k2 += per_x.sum(axis=1)
+    return k2
 
 
 def pair_sum_divisor(

@@ -122,6 +122,31 @@ def test_prime_count_bound_by_hand():
     assert primes.prime_count_bound(1001, 2000) == 290  # 2 * 1000 / log 1000 = 289.5
 
 
+def test_tiny_windows_match_trial_division_and_skip_the_sieve(monkeypatch):
+    # Windows ending below 2^8 are read off a table made at import: enough
+    # for every primorial(V <= tuples.MAX_V = 43), admissibility check of
+    # |H| <= 43 shifts and mask prime list at R < 256.  Every window up to
+    # 2 past the bound, against trial division done here; from the bound on
+    # the sieve runs.
+    bound = 2**8
+    assert primes._TINY_HI == bound
+    want = [n for n in range(2, bound + 3) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+    calls = []
+    sieve = primes._sieve_odd
+    monkeypatch.setattr(primes, "_sieve_odd", lambda *args: calls.append(args) or sieve(*args))
+    for hi in range(bound + 3):
+        for lo in range(hi + 1):
+            got = primes.sieve_range(lo, hi).primes
+            assert got.dtype == np.uint32 and not got.flags.writeable
+            assert got.tolist() == [p for p in want if lo <= p <= hi]
+        assert bool(calls) == (hi >= bound)
+    for x, sieved in ((bound - 1, False), (bound, True)):
+        calls.clear()
+        table = primes.primes_upto(x)
+        assert table.primes.tolist() == [p for p in want if p <= x]
+        assert bool(calls) == sieved
+
+
 def test_sieve_range_table_is_read_only_and_trimmed():
     # The table is trimmed in place: it owns its data or views no larger
     # buffer, so no capacity beyond its primes stays allocated.

@@ -117,8 +117,8 @@ def python_crt(x, m, res, q):
 
 
 def inverses(m, q):
-    """m^{-1} mod each entry of q, by Python's pow."""
-    return np.array([pow(m % k, -1, k) for k in np.asarray(q).tolist()], dtype=np.int64)
+    """m^{-1} mod q elementwise over their broadcast, by Python's pow."""
+    return np.array([pow(int(a) % int(k), -1, int(k)) for a, k in np.broadcast(m, q)], dtype=np.int64)
 
 
 def test_inverse_mod_matches_pow_on_every_coprime_pair_to_300():
@@ -148,8 +148,40 @@ def test_inverse_mod_refuses_a_common_factor():
         tc.inverse_mod(np.array([3, 2]), np.array([7, 4]))
 
 
+def test_bezout_matches_gcd_and_pow_on_every_pair_to_300():
+    # a = 0 and u | a give g = u and s = 0; u = 1 gives s = 0.
+    pairs = [(a, u) for u in range(1, 301) for a in range(0, 301)]
+    a, u = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    g, s = tc.bezout(a, u)
+    assert g.dtype == s.dtype == np.int64
+    assert g.tolist() == [math.gcd(x, y) for x, y in pairs]
+    assert ((0 <= s) & (s < np.maximum(u, 1))).all()
+    assert ((s * a - g) % u == 0).all()
+    coprime = g == 1
+    assert s[coprime].tolist() == [pow(int(x), -1, int(y)) for x, y in zip(a[coprime], u[coprime])]
+    # float64 is exact below 2^52.
+    with pytest.raises(CapacityError):
+        tc.bezout(np.array([1]), np.array([2**52]))
+
+
+@pytest.mark.parametrize("top", [2**22 - 1, 2**22, 2**52 - 1])
+def test_bezout_on_consecutive_fibonacci_numbers(top):
+    # Consecutive Fibonacci numbers take the most Euclid steps for their
+    # size (Lame's bound, where the steps stop).  Below 2^22 the pass runs
+    # in float32, from there in float64; every pair up to the largest
+    # Fibonacci number <= top, and top itself against its neighbours.
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= top:
+        fib.append(fib[-1] + fib[-2])
+    a = np.array(fib[:-1] + [top - 1, 2, fib[-1]], dtype=np.int64)
+    u = np.array(fib[1:] + [top, top, top], dtype=np.int64)
+    g, s = tc.bezout(a, u)
+    for x, y, gg, ss in zip(a.tolist(), u.tolist(), g.tolist(), s.tolist()):
+        assert gg == math.gcd(x, y) and (ss * x - gg) % y == 0 and 0 <= ss < y
+
+
 def test_crt_lift_by_primorial_29_matches_python_ints():
-    # The last lift of pair_sum_divisor at V = 29: a few classes mod 97 by
+    # The first lift of pair_sum_divisor at V = 29: a few roots mod 97 by
     # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
     # where (r - a) * inverse mod P would reach P^2 > 2^63: the lift is
     # based on P, and based on 97 it is refused.
@@ -157,27 +189,27 @@ def test_crt_lift_by_primorial_29_matches_python_ints():
     P = tc.primorial(29)
     reg = tc.regular_classes(H, 29) % P
     x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
-    lift = tc.crt_lift(reg, P, x, np.full(x.size, 97), inverses(P, np.full(x.size, 97)))
+    lift = tc.crt_lift(reg, P, x[:, None], 97, pow(P, -1, 97))
+    assert lift.shape == (x.size, reg.size)
     assert 0 <= lift.min() and lift.max() < 97 * P
     assert lift.ravel().tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
     with pytest.raises(CapacityError):
-        tc.crt_lift(x, 97, reg, np.full(reg.size, P), inverses(97, np.full(reg.size, P)))
+        tc.crt_lift(x[:, None], 97, reg, P, pow(97, -1, P))
 
 
 def test_crt_lift_capacity_at_int64_boundary():
     # 2^63 - 1 = 49 * 188232082384791343 with coprime factors: the largest
-    # lifted modulus that fits, based on the larger factor.
+    # lifted modulus that fits, based on the larger factor.  50 times it
+    # and 2 times 2^63 - 1 pass 2^63.
     m, q = 49, 188232082384791343
     assert m * q == 2**63 - 1
     x = np.array([0, 5, 48], dtype=np.int64)
     res = np.array([1, q // 2, q - 1], dtype=np.int64)
-    lift = tc.crt_lift(res, q, x, np.full(x.size, m), inverses(q, np.full(x.size, m)))
+    lift = tc.crt_lift(res, q, x[:, None], m, pow(q, -1, m))
     assert lift.ravel().tolist() == python_crt(x.tolist(), m, res.tolist(), q)
-    with pytest.raises(CapacityError):
-        tc.crt_lift(
-            np.array([0], dtype=np.int64), 1, np.array([0], dtype=np.int64),
-            np.array([2**63]), np.array([1]),
-        )
+    for big, small in ((q, 50), (2**63 - 1, 2)):
+        with pytest.raises(CapacityError):
+            tc.crt_lift(np.array([0]), big, np.array([0]), small, pow(big, -1, small))
 
 
 def test_crt_lift_by_array_moduli_matches_python_ints():
@@ -185,32 +217,44 @@ def test_crt_lift_by_array_moduli_matches_python_ints():
     # classes mod d P by each root y of every e, taken mod e / gcd(d, e).
     # 2^63 - 1 = 49 * m with coprime factors, so the residues mod 49 lift
     # to the largest modulus that fits; a q of 1 keeps the classes as they
-    # are.  With more residues than classes, the lift is computed transposed.
+    # are.
     m = 188232082384791343
     x = np.array([0, 5, m - 1], dtype=np.int64)
     res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
     q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
-    lift = tc.crt_lift(x, m, res, q, inverses(m, q))
+    lift = tc.crt_lift(x, m, res[:, None], q[:, None], inverses(m, q)[:, None])
     assert m * int(q.max()) == 2**63 - 1
     want = [python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())]
     assert lift.tolist() == want
-    # The same lift one residue at a time, with more classes than residues.
-    for j in range(res.size):
-        one = tc.crt_lift(x, m, res[j : j + 1], q[j : j + 1], inverses(m, q[j : j + 1]))
-        assert one.tolist() == [want[j]]
+    # Each row with its own base modulus too, as the blocks of
+    # pair_sum_divisor lift mod d P for several d at once.
+    ms = np.array([7, 30, 11 * 30], dtype=np.int64)
+    a = np.array([[3, 6], [1, 29], [0, 329]], dtype=np.int64)
+    r, k = np.array([4, 6, 12]), np.array([13, 7, 13])
+    lift = tc.crt_lift(a, ms[:, None], r[:, None], k[:, None], inverses(ms, k)[:, None])
+    assert lift.tolist() == [python_crt(row, mm, [rr], kk) for row, mm, rr, kk in zip(
+        a.tolist(), ms.tolist(), r.tolist(), k.tolist()
+    )]
     # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
-    q = np.array([3037000499])
-    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), q, inverses(2, q))
-    assert lift.tolist() == [python_crt([0, 1], 2, [3037000498], 3037000499)]
-    q = np.array([3037000501])
+    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), 3037000499, pow(2, -1, 3037000499))
+    assert lift.tolist() == python_crt([0, 1], 2, [3037000498], 3037000499)
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0]), 2, np.array([0]), q, inverses(2, q))
-    # 50 * m passes 2^63; so does 2^63 * 1.
-    q = np.array([49, 50])
+        tc.crt_lift(np.array([0]), 2, np.array([0]), 3037000501, pow(2, -1, 3037000501))
+    # 50 * m passes 2^63: one such pair refuses the whole lift, whether
+    # the moduli vary along q or along m.
     with pytest.raises(CapacityError):
-        tc.crt_lift(x, m, np.array([0, 1]), q, np.array([0, 0]))
+        tc.crt_lift(x, m, np.array([[0], [1]]), np.array([[49], [50]]), np.array([[0], [0]]))
     with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0]), 2**63, np.array([0]), np.array([1]), np.array([0]))
+        tc.crt_lift(0, np.array([[m // 2], [m]]), 0, 50, 0)
+
+
+def test_regular_classes_of_a_union_covering_every_class_mod_3_are_empty():
+    # -0, -4 and -8 fill every class mod 3, so no a is regular.
+    H = tc.TupleH((0, 4, 8))
+    assert tc.regular_class_count(H, 5) == 0
+    classes = tc.regular_classes(H, 5)
+    assert classes.dtype == np.int64 and classes.size == 0
+    assert not classes.flags.writeable
 
 
 def test_class_member_cap_at_its_boundary(monkeypatch):

@@ -513,11 +513,49 @@ def test_divisor_route_value_at_r1000():
     assert weights.pair_sum_direct(Ha, Hb, 2, 2, params) == pytest.approx(divisor, rel=1e-12)
 
 
+def test_divisor_route_memory_at_r1000():
+    # The seed-7 cross item.  Blocks of at most 2^15 lifted classes and
+    # int32 tables over the pairs (d, e) keep the peak near 2.2 MiB;
+    # blocks that held every (d, y) table at once would take about 4.2 MiB.
+    Ha, Hb = tc.TupleH((152, 390)), tc.TupleH((152, 306))
+    params = weights.WeightParams(K=2, ell=2, R=1000.0, V=5, N=10**5)
+    tracemalloc.start()
+    try:
+        weights.pair_sum_divisor(Ha, Hb, 2, 2, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 2**20
+
+
+def test_divisor_route_int64_refusal_at_its_boundary():
+    # At V = 41, P = 304250263527210, and a lifted modulus d P e' fits
+    # int64 while d e' <= 30314.  The d are 1 and the primes in (41, R]:
+    # up to R = 178 the largest coprime pair is 167 * 173 = 28891, at
+    # R = 179 it is 173 * 179 = 30967, whose lift would wrap and is
+    # refused.  Below it count[0, 0] follows from the class formula, and
+    # the total and the value are pinned.
+    H1 = tc.TupleH((43,))
+    H2 = tc.TupleH(tuple(sympy.primerange(43, 1000))[:50])
+    N = 10**15
+    params = weights.WeightParams(K=50, ell=0, R=178.0, V=41, N=N)
+    ds, _, count = weights._pair_counts(H1, H2, params)
+    assert ds.size == 28 and int(ds[-1]) == 173
+    P = tc.primorial(41)
+    reg = tc.regular_classes(H1.union(H2), 41) % P
+    assert count[0, 0] == sum((2 * N - c) // P - (N - c) // P for c in reg.tolist()) == 314
+    assert int(count.sum()) == 5917
+    assert weights.pair_sum_divisor(H1, H2, 1, 0, params) == 7.278129843243012e-26
+    params = weights.WeightParams(K=50, ell=0, R=179.0, V=41, N=N)
+    with pytest.raises(CapacityError, match=f"{173 * P}\\*179 does not fit"):
+        weights.pair_sum_divisor(H1, H2, 1, 0, params)
+
+
 def test_direct_routes_use_no_class_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class code called")
 
-    for name in ("regular_classes", "crt_lift", "inverse_mod"):
+    for name in ("regular_classes", "crt_lift", "inverse_mod", "bezout"):
         monkeypatch.setattr(tc, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_direct(H1, H2, 1, 1, params) > 0
@@ -571,18 +609,23 @@ def test_divisor_route_uses_no_window_code(monkeypatch):
     assert weights.pair_sum_divisor(H1, tc.TupleH((6, 8)), 1, 2, params) > 0
 
 
-@pytest.mark.parametrize("V, R", [(5, 1000.0), (13, 300.0)])
-def test_divisor_batches_do_not_change_the_sum(monkeypatch, V, R):
-    params = weights.WeightParams(K=2, ell=1, R=R, V=V, N=10**4)
-    want = weights.pair_sum_divisor(H1, H2, 1, 2, params)
-    assert want > 0
-    # A crt_lift call crosses every lifted class of one d with a run of
-    # roots of the e.  64: at V = 5 (two regular classes, at most four roots
-    # of d) a run of at least 8 roots; at V = 13 (640 classes) one root per
-    # call.  2^40: every root of every e > 1 in one call.
-    for bound in (64, 2**40):
-        monkeypatch.setattr(weights, "_MAX_RUN_CLASSES", bound)
-        assert weights.pair_sum_divisor(H1, H2, 1, 2, params) == want
+@pytest.mark.parametrize("budget", [1, 2**40], ids=["one-row", "one-block"])
+def test_pair_counts_in_blocks_match_brute_force_pair_by_pair(monkeypatch, budget):
+    # H1 = (0, 14) has one root mod 7 and two mod every other prime, so its
+    # d have 1, 2 and 4 roots (7, 11 and 143 = 11 * 13): three groups.  The
+    # shared shift 0 makes pairs with gcd(d, e) > 1 meet.  A budget of one
+    # class lifts one d by one root y per block; 2^40 takes each group in
+    # one block, every y at once.
+    Ha, Hb = tc.TupleH((0, 14)), tc.TupleH((0, 6))
+    params = weights.WeightParams(K=2, ell=1, R=150.0, V=5, N=3000)
+    ds, _ = weights._rough_divisors(params)
+    _, sizes = weights._roots_mod(Ha, ds)
+    assert {1, 2, 4} <= set(sizes.tolist())
+    monkeypatch.setattr(weights, "_BLOCK_CLASSES", budget)
+    ds, _, count = weights._pair_counts(Ha, Hb, params)
+    assert count.tolist() == brute_pair_counts(Ha, Hb, ds.tolist(), params)
+    common = np.gcd(ds[:, None], ds[None, :]) > 1
+    assert count[common].any()
 
 
 def test_pair_sum_rejects_inadmissible_union():
