@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, inf, isfinite, log, perm
 
 import numpy as np
@@ -46,11 +45,6 @@ class SuitableTriplet:
     def __post_init__(self):
         if self.d < 0 or self.u < 0 or self.y + self.u < 0:
             raise DomainError(f"triplet ({self.d},{self.u},{self.y}) not suitable")
-
-
-@lru_cache(maxsize=4096)
-def _fact(n: int) -> int:
-    return factorial(n)
 
 
 def _rising(d: int, m: int) -> int:
@@ -109,12 +103,12 @@ def Z_sum(t: SuitableTriplet) -> Fraction:
     integer (y+m+1)...(y+u); the numerators add as integers and one
     Fraction is built at the end.
     """
-    return Fraction(_z_sum_num(t.d, t.u, t.y), _fact(t.u) * _fact(t.y + t.u))
+    return Fraction(_z_sum_num(t.d, t.u, t.y), factorial(t.u) * factorial(t.y + t.u))
 
 
 def Z_closed(t: SuitableTriplet) -> Fraction:
     """Closed form (y-d+1)(y-d+2)...(y-d+u) / (u! (y+u)!)."""
-    return Fraction(_closed_num(t.y - t.d, t.u), _fact(t.u) * _fact(t.y + t.u))
+    return Fraction(_closed_num(t.y - t.d, t.u), factorial(t.u) * factorial(t.y + t.u))
 
 
 def _check_scan(bound: int, points: int) -> None:
@@ -158,7 +152,7 @@ def coeff_A_closed(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
     """A_{j,nu} via the closed form Z(d, u-j, v+d-nu):
     (v-nu+1)...(v-nu+u-j) / ((u-j)! top!) with top = v + d - nu + u - j."""
     _check_coeff_domain(j, nu, d, u, v)
-    return Fraction(_closed_num(v - nu, u - j), _fact(u - j) * _fact(v + d - nu + u - j))
+    return Fraction(_closed_num(v - nu, u - j), factorial(u - j) * factorial(v + d - nu + u - j))
 
 
 def coeff_A_sum(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
@@ -173,7 +167,7 @@ def coeff_A_sum(j: int, nu: int, d: int, u: int, v: int) -> Fraction:
     """
     _check_coeff_domain(j, nu, d, u, v)
     y = v + d - nu
-    return Fraction(_coeff_sum_num(j, d, u, y) * _fact(j), _fact(u) * _fact(y + u - j))
+    return Fraction(_coeff_sum_num(j, d, u, y) * factorial(j), factorial(u) * factorial(y + u - j))
 
 
 def coeff_identity_scan(bound: int) -> list:

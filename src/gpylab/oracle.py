@@ -20,29 +20,16 @@ from . import tuples as tc
 from .errors import CapacityError, DomainError
 from .singular import SingularValue, singular_series
 
-# Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
-_BERNOULLI = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-)
+# Bernoulli numbers B_2, B_4, ..., B_10 for the Euler-Maclaurin tail: from
+# B_12 on, the terms and Backlund's bound on the rest, times |t|, lie below
+# 2^-54 |W(it)| for every |t| <= 1000, so they change no value.
+_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66)
 # B_2k / (2k)!, the coefficients of the Euler-Maclaurin tail.
 _EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, start=1))
 
 # _w_values sums its rows in chunks of at most _W_ENTRIES entries per array,
 # though never less than one row.
 _W_ENTRIES = 1 << 16
-
-# The libm tables of _w_values, (inv_n, log_n) with inv_n[j] = (j + 1) ** -1.0
-# and log_n[j] = log(j + 1), read-only.  They grow on demand to the largest
-# n a call needs, at most 10^4 as |t| <= 1000, and are kept.  The pair is
-# bound whole, so racing threads can at worst build some entries again.
-_w_tables = (np.empty(0), np.empty(0))
 
 # Grid points of verify_w_bounds: 10^6 points hold about 50 MB of per-point arrays.
 MAX_W_POINTS = 10**6
@@ -203,12 +190,13 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     """W(it) = it zeta(1 + it) at each t of ts, with W(0) = 1, as a complex array.
 
     zeta(1 + it) is taken by Euler-Maclaurin: the partial sum of n^{-s} over
-    n < M = max(50, floor(10|t|)), then the tail terms at M.  The rows, sorted
-    by M, go in chunks as wide as the chunk's last row, M - 1 columns, each
-    with as many rows as keep it within _W_ENTRIES entries (at least one).
-    Each term is n^{-1} (cos, sin)(-t log n), formed as CPython's complex
-    power forms n ** -s, and np.cumsum along n adds each row's terms in
-    increasing n; the row's partial sum is its running total at n = M - 1.
+    n < M = max(50, floor(10|t|)), then the tail terms at M through B_10.
+    The rows, sorted by M, go in chunks as wide as the chunk's last row,
+    M - 1 columns, each with as many rows as keep it within _W_ENTRIES
+    entries (at least one).  Each term is n^{-1} (cos, sin)(-t log n), from
+    tables of n^{-1} and log n that each call builds, formed as CPython's
+    complex power forms n ** -s, and np.cumsum along n adds each row's terms
+    in increasing n; the row's partial sum is its running total at n = M - 1.
     The tail is float64 array arithmetic over all rows at once (_w_tail),
     each operation one that CPython's complex arithmetic performs.  So every
     value is bit for bit the scalar sum sum(n ** -s for n in range(1, M))
@@ -224,7 +212,9 @@ def _w_values(ts: np.ndarray) -> np.ndarray:
     # Column j holds n = j + 1.  n^{-1} and log n come from libm, as in
     # CPython's complex power: numpy's n ** -1.0 is 1 / n and its log has
     # its own rounding, and each differs from libm at a few n.
-    inv_n, log_n = _libm_tables(int(m_rows[-1]) - 1 if ts.size else 0)
+    ns = range(1, int(m_rows[-1]) if ts.size else 1)
+    inv_n = np.array([float(n) ** -1.0 for n in ns])
+    log_n = np.array([math.log(n) for n in ns])
     re, im = np.empty(ts.size), np.empty(ts.size)
     widths = (m_rows - 1).tolist()
     r1 = 0
@@ -296,21 +286,6 @@ def _w_tail(
     # of the sum (at a subnormal t) into a nan, times (tr, ti).
     z = 0.0 * t - 0.0
     return z * tr - t * ti, z * ti + t * tr
-
-
-def _libm_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shared tables of n^{-1} and log n for n = 1, 2, ..., at least
-    size entries each, first extended where they are shorter."""
-    global _w_tables
-    inv_n, log_n = _w_tables
-    if inv_n.size < size:
-        new = range(inv_n.size + 1, size + 1)
-        inv_n = np.concatenate((inv_n, [float(k) ** -1.0 for k in new]))
-        log_n = np.concatenate((log_n, [math.log(k) for k in new]))
-        inv_n.setflags(write=False)
-        log_n.setflags(write=False)
-        _w_tables = (inv_n, log_n)
-    return inv_n, log_n
 
 
 def w_function(t: float) -> complex:

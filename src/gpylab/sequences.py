@@ -16,11 +16,11 @@ from .errors import CapacityError, DomainError
 KINDS = ("interval", "powers_k", "powers_k_sum_two_squares", "custom_exponents")
 
 
-def density_threshold(N: int, C: float = 1.0) -> float:
-    """C sqrt(log N) (log log N)^2, the sparseness floor for the method."""
+def density_threshold(N: int) -> float:
+    """sqrt(log N) (log log N)^2, the method's sparseness floor up to a constant."""
     if N < 16:
         raise DomainError("N too small for the density threshold")
-    return C * math.sqrt(math.log(N)) * math.log(math.log(N)) ** 2
+    return math.sqrt(math.log(N)) * math.log(math.log(N)) ** 2
 
 
 def _powers(k: int, N: int, exponents) -> list:

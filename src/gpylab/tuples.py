@@ -117,37 +117,33 @@ def regular_class_count(H: TupleH, V: int) -> int:
 
 def bezout(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = gcd(a, u) and s in [0, u) with s a = g (mod u), elementwise, as
-    int64 arrays, for integer arrays a >= 0 and 1 <= u < 2^52 (s is 0
+    int64 arrays, for integer arrays a >= 0 and 1 <= u < 2^22 (s is 0
     where u = 1 or u | a).
 
-    One extended Euclidean pass over the whole array, in floats of p
-    significant bits: float32 (p = 24) where u < 2^22, float64 (p = 53)
-    where u < 2^52, so the float32 pass, which holds half the bytes, serves
-    every divisor pair of pair_sum_divisor.  The remainders stay in [0, u)
-    and the coefficients of a within [-u, u], so every value and product
-    is an integer of magnitude at most 2u < 2^(p - 1), and the quotient
-    floor(r0 / r1) of r0 < 2^p is exact.  No step branches per pair: a
-    pair that is done has r1 = 0, is divided by 2^60 instead and so only
-    swaps its two rows.  A pair that takes n steps has u >= F(n + 2), F
-    the Fibonacci numbers (Lame), so the steps stop at that bound for the
-    largest u, O(log u).
+    One extended Euclidean pass over the whole array in float32: the
+    remainders stay in [0, u) and the coefficients of a within [-u, u], so
+    every value and product is an integer of magnitude below 2^23, and the
+    quotient floor(r0 / r1) of r0 < 2^24 is exact.  No step branches per
+    pair: a pair that is done has r1 = 0, is divided by 2^60 instead and
+    so only swaps its two rows.  A pair that takes n steps has
+    u >= F(n + 2), F the Fibonacci numbers (Lame), so the steps stop at
+    that bound for the largest u, O(log u).
     """
     u = np.asarray(u, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64) % u
     u_max = int(u.max(initial=1))
-    if u_max >= 2**52:
-        raise CapacityError(f"modulus {u_max} reaches 2^52: float64 Euclid is exact below it")
+    if u_max >= 2**22:
+        raise CapacityError(f"modulus {u_max} reaches 2^22: float32 Euclid is exact below it")
     steps, fib, nxt = 0, 2, 3
     while fib <= u_max:
         steps, fib, nxt = steps + 1, nxt, fib + nxt
-    dtype = np.float32 if u_max < 2**22 else np.float64
     # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
-    r0, r1 = u.astype(dtype), a.astype(dtype)
+    r0, r1 = u.astype(np.float32), a.astype(np.float32)
     del a
     s0, s1 = np.zeros_like(r1), np.ones_like(r1)
     quot, tmp = np.empty_like(r1), np.empty_like(r1)
     for _ in range(steps):
-        np.multiply(r1 == 0, dtype(2.0**60), out=quot)
+        np.multiply(r1 == 0, np.float32(2.0**60), out=quot)
         quot += r1
         np.divide(r0, quot, out=quot)
         np.floor(quot, out=quot)
@@ -161,21 +157,6 @@ def bezout(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r0.astype(np.int64), s1
 
 
-def inverse_mod(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """a^{-1} mod u elementwise, in [0, u), for int64 arrays with every
-    gcd(a, u) = 1 (an inverse mod 1 is 0): the coefficient of bezout,
-    checked a inv = 1 (mod u), which needs u^2 < 2^63.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    u_max = int(u.max(initial=1))
-    if u_max * u_max >= 2**63:
-        raise CapacityError(f"modulus {u_max} squared does not fit in int64")
-    a = np.asarray(a, dtype=np.int64) % u
-    inv = bezout(a, u)[1]
-    assert (a * inv % u == 1 % u).all(), "inverse_mod needs gcd(a, u) = 1"
-    return inv
-
-
 def crt_lift(a: np.ndarray, m, r: np.ndarray, q, inv) -> np.ndarray:
     """The classes a mod m crossed with the residues r mod q, gcd(m, q) = 1,
     given inv = m^{-1} mod q in [0, q): a + m ((r - a) inv mod q), the class
@@ -187,7 +168,7 @@ def crt_lift(a: np.ndarray, m, r: np.ndarray, q, inv) -> np.ndarray:
     pair (m, q) broadcast together; a lift is refused whole if one does not.
     That bound is smallest when m is the larger modulus, so a caller passes
     its larger modulus as m.  The caller brings the inverses, as one pow
-    for a single modulus or one inverse_mod pass for many.
+    for a single modulus or one bezout pass for many.
     """
     m, q = np.asarray(m, dtype=np.int64), np.asarray(q, dtype=np.int64)
     over = np.maximum(m, q) > (2**63 - 1) // q

@@ -41,7 +41,8 @@ each pair is counted over the classes mod [d, e] P, by one gcd mask and
 one lift per root of e.  The lifts, masks and counts run as arrays over
 blocks of d with the same number of roots x, with no Python pass per d,
 and a block holds at most _BLOCK_CLASSES lifted classes (or those of one
-d).  The divisor route calls no window code.
+d), and the call at most MAX_DIVISOR_LIFTS.  The divisor route calls no
+window code.
 Their agreement is the module's main correctness oracle.
 """
 
@@ -69,6 +70,11 @@ MAX_MASK_PRIMES = 16
 # 21.0 / 24.4 ms at 2**14 / 2**15 / 2**16 / 2**17 (best of 15) and peaked
 # at 2.19 / 2.19 / 2.69 / 4.34 MiB.
 _BLOCK_CLASSES = 2**15
+
+# Lifted classes of one pair_sum_divisor call, a bound on its time: on a
+# 2-core Xeon VM, 1.22e9 (V = 37, R = 1122, the 40 primes from 41 taken
+# alternately into H1 and H2) took 13.7 s, so the bound is about a minute.
+MAX_DIVISOR_LIFTS = 5 * 10**9
 
 # Window entries per chunk array: the pair sums walk about _CHUNK candidates
 # at a time, and detector_sum holds psi and inner over _CHUNK n.  _roots_mod
@@ -448,16 +454,18 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     from _rough_divisors, and count[j, i], the number of regular n in
     (N, 2N] with vals[j] | P_H1(n) and vals[i] | P_H2(n).
 
-    The roots of P_H1 and P_H2 mod every d come from _roots_mod.  One
-    bezout pass over the pairs d < e gives g = gcd(d, e) and, where g = 1,
-    d^{-1} mod e and e^{-1} mod d; e' = e / g is prime to d, so
+    The roots of P_H1 and P_H2 mod every d come from _roots_mod; past
+    MAX_DIVISOR_LIFTS lifted classes (roots x by regular classes by roots
+    y) the call is refused before any class is built.  One bezout pass over
+    the pairs d < e gives g = gcd(d, e) and, where g = 1, d^{-1} mod e and
+    e^{-1} mod d, and one more P^{-1} mod d; e' = e / g is prime to d, so
     (d P)^{-1} mod e' is read at (d, e').  The d are then taken in blocks
     of rows that have the same number of roots x of P_H1, each block by
     _block_counts over every root y of P_H2 mod every e, or one d over a
     run of those roots, so that a block lifts at most
     max(_BLOCK_CLASSES, lifted classes of one d) classes.  The
     R^2 <= 10^7 guard also bounds the pairs: the d are distinct integers in
-    [1, R], so there are at most 3162 of them.
+    [1, R], so there are at most 3162 of them, each far below bezout's 2^22.
     """
     Hu = _check_pair_inputs(H1, H2)
     if params.R * params.R > 10**7:
@@ -468,10 +476,13 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     # Ascending, so that searchsorted finds every e' among them.
     vals, mu = _rough_divisors(params)
     P = tc.primorial(params.V)
-    reg = tc.regular_classes(Hu, params.V) % P
     x_all, x_sizes = _roots_mod(H1, vals)
     # The roots of P_H2 mod every e, concatenated, and the index of their e.
     y_all, y_sizes = _roots_mod(H2, vals)
+    lifts = x_all.size * tc.regular_class_count(Hu, params.V) * y_all.size
+    if lifts > MAX_DIVISOR_LIFTS:
+        raise CapacityError(f"{lifts} lifted classes exceed guard {MAX_DIVISOR_LIFTS}")
+    reg = tc.regular_classes(Hu, params.V) % P
     # int32, as the gcd table, for the gcd masks (y - x) % g.
     x_all, y_all = x_all.astype(np.int32), y_all.astype(np.int32)
     e_of_y = np.repeat(np.arange(vals.size), y_sizes)
@@ -486,7 +497,8 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     inv = np.zeros(gcd.shape, dtype=np.int32)
     inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
     del jd, je, g, s
-    inv_P = tc.inverse_mod(P % vals, vals)
+    inv_P = tc.bezout(P % vals, vals)[1]
+    assert (inv_P * (P % vals) % vals == 1 % vals).all()
     # Every product below R^2 <= 10^7 fits int32.
     inv *= inv_P.astype(np.int32)
     inv %= vals.astype(np.int32)

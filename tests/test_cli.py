@@ -300,6 +300,11 @@ def test_detector_rejects_zero_span(capsys):
     assert code == cli.EXIT_DOMAIN
 
 
+def _alternate_primes(first: int) -> str:
+    """Every other one of the 40 primes from 41, from index first, as --h1/--h2 shifts."""
+    return ",".join(map(str, prime_engine.sieve_range(41, 300).primes.tolist()[:40][first::2]))
+
+
 def test_capacity_error_exit_code(capsys):
     # Each guard fires before the allocation it bounds, so no call does work;
     # unguarded, each of the last three runs past 45 s.
@@ -318,6 +323,10 @@ def test_capacity_error_exit_code(capsys):
         ["gpy", "detector", "--shifts", "0,2,6", "--k", "2", "--n", str(2**27 + 1)],
         ["gpy", "moment1", "--h1", "0,2", "--h2", "2,6", "--n", str(2**62), "--theta", "0.05",
          "--strategy", "divisor"],
+        # 2.3e10 lifted classes, past weights.MAX_DIVISOR_LIFTS (minutes
+        # of work), with R = 3145 inside the R^2 <= 10^7 guard.
+        ["gpy", "moment1", "--h1", _alternate_primes(0), "--h2", _alternate_primes(1),
+         "--n", "1e6", "--theta", "0.54", "--v", "37", "--strategy", "divisor"],
         ["bv", "classic", "--n", "1e9", "--qmax", "1e8"],
         ["bv", "classic", "--n", "1e8", "--qmax", "2e4"],
         ["singular", "value", "--shifts", "0,2", "--cutoff", "1e12"],

@@ -528,6 +528,25 @@ def test_divisor_route_memory_at_r1000():
     assert peak <= 3.2 * 2**20
 
 
+def test_divisor_work_guard_at_the_cross_item(monkeypatch):
+    # The seed-7 cross item lifts 590 roots x by 2 regular classes and 574
+    # roots y: 677 320 classes.  With the guard there it runs; one below,
+    # it is refused before any class is built or lifted.
+    Ha, Hb = tc.TupleH((152, 390)), tc.TupleH((152, 306))
+    params = weights.WeightParams(K=2, ell=2, R=1000.0, V=5, N=10**5)
+    monkeypatch.setattr(weights, "MAX_DIVISOR_LIFTS", 677_320)
+    assert weights.pair_sum_divisor(Ha, Hb, 2, 2, params) == 45058223.24557132
+    monkeypatch.setattr(weights, "MAX_DIVISOR_LIFTS", 677_319)
+
+    def refuse(*args):
+        raise AssertionError("classes built or lifted before the guard")
+
+    for name in ("regular_classes", "crt_lift"):
+        monkeypatch.setattr(tc, name, refuse)
+    with pytest.raises(CapacityError, match="677320 lifted classes exceed guard 677319"):
+        weights.pair_sum_divisor(Ha, Hb, 2, 2, params)
+
+
 def test_divisor_route_int64_refusal_at_its_boundary():
     # At V = 41, P = 304250263527210, and a lifted modulus d P e' fits
     # int64 while d e' <= 30314.  The d are 1 and the primes in (41, R]:
@@ -555,7 +574,7 @@ def test_direct_routes_use_no_class_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class code called")
 
-    for name in ("regular_classes", "crt_lift", "inverse_mod", "bezout"):
+    for name in ("regular_classes", "crt_lift", "bezout"):
         monkeypatch.setattr(tc, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_direct(H1, H2, 1, 1, params) > 0
