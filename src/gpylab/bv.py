@@ -23,6 +23,7 @@ import numpy as np
 
 from . import primes as prime_engine
 from .errors import CapacityError, DomainError
+from .integers import factorize
 
 MAX_N = 10**9
 
@@ -90,7 +91,7 @@ def _deviation_sum(tables: Iterable[np.ndarray], N: int) -> float:
     for theta_by_a in tables:
         mod = theta_by_a.size
         coprime = np.ones(mod, dtype=bool)
-        for p in prime_engine.factorize(mod):
+        for p in factorize(mod):
             coprime[::p] = False
         target = N / np.count_nonzero(coprime)  # phi(mod) residues are coprime
         terms.append(float(np.abs(theta_by_a[coprime] - target).max()))
@@ -105,7 +106,7 @@ def _moduli(M: int, Q: int) -> list[int]:
 def _divisors(n: int) -> list[int]:
     """All divisors of n."""
     divs = [1]
-    for p, e in prime_engine.factorize(n).items():
+    for p, e in factorize(n).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return divs
 

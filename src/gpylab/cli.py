@@ -335,7 +335,7 @@ def _cmd_primes(args) -> dict:
 
 
 def _cmd_tuple(args) -> dict:
-    from . import primes as prime_engine
+    from . import integers
     from . import tuples as tc
 
     H = args.shifts
@@ -344,7 +344,7 @@ def _cmd_tuple(args) -> dict:
             "tuple": list(H.shifts),
             "admissible": tc.is_admissible(H),
         }
-        ps = [args.p] if args.p is not None else list(prime_engine.primes_upto(max(H.size, 3)))
+        ps = [args.p] if args.p is not None else integers.small_primes(max(H.size, 3))
         out["nu_p"] = {str(q): tc.nu_p(H, q) for q in ps}
         if args.h2 is not None:
             out["nu_bar_p"] = {str(q): tc.nu_bar_p(H, args.h2, q) for q in ps}

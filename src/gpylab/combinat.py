@@ -4,6 +4,9 @@ Three families: the Z(d, u, y) sums with their closed product form, the
 residue coefficients A_{j, nu} (two independent evaluation routes plus the
 normalized ratio bounds A'' <= 1 and A'' < 2^nu), and the generalized
 divisor function d_m(q) = m^omega(q) with its mean-value inequality.
+Only divisor_mean_check reads an array, the blocks of the squarefree
+sieve, so it alone imports numpy and `primes`; the Z and A kernels are
+pure integer work and load neither.
 Each Z and A route is one integer numerator kernel over a factorial
 denominator: the defining sums add their terms by Horner's rule, each term
 moved from the last by exact integer ratios, and the closed forms are one
@@ -16,12 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, isfinite, log, perm
-
-import numpy as np
+from math import ceil, comb, factorial, inf, isfinite, log, perm
 
 from .errors import CapacityError, DomainError
-from .primes import squarefree_omega
 
 # Largest x of divisor_mean_check, a bound on its time: its sieve holds one
 # block of primes._OMEGA_BLOCK integers at a time, whatever x.  On a 2-core
@@ -245,7 +245,11 @@ def divisor_mean_check(x: int, m: int) -> dict:
         raise CapacityError(f"x={x} exceeds guard {MAX_DIVISOR_MEAN_X}")
     if m < 1:
         raise DomainError("m must be >= 1")
-    power = int(np.ceil(m))
+    import numpy as np
+
+    from .primes import squarefree_omega
+
+    power = ceil(m)
     try:
         rhs = x * (1.0 + log(x)) ** power
     except OverflowError:

@@ -8,8 +8,8 @@ of 2**32 or more out of its arithmetic, where numpy raises OverflowError.
 A table is allocated once at a proven upper bound on the number of primes in
 its window (prime_count_bound) and trimmed in place; a bound over
 MAX_TABLE_BYTES is refused before any work.  A window ending below 2**8 is
-copied from a tuple of the primes there, made once at import by trial
-division, without a sieve.  Otherwise one flag buffer serves every
+copied from integers._TINY_PRIMES, the primes there by trial division,
+without a sieve.  Otherwise one flag buffer serves every
 segment: it is filled from a wheel pattern for 3*5*7*11*13, then struck by
 the base primes above 13, slices of one shared int64 table.  On top of the
 tables sit theta(x), theta(x; q, a), the progression error E(x; q, a), its
@@ -17,9 +17,8 @@ running maximum E*(X, q) and residues, the remainders of a table mod q by
 division by an invariant integer.  Every float sum in the library goes through
 exact_sum, the correctly rounded sum (== math.fsum) in a few numpy passes
 per block, so results are exactly rounded and independent of segmentation
-and order.  The small-integer arithmetic the other modules need lives here
-too: factorisation, which also decides primality, Euler phi, and the one
-squarefree sieve, which yields the squarefree q <= x and omega(q) in blocks
+and order.  Euler phi (from integers.factorize) and the one squarefree sieve
+live here too; the sieve yields the squarefree q <= x and omega(q) in blocks
 of _OMEGA_BLOCK integers and lists no prime past sqrt(x).
 """
 
@@ -35,6 +34,7 @@ from math import gcd
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .integers import _TINY_HI, _TINY_PRIMES, factorize
 
 # Segment length in sieve entries (odd numbers).  Each segment makes one
 # Python pass over the base primes below an eighth of its length, so fewer
@@ -62,11 +62,6 @@ MAX_TABLE_BYTES = 1 << 30
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13
 
-# factorize trial-divides by 2 and the odd numbers up to sqrt(n); this bound
-# keeps that to about 5 * 10**5 odd divisors: 47-65 ms for a prime just
-# below it on a 2-core Xeon VM.
-MAX_FACTOR_N = 10**12
-
 # Entries per block of exact_sum, which holds two float64 buffers of one
 # block.  Over the 49 sums of a gpy-moments pass (2.3 M entries) on a 2-core
 # Xeon VM (2 MiB L2 per core), best of 15: 14.2 ms in blocks of 2**14,
@@ -83,18 +78,6 @@ SUM_BLOCK = 1 << 16
 # 2**15, 14 ms with 2**16, 11.5 ms with 2**17 and 10.6 ms with 2**18, which
 # holds twice the memory; each block makes 3 numpy calls per prime <= sqrt(x).
 _OMEGA_BLOCK = 1 << 17
-
-
-# Windows ending below _TINY_HI are read off _TINY_PRIMES, the primes below
-# it by trial division, made once at import: sieving one costs 14-25 us of
-# numpy calls, and a gpy-moments pass asks for about 580 of them (primorial,
-# is_admissible, the mask primes at R = 9-108).  2**8 covers every V <=
-# tuples.MAX_V and |H| <= 43.  The tuple never grows, and each call copies
-# its slice into a new array.
-_TINY_HI = 1 << 8
-_TINY_PRIMES = tuple(
-    n for n in range(2, _TINY_HI) if all(n % p for p in range(2, math.isqrt(n) + 1))
-)
 
 
 @dataclass(frozen=True)
@@ -466,24 +449,3 @@ def residues(p: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray
     t *= q
     return np.subtract(p, t, out=t if out is None else out)
 
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of 1 <= n <= MAX_FACTOR_N, primes ascending.
-
-    Trial division by 2 and then the odd numbers d while d * d <= n, with no
-    prime table: a composite d never divides, as its prime factors are gone
-    by then.  What is left over after them is 1 or a single prime."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    if n > MAX_FACTOR_N:
-        raise CapacityError(f"n={n} exceeds factorisation bound {MAX_FACTOR_N}")
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = 1
-    return out

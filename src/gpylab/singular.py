@@ -28,6 +28,7 @@ import numpy as np
 from . import primes as prime_engine
 from . import tuples as tc
 from .errors import CapacityError, DomainError
+from .integers import factorize
 
 # Guard for average_B, in ordered subsets C(h, k) k! whatever rows it sums.
 MAX_ORDERED_SUBSETS = 10**8
@@ -60,7 +61,7 @@ def _delta_prime_factors(H: tc.TupleH) -> set:
     s = H.shifts
     for i in range(len(s)):
         for j in range(i + 1, len(s)):
-            out |= set(prime_engine.factorize(s[j] - s[i]))
+            out |= set(factorize(s[j] - s[i]))
     return out
 
 

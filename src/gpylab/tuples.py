@@ -6,6 +6,10 @@ how the polynomial P_H(n) = prod (n + h) sits inside residue classes:
 nu_p counts occupied classes mod p, the discriminant controls which primes
 see the tuple generically, and the regular classes mod P = prod_{p<=V} p
 are the residues a with gcd(P, P_H(a)) = 1.
+
+Only regular_classes builds an array, and it alone imports numpy and the
+sieve of `primes`; everything else here is integer arithmetic on the small
+primes of `integers`, so a caller that builds no class list loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import primes as prime_engine
 from .errors import CapacityError, DomainError
+from .integers import factorize, small_primes
 
 # P = primorial(V) overflows useful exact ranges quickly; V = 43 gives
 # P = 13082761331670030 which still fits comfortably in 64 bits.
@@ -34,6 +36,9 @@ class TupleH:
 
     def __post_init__(self):
         s = tuple(int(h) for h in self.shifts)
+        for h, v in zip(self.shifts, s):
+            if v != h:
+                raise DomainError(f"non-integral shift {h!r}")
         if len(s) < 1:
             raise DomainError("tuple must have at least one shift")
         if any(h < 0 for h in s):
@@ -50,7 +55,7 @@ class TupleH:
         return h in self.shifts
 
     def union(self, other: "TupleH | int") -> "TupleH":
-        extra = other.shifts if isinstance(other, TupleH) else (int(other),)
+        extra = other.shifts if isinstance(other, TupleH) else (other,)
         return TupleH(tuple(set(self.shifts) | set(extra)))
 
 
@@ -58,7 +63,7 @@ def _require_prime(p: int) -> None:
     """Refuse p unless it is prime.  factorize decides, so p above
     MAX_FACTOR_N raises CapacityError; p < 2 is refused first, so that the
     message names p rather than factorize's domain."""
-    if p < 2 or prime_engine.factorize(p) != {p: 1}:
+    if p < 2 or factorize(p) != {p: 1}:
         raise DomainError(f"{p} is not prime")
 
 
@@ -70,7 +75,7 @@ def nu_p(H: TupleH, p: int) -> int:
 
 def is_admissible(H: TupleH) -> bool:
     """True iff nu_p(H) < p for every prime; only p <= |H| can fail."""
-    return all(nu_p(H, p) < p for p in prime_engine.primes_upto(H.size))
+    return all(nu_p(H, p) < p for p in small_primes(H.size))
 
 
 def discriminant(H: TupleH) -> int:
@@ -103,7 +108,7 @@ def primorial(V: int) -> int:
         raise DomainError("V must be >= 2")
     if V > MAX_V:
         raise CapacityError(f"V={V} exceeds exact-product ceiling {MAX_V}")
-    return math.prod(prime_engine.primes_upto(V))
+    return math.prod(small_primes(V))
 
 
 def regular_class_count(H: TupleH, V: int) -> int:
@@ -112,76 +117,7 @@ def regular_class_count(H: TupleH, V: int) -> int:
         raise DomainError("V must be >= 2")
     if V > MAX_V:
         raise CapacityError(f"V={V} exceeds exact-product ceiling {MAX_V}")
-    return math.prod(p - nu_p(H, p) for p in prime_engine.primes_upto(V))
-
-
-def bezout(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g = gcd(a, u) and s in [0, u) with s a = g (mod u), elementwise, as
-    int64 arrays, for integer arrays a >= 0 and 1 <= u < 2^22 (s is 0
-    where u = 1 or u | a).
-
-    One extended Euclidean pass over the whole array in float32: the
-    remainders stay in [0, u) and the coefficients of a within [-u, u], so
-    every value and product is an integer of magnitude below 2^23, and the
-    quotient floor(r0 / r1) of r0 < 2^24 is exact.  No step branches per
-    pair: a pair that is done has r1 = 0, is divided by 2^60 instead and
-    so only swaps its two rows.  A pair that takes n steps has
-    u >= F(n + 2), F the Fibonacci numbers (Lame), so the steps stop at
-    that bound for the largest u, O(log u).
-    """
-    u = np.asarray(u, dtype=np.int64)
-    a = np.asarray(a, dtype=np.int64) % u
-    u_max = int(u.max(initial=1))
-    if u_max >= 2**22:
-        raise CapacityError(f"modulus {u_max} reaches 2^22: float32 Euclid is exact below it")
-    steps, fib, nxt = 0, 2, 3
-    while fib <= u_max:
-        steps, fib, nxt = steps + 1, nxt, fib + nxt
-    # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
-    r0, r1 = u.astype(np.float32), a.astype(np.float32)
-    del a
-    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
-    quot, tmp = np.empty_like(r1), np.empty_like(r1)
-    for _ in range(steps):
-        np.multiply(r1 == 0, np.float32(2.0**60), out=quot)
-        quot += r1
-        np.divide(r0, quot, out=quot)
-        np.floor(quot, out=quot)
-        r0 -= np.multiply(quot, r1, out=tmp)
-        s0 -= np.multiply(quot, s1, out=tmp)
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    # One remainder of each pair is 0 and the other g, with its coefficient.
-    r0 += r1
-    s1 = np.where(r1 == 0, s0, s1).astype(np.int64)
-    s1 %= u
-    return r0.astype(np.int64), s1
-
-
-def crt_lift(a: np.ndarray, m, r: np.ndarray, q, inv) -> np.ndarray:
-    """The classes a mod m crossed with the residues r mod q, gcd(m, q) = 1,
-    given inv = m^{-1} mod q in [0, q): a + m ((r - a) inv mod q), the class
-    mod m q that is a mod m and r mod q, elementwise over the broadcast of
-    the int64 arrays or ints a, m, r, q and inv.
-
-    a lies in [0, m) and r in [0, q), so |r - a| < max(m, q) and inv < q:
-    every int64 product stays below max(m, q) q, which must fit for each
-    pair (m, q) broadcast together; a lift is refused whole if one does not.
-    That bound is smallest when m is the larger modulus, so a caller passes
-    its larger modulus as m.  The caller brings the inverses, as one pow
-    for a single modulus or one bezout pass for many.
-    """
-    m, q = np.asarray(m, dtype=np.int64), np.asarray(q, dtype=np.int64)
-    over = np.maximum(m, q) > (2**63 - 1) // q
-    if over.any():
-        i = np.unravel_index(np.argmax(over), over.shape)
-        m, q = np.broadcast_to(m, over.shape)[i], np.broadcast_to(q, over.shape)[i]
-        raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
-    lift = np.subtract(r, a, dtype=np.int64)
-    lift *= inv
-    lift %= q
-    lift *= m
-    lift += a
-    return lift
+    return math.prod(p - nu_p(H, p) for p in small_primes(V))
 
 
 def regular_classes(H: TupleH, V: int) -> np.ndarray:
@@ -198,13 +134,17 @@ def regular_classes(H: TupleH, V: int) -> np.ndarray:
     in one pass; the last writes its rows t one by one into the result, so
     nothing else as large is held.
     """
+    import numpy as np
+
+    from . import primes as prime_engine
+
     P = primorial(V)
     expected = regular_class_count(H, V)
     if expected > MAX_CLASS_MEMBERS:
         raise CapacityError(
             f"|A(H)| = {expected} exceeds materialization cap {MAX_CLASS_MEMBERS}"
         )
-    ps = prime_engine.primes_upto(V).primes.tolist()
+    ps = small_primes(V)
     # The classes before the last prime lie below P / ps[-1]: int32 where
     # that fits, which halves what the last prime's rows hold.
     x, m = np.zeros(1, dtype=np.int32 if P // ps[-1] < 2**31 else np.int64), 1

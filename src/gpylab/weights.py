@@ -33,8 +33,9 @@ e | P_H2(n) exactly, by residue classes.
 The roots of P_H1 and of P_H2 mod every d come from passes over the
 concatenated ranges [0, d), in runs of at most _CHUNK residues, and
 gcd(d, e) with the inverses of d mod every e coprime to it from one
-extended-Euclid pass over the pairs d < e.  The roots x of P_H1 mod d are
-lifted by the regular classes mod P.  A root y of P_H2 mod e meets the
+extended-Euclid pass over the pairs d < e (bezout).  The roots x of P_H1
+mod d are lifted by the regular classes mod P (crt_lift).  The divisor
+route is the only caller of these two array primitives, so they live here.  A root y of P_H2 mod e meets the
 classes of x only where g = gcd(d, e) divides y - x, and then in the
 classes lifted once more by y mod e' = e / g, which is prime to d P.  So
 each pair is counted over the classes mod [d, e] P, by one gcd mask and
@@ -449,6 +450,75 @@ def _roots_mod(H: tc.TupleH, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(roots), np.concatenate(counts)
 
 
+def bezout(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = gcd(a, u) and s in [0, u) with s a = g (mod u), elementwise, as
+    int64 arrays, for integer arrays a >= 0 and 1 <= u < 2^22 (s is 0
+    where u = 1 or u | a).
+
+    One extended Euclidean pass over the whole array in float32: the
+    remainders stay in [0, u) and the coefficients of a within [-u, u], so
+    every value and product is an integer of magnitude below 2^23, and the
+    quotient floor(r0 / r1) of r0 < 2^24 is exact.  No step branches per
+    pair: a pair that is done has r1 = 0, is divided by 2^60 instead and
+    so only swaps its two rows.  A pair that takes n steps has
+    u >= F(n + 2), F the Fibonacci numbers (Lame), so the steps stop at
+    that bound for the largest u, O(log u).
+    """
+    u = np.asarray(u, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64) % u
+    u_max = int(u.max(initial=1))
+    if u_max >= 2**22:
+        raise CapacityError(f"modulus {u_max} reaches 2^22: float32 Euclid is exact below it")
+    steps, fib, nxt = 0, 2, 3
+    while fib <= u_max:
+        steps, fib, nxt = steps + 1, nxt, fib + nxt
+    # r0 = s0 a and r1 = s1 a (mod u); Euclid runs on (r0, r1).
+    r0, r1 = u.astype(np.float32), a.astype(np.float32)
+    del a
+    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
+    quot, tmp = np.empty_like(r1), np.empty_like(r1)
+    for _ in range(steps):
+        np.multiply(r1 == 0, np.float32(2.0**60), out=quot)
+        quot += r1
+        np.divide(r0, quot, out=quot)
+        np.floor(quot, out=quot)
+        r0 -= np.multiply(quot, r1, out=tmp)
+        s0 -= np.multiply(quot, s1, out=tmp)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    # One remainder of each pair is 0 and the other g, with its coefficient.
+    r0 += r1
+    s1 = np.where(r1 == 0, s0, s1).astype(np.int64)
+    s1 %= u
+    return r0.astype(np.int64), s1
+
+
+def crt_lift(a: np.ndarray, m, r: np.ndarray, q, inv) -> np.ndarray:
+    """The classes a mod m crossed with the residues r mod q, gcd(m, q) = 1,
+    given inv = m^{-1} mod q in [0, q): a + m ((r - a) inv mod q), the class
+    mod m q that is a mod m and r mod q, elementwise over the broadcast of
+    the int64 arrays or ints a, m, r, q and inv.
+
+    a lies in [0, m) and r in [0, q), so |r - a| < max(m, q) and inv < q:
+    every int64 product stays below max(m, q) q, which must fit for each
+    pair (m, q) broadcast together; a lift is refused whole if one does not.
+    That bound is smallest when m is the larger modulus, so a caller passes
+    its larger modulus as m.  The caller brings the inverses, as one pow
+    for a single modulus or one bezout pass for many.
+    """
+    m, q = np.asarray(m, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    over = np.maximum(m, q) > (2**63 - 1) // q
+    if over.any():
+        i = np.unravel_index(np.argmax(over), over.shape)
+        m, q = np.broadcast_to(m, over.shape)[i], np.broadcast_to(q, over.shape)[i]
+        raise CapacityError(f"lifted modulus {m}*{q} does not fit in int64")
+    lift = np.subtract(r, a, dtype=np.int64)
+    lift *= inv
+    lift %= q
+    lift *= m
+    lift += a
+    return lift
+
+
 def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     """The squarefree d <= R coprime to P = primorial(V) and their mu(d),
     from _rough_divisors, and count[j, i], the number of regular n in
@@ -490,14 +560,14 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
     # (d, e) = (vals[j], vals[i]); the table is first d^{-1} mod e where
     # g = 1, by Bezout s d + t e = 1 for d < e.
     jd, je = np.triu_indices(vals.size, 1)
-    g, s = tc.bezout(vals[jd], vals[je])
+    g, s = bezout(vals[jd], vals[je])
     gcd = np.empty((vals.size, vals.size), dtype=np.int32)
     gcd[jd, je] = gcd[je, jd] = g
     np.fill_diagonal(gcd, vals)
     inv = np.zeros(gcd.shape, dtype=np.int32)
     inv[jd, je], inv[je, jd] = s, (1 - s * vals[jd]) // vals[je] % vals[jd]
     del jd, je, g, s
-    inv_P = tc.bezout(P % vals, vals)[1]
+    inv_P = bezout(P % vals, vals)[1]
     assert (inv_P * (P % vals) % vals == 1 % vals).all()
     # Every product below R^2 <= 10^7 fits int32.
     inv *= inv_P.astype(np.int32)
@@ -513,7 +583,7 @@ def _pair_counts(H1: tc.TupleH, H2: tc.TupleH, params: WeightParams) -> tuple:
             j = rows[lo : lo + step]
             x = x_all[x_starts[j, None] + np.arange(nx)]
             # (b, i, class): the root x[b, i] lifted by every regular class, mod d P.
-            lifted = tc.crt_lift(reg, P, x[:, :, None], vals[j, None, None], inv_P[j, None, None])
+            lifted = crt_lift(reg, P, x[:, :, None], vals[j, None, None], inv_P[j, None, None])
             # d P fits int64, as the lift's guard found.
             dP = vals[j] * P
             per_y = np.zeros((j.size, y_all.size), dtype=np.int64)
@@ -550,7 +620,7 @@ def _block_counts(
         c, a, pair = 3, lifted[:, :, None, :], np.s_[:, None, :, None]
     else:
         c, a, pair = 2, lifted[..., None], np.s_[:, None, None, :]
-    lift = tc.crt_lift(a, dP[:, None, None, None], (y % e_red)[pair], e_red[pair], inv[pair])
+    lift = crt_lift(a, dP[:, None, None, None], (y % e_red)[pair], e_red[pair], inv[pair])
     mods = dP[:, None] * e_red
     (k1, r1), (k2, r2) = np.divmod(N, mods), np.divmod(2 * N, mods)
     over = (lift > r1[pair]).view(np.int8)

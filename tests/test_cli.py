@@ -203,17 +203,22 @@ def test_help_and_usage_errors_leave_numpy_out():
 
 
 # The gpylab modules one call of each subcommand loads, on top of the cli,
-# errors, and sequences for the parser's --kind choices.
+# errors, and sequences for the parser's --kind choices, and whether it
+# loads numpy.  The scalar tuple and combi calls need no array, so they load
+# neither numpy nor the sieve.
 _FOOTPRINT = {
-    "primes": {"primes"},
-    "tuple check": {"tuples", "primes"},
-    "singular value": {"singular", "tuples", "primes"},
-    "gpy lambda": {"weights", "tuples", "primes"},
-    "combi lemma2": {"combinat", "primes"},
-    "oracle t4": {"oracle", "singular", "tuples", "primes"},
-    "bv classic": {"bv", "primes"},
-    "seq generate": set(),
-    "verify all": {"combinat", "tuples", "primes"},
+    "primes": ({"primes", "integers"}, True),
+    "tuple check": ({"tuples", "integers"}, False),
+    "tuple discriminant": ({"tuples", "integers"}, False),
+    "tuple regular": ({"tuples", "integers", "primes"}, True),
+    "singular value": ({"singular", "tuples", "integers", "primes"}, True),
+    "gpy lambda": ({"weights", "tuples", "integers", "primes"}, True),
+    "combi lemma2": ({"combinat"}, False),
+    "combi coeffs": ({"combinat"}, False),
+    "oracle t4": ({"oracle", "singular", "tuples", "integers", "primes"}, True),
+    "bv classic": ({"bv", "integers", "primes"}, True),
+    "seq generate": (set(), False),
+    "verify all": ({"combinat", "tuples", "integers", "primes"}, True),
 }
 
 _FOOTPRINT_PROBE = """
@@ -221,6 +226,7 @@ import os, sys
 from gpylab import cli
 code = cli.main([*sys.argv[1:], "--out", os.devnull])
 print(*sorted(m for m in sys.modules if m.startswith("gpylab.")))
+print("numpy" in sys.modules)
 sys.exit(code)
 """
 
@@ -228,12 +234,14 @@ sys.exit(code)
 def test_each_call_loads_only_its_subcommands_modules():
     assert {name.split()[0] for name in _FOOTPRINT} == {name.split()[0] for name in INVOCATIONS}
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gpylab.__file__)))
-    for name, extra in _FOOTPRINT.items():
+    for name, (extra, numpy) in _FOOTPRINT.items():
         proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *INVOCATIONS[name]],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        loaded = {m.removeprefix("gpylab.") for m in proc.stdout.split()}
+        modules, numpy_line = proc.stdout.splitlines()
+        loaded = {m.removeprefix("gpylab.") for m in modules.split()}
         assert loaded == {"cli", "errors", "sequences"} | extra, name
+        assert numpy_line == str(numpy), name
 
 
 def test_domain_error_exit_code(capsys):

@@ -373,7 +373,7 @@ def test_divisor_mean_guard_at_its_limit_and_one_past(monkeypatch):
     # the guard passes x = MAX_DIVISOR_MEAN_X to it and refuses one more
     # before it is called.
     seen = []
-    monkeypatch.setattr(combinat, "squarefree_omega", lambda x: seen.append(x) or iter(()))
+    monkeypatch.setattr(primes, "squarefree_omega", lambda x: seen.append(x) or iter(()))
     limit = combinat.MAX_DIVISOR_MEAN_X
     assert combinat.divisor_mean_check(limit, 2)["lhs"] == 0
     with pytest.raises(CapacityError):

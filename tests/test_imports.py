@@ -145,6 +145,71 @@ def test_module_state_is_found():
     assert _module_state({"a": tree}) == {"a.f", "a.g", "a.h"}
 
 
+def _module_level(tree: ast.Module):
+    """Every node the module runs at import: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(nodes) -> set:
+    """The modules the import statements among nodes name: numpy for
+    `import numpy as np`, gpylab.primes for `from . import primes` and for
+    `from .primes import residues`."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "gpylab" if node.level else ""
+            if node.module:
+                out.add(".".join(filter(None, (base, node.module))))
+            else:
+                out |= {f"{base}.{a.name}" for a in node.names}
+    return out
+
+
+def _numpy_importers(modules: dict) -> set:
+    """`module.function` for each function whose body imports numpy."""
+    return {
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "numpy" in {m.split(".")[0] for m in _imported_modules(ast.walk(node))}
+    }
+
+
+# Modules whose import loads neither numpy nor the sieve: the scalar tuple
+# and combi calls of the CLI load only these.
+NUMPY_FREE = {"integers", "tuples", "combinat"}
+
+
+def test_scalar_modules_load_numpy_only_inside_the_functions_that_build_arrays():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    for name in NUMPY_FREE:
+        loaded = _imported_modules(_module_level(modules[name]))
+        assert not {m for m in loaded if m.split(".")[0] == "numpy" or m == "gpylab.primes"}, name
+    assert _numpy_importers(modules) == {"tuples.regular_classes", "combinat.divisor_mean_check"}
+
+
+def test_module_level_and_function_imports_are_told_apart():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport math\nfrom . import errors\n"
+        "from .integers import factorize\nif True:\n    import numpy.linalg\n"
+        "class C:\n    import os\n    def m(self):\n        from . import primes\n"
+        "def f():\n    import numpy as np\n    return np\n"
+        "def g():\n    from numpy import ones\n    return ones\n"
+    )
+    assert _imported_modules(_module_level(tree)) == {
+        "__future__", "math", "gpylab.errors", "gpylab.integers", "numpy.linalg", "os"
+    }
+    assert _numpy_importers({"a": tree}) == {"a.f", "a.g"}
+
+
 SUBMODULES = {"primes", "singular", "tuples", "weights"}
 
 

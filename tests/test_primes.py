@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpylab import primes
+from gpylab import integers, primes
 from gpylab import tuples as tc
 from gpylab.errors import CapacityError, DomainError
 
@@ -129,7 +129,7 @@ def test_tiny_windows_match_trial_division_and_skip_the_sieve(monkeypatch):
     # 2 past the bound, against trial division done here; from the bound on
     # the sieve runs.
     bound = 2**8
-    assert primes._TINY_HI == bound
+    assert integers._TINY_HI == bound
     want = [n for n in range(2, bound + 3) if all(n % p for p in range(2, math.isqrt(n) + 1))]
     calls = []
     sieve = primes._sieve_odd
@@ -145,6 +145,13 @@ def test_tiny_windows_match_trial_division_and_skip_the_sieve(monkeypatch):
         table = primes.primes_upto(x)
         assert table.primes.tolist() == [p for p in want if p <= x]
         assert bool(calls) == sieved
+
+
+def test_small_primes_match_sympy_across_the_table_edge():
+    # Below 2^8 they are the table's; from 2^8 on each m is decided by
+    # factorize.
+    for x in [*range(-1, 600), 1000, 7919]:
+        assert integers.small_primes(x) == list(sympy.primerange(2, x + 1)), x
 
 
 def test_sieve_range_table_is_read_only_and_trimmed():
@@ -621,7 +628,7 @@ def test_ap_error_star_memory_does_not_grow_with_the_modulus():
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 10**9))
 def test_factorize_matches_sympy(n):
-    assert primes.factorize(n) == sympy.factorint(n)
+    assert integers.factorize(n) == sympy.factorint(n)
 
 
 def test_factorize_makes_no_sieve_call(monkeypatch):
@@ -631,7 +638,7 @@ def test_factorize_makes_no_sieve_call(monkeypatch):
     monkeypatch.setattr(primes, "sieve_range", refuse)
     near_2_32 = [2**32 + d for d in range(-5, 6)]
     for n in [*range(1, 3001), *near_2_32, 999983 * 999979, sympy.prevprime(10**12)]:
-        assert primes.factorize(n) == sympy.factorint(n)
+        assert integers.factorize(n) == sympy.factorint(n)
 
 
 def _squarefree_factors(x):
@@ -692,14 +699,14 @@ def test_phi_matches_sympy_totient():
 
 
 def test_factorize_at_its_bound():
-    bound = primes.MAX_FACTOR_N
+    bound = integers.MAX_FACTOR_N
     largest_prime = sympy.prevprime(bound)
     for n in (1, 2, bound - 1, bound, largest_prime, 999983 * 999979):
-        assert primes.factorize(n) == sympy.factorint(n)
+        assert integers.factorize(n) == sympy.factorint(n)
     with pytest.raises(CapacityError):
-        primes.factorize(bound + 1)
+        integers.factorize(bound + 1)
     with pytest.raises(DomainError):
-        primes.factorize(0)
+        integers.factorize(0)
 
 
 def _nu_calls(p):
@@ -727,8 +734,8 @@ def test_nu_p_rejects_composite_modulus():
                 call()
     # The largest prime up to MAX_FACTOR_N is accepted, the next one refused.
     assert [call() for call in _nu_calls(999999999989)] == [2, 1, 2]
-    assert sympy.prevprime(primes.MAX_FACTOR_N) == 999999999989
-    assert sympy.nextprime(primes.MAX_FACTOR_N) == 1000000000039
+    assert sympy.prevprime(integers.MAX_FACTOR_N) == 999999999989
+    assert sympy.nextprime(integers.MAX_FACTOR_N) == 1000000000039
     for call in _nu_calls(1000000000039):
         with pytest.raises(CapacityError):
             call()

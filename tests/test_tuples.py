@@ -52,6 +52,32 @@ def test_primorial_values_and_cap():
             tc.primorial(V)
 
 
+def test_primorial_matches_sympy_at_every_admitted_V():
+    for V in range(2, tc.MAX_V + 1):
+        assert tc.primorial(V) == sympy.primorial(V, nth=False), V
+
+
+def _admissible_by_sympy(shifts):
+    return all(len({h % p for h in shifts}) < p for p in sympy.primerange(2, len(shifts) + 1))
+
+
+@pytest.mark.parametrize("size", [255, 256, 257])
+def test_admissibility_at_the_edge_of_the_trial_division_table(size):
+    # The primes <= |H| come from a table below 2^8 and from factorize at
+    # and above it.  The primes above |H| miss the class 0 mod every p <= |H|;
+    # range(|H|) fills every class mod 2.  1 + t primorial(256), t < |H|, sits
+    # in the class 1 mod every p < 257 and fills the classes mod 257 only at
+    # |H| = 257, where it is inadmissible by the prime 257 alone.
+    above = tuple(sympy.primerange(size + 1, 10 * size))[:size]
+    spread = tuple(1 + t * sympy.primorial(256, nth=False) for t in range(size))
+    for shifts in (above, tuple(range(size)), spread):
+        assert len(shifts) == size
+        H = tc.TupleH(shifts)
+        assert tc.is_admissible(H) == _admissible_by_sympy(shifts), (size, shifts[:3])
+    assert _admissible_by_sympy(above) and not _admissible_by_sympy(range(size))
+    assert _admissible_by_sympy(spread) == (size < 257)
+
+
 def test_regular_class_count_formula():
     H = tc.TupleH((0, 2, 6))
     want = math.prod(p - tc.nu_p(H, p) for p in sympy.primerange(2, 6))
@@ -111,116 +137,6 @@ def test_regular_classes_memory_is_the_result_and_little_more():
     assert peak <= 1.3 * classes.nbytes + 64 * 1024
 
 
-def python_crt(x, m, res, q):
-    inv = pow(m, -1, q)
-    return [a + m * ((r - a) * inv % q) for a in x for r in res]
-
-
-def inverses(m, q):
-    """m^{-1} mod q elementwise over their broadcast, by Python's pow."""
-    return np.array([pow(int(a) % int(k), -1, int(k)) for a, k in np.broadcast(m, q)], dtype=np.int64)
-
-
-def test_bezout_matches_gcd_and_pow_on_every_pair_to_300():
-    # a = 0 and u | a give g = u and s = 0; u = 1 gives s = 0.
-    pairs = [(a, u) for u in range(1, 301) for a in range(0, 301)]
-    a, u = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    g, s = tc.bezout(a, u)
-    assert g.dtype == s.dtype == np.int64
-    assert g.tolist() == [math.gcd(x, y) for x, y in pairs]
-    assert ((0 <= s) & (s < np.maximum(u, 1))).all()
-    assert ((s * a - g) % u == 0).all()
-    coprime = g == 1
-    assert s[coprime].tolist() == [pow(int(x), -1, int(y)) for x, y in zip(a[coprime], u[coprime])]
-    # float32 is exact below 2^22.
-    with pytest.raises(CapacityError, match="reaches 2\\^22"):
-        tc.bezout(np.array([1]), np.array([2**22]))
-
-
-@pytest.mark.parametrize("top", [2**22 - 1])
-def test_bezout_on_consecutive_fibonacci_numbers(top):
-    # Consecutive Fibonacci numbers take the most Euclid steps for their
-    # size (Lame's bound, where the steps stop).  Every pair up to the
-    # largest Fibonacci number <= top, the largest modulus the float32 pass
-    # takes, and top itself against its neighbours.
-    fib = [1, 2]
-    while fib[-1] + fib[-2] <= top:
-        fib.append(fib[-1] + fib[-2])
-    a = np.array(fib[:-1] + [top - 1, 2, fib[-1]], dtype=np.int64)
-    u = np.array(fib[1:] + [top, top, top], dtype=np.int64)
-    g, s = tc.bezout(a, u)
-    for x, y, gg, ss in zip(a.tolist(), u.tolist(), g.tolist(), s.tolist()):
-        assert gg == math.gcd(x, y) and (ss * x - gg) % y == 0 and 0 <= ss < y
-
-
-def test_crt_lift_by_primorial_29_matches_python_ints():
-    # The first lift of pair_sum_divisor at V = 29: a few roots mod 97 by
-    # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
-    # where (r - a) * inverse mod P would reach P^2 > 2^63: the lift is
-    # based on P, and based on 97 it is refused.
-    H = tc.TupleH((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50))
-    P = tc.primorial(29)
-    reg = tc.regular_classes(H, 29) % P
-    x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
-    lift = tc.crt_lift(reg, P, x[:, None], 97, pow(P, -1, 97))
-    assert lift.shape == (x.size, reg.size)
-    assert 0 <= lift.min() and lift.max() < 97 * P
-    assert lift.ravel().tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
-    with pytest.raises(CapacityError):
-        tc.crt_lift(x[:, None], 97, reg, P, pow(97, -1, P))
-
-
-def test_crt_lift_capacity_at_int64_boundary():
-    # 2^63 - 1 = 49 * 188232082384791343 with coprime factors: the largest
-    # lifted modulus that fits, based on the larger factor.  50 times it
-    # and 2 times 2^63 - 1 pass 2^63.
-    m, q = 49, 188232082384791343
-    assert m * q == 2**63 - 1
-    x = np.array([0, 5, 48], dtype=np.int64)
-    res = np.array([1, q // 2, q - 1], dtype=np.int64)
-    lift = tc.crt_lift(res, q, x[:, None], m, pow(q, -1, m))
-    assert lift.ravel().tolist() == python_crt(x.tolist(), m, res.tolist(), q)
-    for big, small in ((q, 50), (2**63 - 1, 2)):
-        with pytest.raises(CapacityError):
-            tc.crt_lift(np.array([0]), big, np.array([0]), small, pow(big, -1, small))
-
-
-def test_crt_lift_by_array_moduli_matches_python_ints():
-    # Each residue with its own modulus, as pair_sum_divisor lifts the
-    # classes mod d P by each root y of every e, taken mod e / gcd(d, e).
-    # 2^63 - 1 = 49 * m with coprime factors, so the residues mod 49 lift
-    # to the largest modulus that fits; a q of 1 keeps the classes as they
-    # are.
-    m = 188232082384791343
-    x = np.array([0, 5, m - 1], dtype=np.int64)
-    res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
-    q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
-    lift = tc.crt_lift(x, m, res[:, None], q[:, None], inverses(m, q)[:, None])
-    assert m * int(q.max()) == 2**63 - 1
-    want = [python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())]
-    assert lift.tolist() == want
-    # Each row with its own base modulus too, as the blocks of
-    # pair_sum_divisor lift mod d P for several d at once.
-    ms = np.array([7, 30, 11 * 30], dtype=np.int64)
-    a = np.array([[3, 6], [1, 29], [0, 329]], dtype=np.int64)
-    r, k = np.array([4, 6, 12]), np.array([13, 7, 13])
-    lift = tc.crt_lift(a, ms[:, None], r[:, None], k[:, None], inverses(ms, k)[:, None])
-    assert lift.tolist() == [python_crt(row, mm, [rr], kk) for row, mm, rr, kk in zip(
-        a.tolist(), ms.tolist(), r.tolist(), k.tolist()
-    )]
-    # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
-    lift = tc.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), 3037000499, pow(2, -1, 3037000499))
-    assert lift.tolist() == python_crt([0, 1], 2, [3037000498], 3037000499)
-    with pytest.raises(CapacityError):
-        tc.crt_lift(np.array([0]), 2, np.array([0]), 3037000501, pow(2, -1, 3037000501))
-    # 50 * m passes 2^63: one such pair refuses the whole lift, whether
-    # the moduli vary along q or along m.
-    with pytest.raises(CapacityError):
-        tc.crt_lift(x, m, np.array([[0], [1]]), np.array([[49], [50]]), np.array([[0], [0]]))
-    with pytest.raises(CapacityError):
-        tc.crt_lift(0, np.array([[m // 2], [m]]), 0, 50, 0)
-
-
 def test_regular_classes_of_a_union_covering_every_class_mod_3_are_empty():
     # -0, -4 and -8 fill every class mod 3, so no a is regular.
     H = tc.TupleH((0, 4, 8))
@@ -256,6 +172,19 @@ def test_tuple_normalization_and_errors():
         tc.TupleH((-1, 2))
     with pytest.raises(DomainError):
         tc.TupleH(())
+    # A non-integral shift is refused, not truncated, by the constructor and
+    # by union; integral floats, bools and numpy integers keep their value.
+    for bad in ((0, 2.5), (0, np.float64(2.5)), (0, 1e-9)):
+        with pytest.raises(DomainError, match="non-integral shift"):
+            tc.TupleH(bad)
+    for extra in (6.7, np.float64(-0.5)):
+        with pytest.raises(DomainError, match="non-integral shift"):
+            tc.TupleH((0, 2)).union(extra)
+    H = tc.TupleH((2.0, True, np.int64(6), np.uint8(4)))
+    assert H.shifts == (1, 2, 4, 6) and all(type(h) is int for h in H.shifts)
+    assert tc.TupleH((0, 2)).union(6.0).shifts == (0, 2, 6)
+    assert tc.TupleH((0, 2)).union(np.int64(2)).shifts == (0, 2)
+    assert tc.TupleH((0, 2)).union(tc.TupleH((2, 8))).shifts == (0, 2, 8)
 
 
 def test_parse_tuple_line_rejects_garbage():

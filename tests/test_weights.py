@@ -13,6 +13,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gpylab import integers
 from gpylab import primes as prime_engine
 from gpylab import tuples as tc
 from gpylab import weights
@@ -388,7 +389,7 @@ def test_divisor_table_is_the_factorized_squarefree_rough_d(monkeypatch, V, R, h
     # 1001 = 7 * 11 * 13: in at V = 5 once R reaches it, out at V = 7.
     want = {}
     for q in range(1, int(R) + 1):
-        f = prime_engine.factorize(q)
+        f = integers.factorize(q)
         if all(e == 1 and p > V for p, e in f.items()):
             want[q] = (-1) ** len(f)
     assert (1001 in want) == has_1001
@@ -541,8 +542,8 @@ def test_divisor_work_guard_at_the_cross_item(monkeypatch):
     def refuse(*args):
         raise AssertionError("classes built or lifted before the guard")
 
-    for name in ("regular_classes", "crt_lift"):
-        monkeypatch.setattr(tc, name, refuse)
+    monkeypatch.setattr(tc, "regular_classes", refuse)
+    monkeypatch.setattr(weights, "crt_lift", refuse)
     with pytest.raises(CapacityError, match="677320 lifted classes exceed guard 677319"):
         weights.pair_sum_divisor(Ha, Hb, 2, 2, params)
 
@@ -570,12 +571,123 @@ def test_divisor_route_int64_refusal_at_its_boundary():
         weights.pair_sum_divisor(H1, H2, 1, 0, params)
 
 
+def python_crt(x, m, res, q):
+    inv = pow(m, -1, q)
+    return [a + m * ((r - a) * inv % q) for a in x for r in res]
+
+
+def inverses(m, q):
+    """m^{-1} mod q elementwise over their broadcast, by Python's pow."""
+    return np.array([pow(int(a) % int(k), -1, int(k)) for a, k in np.broadcast(m, q)], dtype=np.int64)
+
+
+def test_bezout_matches_gcd_and_pow_on_every_pair_to_300():
+    # a = 0 and u | a give g = u and s = 0; u = 1 gives s = 0.
+    pairs = [(a, u) for u in range(1, 301) for a in range(0, 301)]
+    a, u = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    g, s = weights.bezout(a, u)
+    assert g.dtype == s.dtype == np.int64
+    assert g.tolist() == [math.gcd(x, y) for x, y in pairs]
+    assert ((0 <= s) & (s < np.maximum(u, 1))).all()
+    assert ((s * a - g) % u == 0).all()
+    coprime = g == 1
+    assert s[coprime].tolist() == [pow(int(x), -1, int(y)) for x, y in zip(a[coprime], u[coprime])]
+    # float32 is exact below 2^22.
+    with pytest.raises(CapacityError, match="reaches 2\\^22"):
+        weights.bezout(np.array([1]), np.array([2**22]))
+
+
+@pytest.mark.parametrize("top", [2**22 - 1])
+def test_bezout_on_consecutive_fibonacci_numbers(top):
+    # Consecutive Fibonacci numbers take the most Euclid steps for their
+    # size (Lame's bound, where the steps stop).  Every pair up to the
+    # largest Fibonacci number <= top, the largest modulus the float32 pass
+    # takes, and top itself against its neighbours.
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= top:
+        fib.append(fib[-1] + fib[-2])
+    a = np.array(fib[:-1] + [top - 1, 2, fib[-1]], dtype=np.int64)
+    u = np.array(fib[1:] + [top, top, top], dtype=np.int64)
+    g, s = weights.bezout(a, u)
+    for x, y, gg, ss in zip(a.tolist(), u.tolist(), g.tolist(), s.tolist()):
+        assert gg == math.gcd(x, y) and (ss * x - gg) % y == 0 and 0 <= ss < y
+
+
+def test_crt_lift_by_primorial_29_matches_python_ints():
+    # The first lift of pair_sum_divisor at V = 29: a few roots mod 97 by
+    # the regular classes of the greedy admissible 14-tuple mod P ~ 6.5e9,
+    # where (r - a) * inverse mod P would reach P^2 > 2^63: the lift is
+    # based on P, and based on 97 it is refused.
+    H = tc.TupleH((0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50))
+    P = tc.primorial(29)
+    reg = tc.regular_classes(H, 29) % P
+    x = np.array(sorted({(-h) % 97 for h in H.shifts})[:7], dtype=np.int64)
+    lift = weights.crt_lift(reg, P, x[:, None], 97, pow(P, -1, 97))
+    assert lift.shape == (x.size, reg.size)
+    assert 0 <= lift.min() and lift.max() < 97 * P
+    assert lift.ravel().tolist() == python_crt(x.tolist(), 97, reg.tolist(), P)
+    with pytest.raises(CapacityError):
+        weights.crt_lift(x[:, None], 97, reg, P, pow(97, -1, P))
+
+
+def test_crt_lift_capacity_at_int64_boundary():
+    # 2^63 - 1 = 49 * 188232082384791343 with coprime factors: the largest
+    # lifted modulus that fits, based on the larger factor.  50 times it
+    # and 2 times 2^63 - 1 pass 2^63.
+    m, q = 49, 188232082384791343
+    assert m * q == 2**63 - 1
+    x = np.array([0, 5, 48], dtype=np.int64)
+    res = np.array([1, q // 2, q - 1], dtype=np.int64)
+    lift = weights.crt_lift(res, q, x[:, None], m, pow(q, -1, m))
+    assert lift.ravel().tolist() == python_crt(x.tolist(), m, res.tolist(), q)
+    for big, small in ((q, 50), (2**63 - 1, 2)):
+        with pytest.raises(CapacityError):
+            weights.crt_lift(np.array([0]), big, np.array([0]), small, pow(big, -1, small))
+
+
+def test_crt_lift_by_array_moduli_matches_python_ints():
+    # Each residue with its own modulus, as pair_sum_divisor lifts the
+    # classes mod d P by each root y of every e, taken mod e / gcd(d, e).
+    # 2^63 - 1 = 49 * m with coprime factors, so the residues mod 49 lift
+    # to the largest modulus that fits; a q of 1 keeps the classes as they
+    # are.
+    m = 188232082384791343
+    x = np.array([0, 5, m - 1], dtype=np.int64)
+    res = np.array([0, 1, 0, 2, 4, 1, 48], dtype=np.int64)
+    q = np.array([1, 2, 3, 3, 5, 49, 49], dtype=np.int64)
+    lift = weights.crt_lift(x, m, res[:, None], q[:, None], inverses(m, q)[:, None])
+    assert m * int(q.max()) == 2**63 - 1
+    want = [python_crt(x.tolist(), m, [r], k) for r, k in zip(res.tolist(), q.tolist())]
+    assert lift.tolist() == want
+    # Each row with its own base modulus too, as the blocks of
+    # pair_sum_divisor lift mod d P for several d at once.
+    ms = np.array([7, 30, 11 * 30], dtype=np.int64)
+    a = np.array([[3, 6], [1, 29], [0, 329]], dtype=np.int64)
+    r, k = np.array([4, 6, 12]), np.array([13, 7, 13])
+    lift = weights.crt_lift(a, ms[:, None], r[:, None], k[:, None], inverses(ms, k)[:, None])
+    assert lift.tolist() == [python_crt(row, mm, [rr], kk) for row, mm, rr, kk in zip(
+        a.tolist(), ms.tolist(), r.tolist(), k.tolist()
+    )]
+    # q^2 also bounds the products: 3037000499^2 < 2^63 <= 3037000501^2.
+    lift = weights.crt_lift(np.array([0, 1]), 2, np.array([3037000498]), 3037000499, pow(2, -1, 3037000499))
+    assert lift.tolist() == python_crt([0, 1], 2, [3037000498], 3037000499)
+    with pytest.raises(CapacityError):
+        weights.crt_lift(np.array([0]), 2, np.array([0]), 3037000501, pow(2, -1, 3037000501))
+    # 50 * m passes 2^63: one such pair refuses the whole lift, whether
+    # the moduli vary along q or along m.
+    with pytest.raises(CapacityError):
+        weights.crt_lift(x, m, np.array([[0], [1]]), np.array([[49], [50]]), np.array([[0], [0]]))
+    with pytest.raises(CapacityError):
+        weights.crt_lift(0, np.array([[m // 2], [m]]), 0, 50, 0)
+
+
 def test_direct_routes_use_no_class_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class code called")
 
-    for name in ("regular_classes", "crt_lift", "bezout"):
-        monkeypatch.setattr(tc, name, refuse)
+    monkeypatch.setattr(tc, "regular_classes", refuse)
+    for name in ("crt_lift", "bezout"):
+        monkeypatch.setattr(weights, name, refuse)
     params = weights.WeightParams(K=2, ell=1, R=30.0, V=5, N=1000)
     assert weights.pair_sum_direct(H1, H2, 1, 1, params) > 0
     assert weights.pair_sum_direct(H1, H2, 1, 1, params, per_class=11) > 0

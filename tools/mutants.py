@@ -55,10 +55,10 @@ MUTANTS = [
     ),
     (
         "bezout bound at 2^23",
-        "src/gpylab/tuples.py",
+        "src/gpylab/weights.py",
         "    if u_max >= 2**22:\n",
         "    if u_max >= 2**23:\n",
-        ["tests/test_tuples.py"],
+        ["tests/test_weights.py"],
     ),
     (
         "`t *= q` dropped in residues",
@@ -76,17 +76,66 @@ MUTANTS = [
     ),
     (
         "_TINY_HI one too high",
-        "src/gpylab/primes.py",
+        "src/gpylab/integers.py",
         "_TINY_HI = 1 << 8\n",
         "_TINY_HI = (1 << 8) + 1\n",
         ["tests/test_primes.py"],
     ),
     (
         "one prime missing from _TINY_PRIMES",
-        "src/gpylab/primes.py",
+        "src/gpylab/integers.py",
         "    n for n in range(2, _TINY_HI) if all(",
         "    n for n in range(2, _TINY_HI) if n != 251 and all(",
         ["tests/test_primes.py"],
+    ),
+    (
+        "small_primes stops at _TINY_HI",
+        "src/gpylab/integers.py",
+        "    out.extend(m for m in range(_TINY_HI, x + 1) if factorize(m) == {m: 1})\n",
+        "",
+        ["tests/test_tuples.py"],
+    ),
+    (
+        "module-level numpy import in tuples",
+        "src/gpylab/tuples.py",
+        "from .errors import CapacityError, DomainError\n",
+        "import numpy as np\n\nfrom .errors import CapacityError, DomainError\n",
+        ["tests/test_cli.py::test_each_call_loads_only_its_subcommands_modules"],
+    ),
+    (
+        "module-level numpy import in combinat",
+        "src/gpylab/combinat.py",
+        "from .errors import CapacityError, DomainError\n",
+        "import numpy as np\n\nfrom .errors import CapacityError, DomainError\n",
+        ["tests/test_imports.py"],
+    ),
+    (
+        "TupleH truncates a non-integral shift",
+        "src/gpylab/tuples.py",
+        "            if v != h:\n",
+        "            if False:\n",
+        ["tests/test_tuples.py"],
+    ),
+    (
+        "N >= 2^62 guard removed from _pair_counts",
+        "src/gpylab/weights.py",
+        "    if N >= 2**62:\n",
+        "    if False:\n",
+        ["tests/test_cli.py::test_capacity_error_exit_code"],
+    ),
+    (
+        "window ceiling dropped from _window_ranges",
+        "src/gpylab/weights.py",
+        "    if 8 * N > prime_engine.MAX_TABLE_BYTES:\n",
+        "    if False:\n",
+        ["tests/test_weights.py"],
+    ),
+    (
+        "cli._num reads through float",
+        "src/gpylab/cli.py",
+        "    try:\n        return int(text)\n",
+        "    try:\n        return int(_real(text))\n",
+        ["tests/test_cli.py"],
     ),
 ]
 
